@@ -21,13 +21,7 @@ import numpy as np
 from . import __version__, kernels
 from .dynamic import DynamicImpactResult, run_dynamic
 from .econ import ProductionSeries, discounted_cost_result
-from .engine import (
-    MonteCarloResult,
-    UnitResult,
-    run_matrix,
-    run_monte_carlo,
-    run_static,
-)
+from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
 from .errors import LcengineError, LoadError
 from .io import (
     export_results,
@@ -38,7 +32,7 @@ from .io import (
     result_set,
     sha256_file,
 )
-from .model import DistributionAmount, MatrixAmount, ProcessModel, validate_model
+from .model import DistributionAmount, ProcessModel, iter_amounts, validate_model
 
 log = logging.getLogger("lcengine")
 
@@ -213,9 +207,8 @@ def _print_dynamic_summary(dyn: DynamicImpactResult) -> None:
         print(f"  {cat:<20} cumulative (scenario mean): {_fmt_value(total)}")
 
 
-def _print_indicators(cost_grid: np.ndarray, production: np.ndarray, rate: float) -> None:
-    indicators = discounted_cost_result(cost_grid, ProductionSeries(production), rate)
-    if cost_grid.shape[0] == 1:
+def _print_indicators(indicators, rate: float) -> None:
+    if indicators.npv.shape[0] == 1:
         print(
             f"  economics (rate {rate:g}): present cost {_fmt_value(indicators.npv[0])}, "
             f"MSP {_fmt_value(indicators.msp[0])}, LCOE {_fmt_value(indicators.lcoe[0])}"
@@ -285,9 +278,21 @@ def cmd_run(config: RunConfig) -> int:
         "model": model.name,
         "seed": config.seed,
         "config": config.to_meta(),
-        "input_sha256": _input_hashes(config),
+        "input_sha256": _input_hashes(config, model),
     }
     rs = result_set(payload, meta)
+
+    indicators = None
+    if model.production is not None:
+        cost_grid = _cost_grid_for_indicators(payload, model, db, config)
+        if cost_grid is not None:
+            try:
+                indicators = discounted_cost_result(
+                    cost_grid, ProductionSeries(model.production), model.discount_rate
+                )
+            except (LcengineError, ValueError, ZeroDivisionError) as exc:
+                print(f"error: economic indicators: {exc}", file=sys.stderr)
+                return EXIT_INVALID
 
     output = config.output or f"{Path(config.model).stem}_{config.mode}.{config.format}"
     try:
@@ -299,29 +304,22 @@ def cmd_run(config: RunConfig) -> int:
     print(f"model: {model.name}  mode: {config.mode}  "
           f"grid: {model.grid.n_scenarios}x{model.grid.n_timesteps} ({model.grid.step_label})")
     _print_payload_summary(payload)
-    if model.production is not None:
-        rate = model.discount_rate
-        cost_grid = _cost_grid_for_indicators(payload, model, db, config)
-        if cost_grid is not None:
-            _print_indicators(cost_grid, model.production, rate)
+    if indicators is not None:
+        _print_indicators(indicators, model.discount_rate)
     print(f"results written to: {output}")
     return EXIT_OK
 
 
 def _run_deterministic(model: ProcessModel, db, categories, seed: int, threads: int):
-    """Static mode: single-value models use the 1x1 path, matrix-valued
-    models the full grid; distributions are a usage error here."""
-    has_matrix = False
-    for sp in model.subprocesses:
-        for amount in (*(f.amount for f in sp.flows), sp.amount):
-            if isinstance(amount, DistributionAmount) and amount.spec.kind != "point":
-                raise ValueError(
-                    "model contains distribution amounts; use --mode montecarlo"
-                )
-            has_matrix = has_matrix or isinstance(amount, MatrixAmount)
-    if has_matrix and model.grid.shape != (1, 1):
-        return run_matrix(model, db, seed=seed, categories=categories, threads=threads)
-    return run_static(model, db, categories=categories)
+    """Static mode: every model is evaluated on its own grid, so an all-scalar
+    model on a larger grid gives constant cells; distributions are a usage
+    error here."""
+    if any(isinstance(a, DistributionAmount) and a.spec.kind != "point"
+           for a in iter_amounts(model)):
+        raise ValueError("model contains distribution amounts; use --mode montecarlo")
+    if model.grid.shape == (1, 1):
+        return run_static(model, db, categories=categories)
+    return run_matrix(model, db, seed=seed, categories=categories, threads=threads)
 
 
 def _cost_grid_for_indicators(payload, model, db, config) -> np.ndarray | None:
@@ -338,10 +336,14 @@ def _cost_grid_for_indicators(payload, model, db, config) -> np.ndarray | None:
     return unit.cost
 
 
-def _input_hashes(config: RunConfig) -> dict:
+def _input_hashes(config: RunConfig, model: ProcessModel) -> dict:
     hashes = {"model": sha256_file(config.model), "db": sha256_file(config.db)}
     if config.dcf:
         hashes["dcf"] = sha256_file(config.dcf)
+    if model.matrix_files:
+        hashes["matrix_files"] = {
+            written: sha256_file(read) for written, read in model.matrix_files.items()
+        }
     return hashes
 
 

@@ -29,7 +29,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io as _io
+import itertools
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -59,6 +61,7 @@ RESULT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
 
 _STAT_NAMES = ("mean", "sd", "p2.5", "p50", "p97.5")
+_CSV_HEADER = ["section", "name", "scenario", "timestep", "category", "value"]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,7 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _parse_amount(obj, where: str, path, base_dir: Path) -> ExchangeAmount:
+def _parse_amount(obj, where: str, path, base_dir: Path, matrix_files: dict) -> ExchangeAmount:
     if isinstance(obj, bool):
         raise LoadError(f"{where}: expected an amount, got a boolean", path=path)
     if isinstance(obj, (int, float)):
@@ -228,6 +231,7 @@ def _parse_amount(obj, where: str, path, base_dir: Path) -> ExchangeAmount:
         if "matrix_file" in obj:
             _reject_unknown_keys(obj, ("matrix_file",), where, path)
             rel = _as_str(obj["matrix_file"], f"{where}: matrix_file", path)
+            matrix_files[rel] = str(base_dir / rel)
             return MatrixAmount(load_matrix_csv(base_dir / rel))
         if "matrix" in obj:
             _reject_unknown_keys(obj, ("matrix",), where, path)
@@ -247,7 +251,7 @@ def _parse_amount(obj, where: str, path, base_dir: Path) -> ExchangeAmount:
     )
 
 
-def _parse_flow(obj, where: str, path, base_dir: Path) -> FlowDefinition:
+def _parse_flow(obj, where: str, path, base_dir: Path, matrix_files: dict) -> FlowDefinition:
     mapping = _require_mapping(obj, where, path)
     allowed = ("name", "direction", "amount", "background", "unit_impact", "unit_cost", "substance")
     _reject_unknown_keys(mapping, allowed, where, path)
@@ -256,7 +260,9 @@ def _parse_flow(obj, where: str, path, base_dir: Path) -> FlowDefinition:
     direction = _as_str(_get(mapping, "direction", where, path), f"{where}: direction", path)
     if direction not in ("inflow", "outflow"):
         raise LoadError(f"{where}: direction must be 'inflow' or 'outflow'", path=path)
-    amount = _parse_amount(_get(mapping, "amount", where, path), f"{where}: amount", path, base_dir)
+    amount = _parse_amount(
+        _get(mapping, "amount", where, path), f"{where}: amount", path, base_dir, matrix_files
+    )
     background = mapping.get("background")
     if background is not None:
         background = _as_str(background, f"{where}: background", path)
@@ -361,6 +367,7 @@ def load_model(path) -> ProcessModel:
     if not isinstance(sps_obj, list) or not sps_obj:
         raise LoadError("subprocesses must be a non-empty list", path=path)
     base_dir = Path(path).parent
+    matrix_files: dict[str, str] = {}
     subprocesses = []
     for i, sp_obj in enumerate(sps_obj):
         where = f"subprocess #{i + 1}"
@@ -368,12 +375,15 @@ def load_model(path) -> ProcessModel:
         _reject_unknown_keys(sp_map, ("name", "amount", "flows"), where, path)
         sp_name = _as_str(_get(sp_map, "name", where, path), f"{where}: name", path)
         where = f"subprocess {sp_name!r}"
-        amount = _parse_amount(_get(sp_map, "amount", where, path), f"{where}: amount", path, base_dir)
+        amount = _parse_amount(
+            _get(sp_map, "amount", where, path), f"{where}: amount", path, base_dir, matrix_files
+        )
         flows_obj = _get(sp_map, "flows", where, path)
         if not isinstance(flows_obj, list) or not flows_obj:
             raise LoadError(f"{where}: flows must be a non-empty list", path=path)
         flows = tuple(
-            _parse_flow(f_obj, f"{where}, flow", path, base_dir) for f_obj in flows_obj
+            _parse_flow(f_obj, f"{where}, flow", path, base_dir, matrix_files)
+            for f_obj in flows_obj
         )
         subprocesses.append(SubProcessDefinition(name=sp_name, amount=amount, flows=flows))
 
@@ -386,6 +396,7 @@ def load_model(path) -> ProcessModel:
             discount_rate=rate,
             functional_unit=FunctionalUnit(fu_desc, ref_amount),
             production=production,
+            matrix_files=matrix_files,
         )
     except (ValueError, ShapeError) as exc:
         raise LoadError(str(exc), path=path) from exc
@@ -749,7 +760,7 @@ def _csv_grid_rows(writer, section: str, name: str, grid: np.ndarray, category: 
 
 def _export_csv(rs: ResultSet, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["section", "name", "scenario", "timestep", "category", "value"])
+    writer.writerow(_CSV_HEADER)
 
     def meta_row(key, value):
         writer.writerow(["meta", key, "", "", "", json.dumps(value)])
@@ -798,29 +809,79 @@ def _export_csv(rs: ResultSet, fh) -> None:
                 _csv_grid_rows(writer, "dynamic_contribution", sub, grid, cat)
 
 
-def _import_csv(path: str, text: str) -> ResultSet:
-    records = _read_csv_records(text, path)
-    if not records or records[0] != ["section", "name", "scenario", "timestep", "category", "value"]:
-        raise LoadError("not a result CSV (bad header)", path=path)
-    meta_pairs: list[tuple[str, object]] = []
-    data: dict[str, list[tuple[str, int, int, str, float]]] = {}
-    for lineno, rec in enumerate(records[1:], start=2):
-        if len(rec) != 6:
-            raise LoadError(f"row has {len(rec)} cells, expected 6", path=path, line=lineno)
-        section, name, scenario, timestep, category, value = rec
-        if section == "meta":
-            try:
-                meta_pairs.append((name, json.loads(value)))
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"bad meta value for {name!r}: {exc}", path=path, line=lineno) from exc
+def _grid_from_cells(
+    s: np.ndarray, t: np.ndarray, v: np.ndarray, shape: tuple[int, int], where: str, path
+) -> np.ndarray:
+    """Scatter scenario, timestep and value columns into a grid of ``shape``.
+
+    Every cell of the grid must appear exactly once; the error names the
+    first missing or repeated cell.
+    """
+    n_s, n_t = shape
+    if s.min() < 0:
+        raise LoadError(f"{where}: empty or negative scenario", path=path)
+    if t.min() < 0:
+        raise LoadError(f"{where}: negative timestep", path=path)
+    span = (int(s.max()) + 1, int(t.max()) + 1)
+    if span != (n_s, n_t):
+        raise LoadError(
+            f"{where}: rows cover {span[0]}x{span[1]} cells, payload_grid gives {n_s}x{n_t}",
+            path=path,
+        )
+    flat = s * n_t + t
+    if flat.size != n_s * n_t or np.bincount(flat, minlength=flat.size).max() != 1:
+        cell, counts = np.unique(flat, return_counts=True)
+        if counts.max() > 1:
+            problem, bad = "duplicate", cell[np.argmax(counts > 1)]
         else:
+            gaps = np.flatnonzero(cell != np.arange(cell.size))
+            problem, bad = "missing", gaps[0] if gaps.size else cell.size
+        raise LoadError(
+            f"{where}: {problem} cell at scenario {bad // n_t}, timestep {bad % n_t}", path=path
+        )
+    grid = np.empty(flat.size, dtype=np.float64)
+    grid[flat] = v
+    return grid.reshape(n_s, n_t)
+
+
+def _import_csv(path: str, lines) -> ResultSet:
+    """Stream a long-format result CSV (an iterable of lines) into a ResultSet.
+
+    Each (section, name, category) keeps its rows as three typed columns,
+    so memory is about the size of the grids, not a multiple of the file.
+    """
+    reader = csv.reader(lines)
+    meta_pairs: list[tuple[str, object]] = []
+    columns: dict[tuple[str, str, str], tuple[array, array, array]] = {}
+    try:
+        if next(reader, None) != _CSV_HEADER:
+            raise LoadError("not a result CSV (bad header)", path=path)
+        for rec in reader:
+            if len(rec) != 6:
+                raise LoadError(
+                    f"row has {len(rec)} cells, expected 6", path=path, line=reader.line_num
+                )
+            section, name, scenario, timestep, category, value = rec
+            if section == "meta":
+                try:
+                    meta_pairs.append((name, json.loads(value)))
+                except json.JSONDecodeError as exc:
+                    raise LoadError(
+                        f"bad meta value for {name!r}: {exc}", path=path, line=reader.line_num
+                    ) from exc
+                continue
+            cells = columns.get((section, name, category))
+            if cells is None:
+                cells = columns[section, name, category] = (array("q"), array("q"), array("d"))
             try:
-                s = int(scenario) if scenario else -1
-                t = int(timestep)
-                v = float(value)
-            except ValueError as exc:
-                raise LoadError(f"bad data row: {exc}", path=path, line=lineno) from exc
-            data.setdefault(section, []).append((name, s, t, category, v))
+                # an empty scenario (the stat rows) is stored as -1
+                cells[0].append(int(scenario) if scenario else -1)
+                cells[1].append(int(timestep))
+                cells[2].append(float(value))
+            except (ValueError, OverflowError) as exc:
+                raise LoadError(f"bad data row: {exc}", path=path, line=reader.line_num) from exc
+    except csv.Error as exc:
+        raise LoadError(f"CSV parse error: {exc}", path=path, line=reader.line_num) from exc
 
     meta_map = dict(meta_pairs)
     for required in ("result_schema", "payload_type", "payload_grid"):
@@ -833,95 +894,78 @@ def _import_csv(path: str, text: str) -> ResultSet:
         grid = _grid_from_dict(meta_map["payload_grid"])
     except (KeyError, TypeError, ShapeError) as exc:
         raise LoadError(f"bad payload_grid: {exc}", path=path) from exc
+    for n in grid.shape:
+        _as_int(n, "meta payload_grid", path)
     reserved = {"result_schema", "payload_type", "payload_grid", "payload_n_runs",
                 "payload_seed", "payload_t_out"}
     meta = {k: v for k, v in meta_pairs if k not in reserved}
 
-    def collect_grids(section: str, named: bool):
-        """(name, category) -> grid, insertion-ordered; grids sized from rows."""
-        out: dict[tuple[str, str], dict[tuple[int, int], float]] = {}
-        for name, s, t, cat, v in data.get(section, []):
-            out.setdefault((name, cat), {})[(s, t)] = v
-        grids = {}
-        for key, cells in out.items():
-            n_s = max(s for s, _ in cells) + 1
-            n_t = max(t for _, t in cells) + 1
-            g = np.zeros((n_s, n_t), dtype=np.float64)
-            for (s, t), v in cells.items():
-                g[s, t] = v
-            grids[key] = g
-        return grids
+    def keys(section: str) -> list[tuple[str, str, str]]:
+        return [key for key in columns if key[0] == section]
 
-    try:
-        if payload_type in ("unit", "monte_carlo"):
-            impacts = collect_grids("impact", named=False)
-            cats = tuple(cat for _, cat in impacts)
-            cost = collect_grids("cost", named=False)[("", "")]
-            sp_imp = collect_grids("sp_unit_impact", named=True)
-            sp_cost = collect_grids("sp_unit_cost", named=True)
-            sp_exch = collect_grids("sp_exchange", named=True)
-            sp_order = list(dict.fromkeys(name for name, _ in sp_cost))
-            unit = UnitResult(
-                grid=grid,
-                categories=cats,
-                impacts={cat: impacts[("", cat)] for cat in cats},
-                cost=cost,
-                sp_unit_impacts={
-                    sp: {cat: sp_imp[(sp, cat)] for cat in cats} for sp in sp_order
-                },
-                sp_unit_costs={sp: sp_cost[(sp, "")] for sp in sp_order},
-                sp_exchange={sp: sp_exch[(sp, "")] for sp in sp_order},
-            )
-            if payload_type == "unit":
-                payload = unit
-            else:
-                stat_rows: dict[tuple[str, str], dict[int, float]] = {}
-                for name, _, t, cat, v in data.get("stat", []):
-                    stat_rows.setdefault((name, cat), {})[t] = v
-                cost_stat_rows: dict[str, dict[int, float]] = {}
-                for name, _, t, _, v in data.get("stat_cost", []):
-                    cost_stat_rows.setdefault(name, {})[t] = v
+    def take(section: str, name: str, category: str, shape=None) -> np.ndarray:
+        """One grid of the payload, or with ``shape`` None the per-time-step
+        series of a stat row, which carries no scenario."""
+        where = f"section {section!r}, name {name!r}, category {category!r}"
+        cells = columns.pop((section, name, category), None)
+        if cells is None:
+            raise LoadError(f"{where}: no rows", path=path)
+        s, t, v = (np.frombuffer(c, dtype=c.typecode) for c in cells)
+        if shape is None:
+            return _grid_from_cells(np.zeros_like(s), t, v, (1, grid.n_timesteps), where, path)[0]
+        return _grid_from_cells(s, t, v, shape, where, path)
 
-                def to_series(cells: dict[int, float]) -> list[float]:
-                    return [cells[t] for t in range(max(cells) + 1)]
-
-                impact_stats = {
-                    cat: _stats_from_dict(
-                        {name: to_series(stat_rows[(name, cat)]) for name in _STAT_NAMES}
-                    )
+    if payload_type in ("unit", "monte_carlo"):
+        shape = grid.shape
+        cats = tuple(cat for _, _, cat in keys("impact"))
+        sp_order = list(dict.fromkeys(sp for _, sp, _ in keys("sp_unit_cost")))
+        payload = unit = UnitResult(
+            grid=grid,
+            categories=cats,
+            impacts={cat: take("impact", "", cat, shape) for cat in cats},
+            cost=take("cost", "", "", shape),
+            sp_unit_impacts={
+                sp: {cat: take("sp_unit_impact", sp, cat, shape) for cat in cats}
+                for sp in sp_order
+            },
+            sp_unit_costs={sp: take("sp_unit_cost", sp, "", shape) for sp in sp_order},
+            sp_exchange={sp: take("sp_exchange", sp, "", shape) for sp in sp_order},
+        )
+        if payload_type == "monte_carlo":
+            payload = MonteCarloResult(
+                n_runs=_as_int(meta_map.get("payload_n_runs"), "meta payload_n_runs", path),
+                seed=_as_int(meta_map.get("payload_seed"), "meta payload_seed", path),
+                samples=unit,
+                impact_stats={
+                    cat: _stats_from_dict({s: take("stat", s, cat) for s in _STAT_NAMES})
                     for cat in cats
-                }
-                cost_stats = _stats_from_dict(
-                    {name: to_series(cost_stat_rows[name]) for name in _STAT_NAMES}
-                )
-                payload = MonteCarloResult(
-                    n_runs=int(meta_map["payload_n_runs"]),
-                    seed=int(meta_map["payload_seed"]),
-                    samples=unit,
-                    impact_stats=impact_stats,
-                    cost_stats=cost_stats,
-                )
-        else:
-            impacts = collect_grids("dynamic_impact", named=False)
-            cats = tuple(cat for _, cat in impacts)
-            cumulative = collect_grids("dynamic_cumulative", named=False)
-            contribs = collect_grids("dynamic_contribution", named=True)
-            substances = list(dict.fromkeys(name for name, _ in contribs))
-            payload = DynamicImpactResult(
-                grid=grid,
-                t_out=int(meta_map["payload_t_out"]),
-                categories=cats,
-                impacts={cat: impacts[("", cat)] for cat in cats},
-                cumulative={cat: cumulative[("", cat)] for cat in cats},
-                contributions={
-                    sub: {
-                        cat: g for (name, cat), g in contribs.items() if name == sub
-                    }
-                    for sub in substances
                 },
+                cost_stats=_stats_from_dict({s: take("stat_cost", s, "") for s in _STAT_NAMES}),
             )
-    except KeyError as exc:
-        raise LoadError(f"result CSV is missing section data: {exc}", path=path) from exc
+    else:
+        t_out = _as_int(meta_map.get("payload_t_out"), "meta payload_t_out", path)
+        shape = (grid.n_scenarios, t_out)
+        cats = tuple(cat for _, _, cat in keys("dynamic_impact"))
+        impacts = {cat: take("dynamic_impact", "", cat, shape) for cat in cats}
+        cumulative = {cat: take("dynamic_cumulative", "", cat, shape) for cat in cats}
+        contributions: dict[str, dict[str, np.ndarray]] = {}
+        for _, sub, cat in keys("dynamic_contribution"):
+            contributions.setdefault(sub, {})[cat] = take("dynamic_contribution", sub, cat, shape)
+        payload = DynamicImpactResult(
+            grid=grid,
+            t_out=t_out,
+            categories=cats,
+            impacts=impacts,
+            cumulative=cumulative,
+            contributions=contributions,
+        )
+    if columns:
+        section, name, category = next(iter(columns))
+        raise LoadError(
+            f"section {section!r}, name {name!r}, category {category!r}: "
+            f"rows a {payload_type} result does not have",
+            path=path,
+        )
     return ResultSet(meta=meta, payload_type=payload_type, payload=payload)
 
 
@@ -948,30 +992,55 @@ def export_results(rs: ResultSet, format: str, path) -> None:
         raise ValueError(f"unknown format {format!r}; use 'json' or 'csv'")
 
 
+def _read_through_blank(fh) -> str:
+    """Read up to and including the first non-blank character ('' at end of file)."""
+    head = ""
+    while True:
+        ch = fh.read(1)
+        head += ch
+        if not ch.isspace():
+            return head
+
+
 def import_results(path) -> ResultSet:
-    """Read a result set previously written by ``export_results``."""
+    """Read a result set previously written by ``export_results``.
+
+    A file whose first non-blank character is ``{`` is read as JSON; any
+    other is streamed as a result CSV.
+    """
     path = str(path)
-    text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"JSON parse error: {exc}", path=path, line=exc.lineno) from exc
-        if not isinstance(doc, dict):
-            raise LoadError("result JSON must be an object", path=path)
-        for required in ("schema_version", "meta", "payload_type", "payload"):
-            if required not in doc:
-                raise LoadError(f"missing key {required!r}", path=path)
-        payload_type = doc["payload_type"]
-        if payload_type not in _FROM_DICT:
-            raise LoadError(f"unknown payload_type {payload_type!r}", path=path)
-        try:
-            payload = _FROM_DICT[payload_type](doc["payload"])
-        except (KeyError, TypeError, ValueError, ShapeError) as exc:
-            raise LoadError(f"malformed {payload_type} payload: {exc!r}", path=path) from exc
-        meta = doc["meta"]
-        if not isinstance(meta, dict):
-            raise LoadError("meta must be an object", path=path)
-        return ResultSet(meta=meta, payload_type=payload_type, payload=payload)
-    return _import_csv(path, text)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            try:
+                head = _read_through_blank(fh)
+                if not head.endswith("{"):
+                    return _import_csv(path, itertools.chain([head + fh.readline()], fh))
+                text = head + fh.read()
+            except UnicodeDecodeError as exc:
+                # exc.object is the undecoded tail of what was read so far
+                offset = fh.buffer.tell() - len(exc.object) + exc.start
+                raise LoadError(
+                    f"file is not valid UTF-8: {exc.reason} at byte {offset}", path=path
+                ) from exc
+    except OSError as exc:
+        raise LoadError(f"cannot read file: {exc}", path=path) from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"JSON parse error: {exc}", path=path, line=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise LoadError("result JSON must be an object", path=path)
+    for required in ("schema_version", "meta", "payload_type", "payload"):
+        if required not in doc:
+            raise LoadError(f"missing key {required!r}", path=path)
+    payload_type = doc["payload_type"]
+    if payload_type not in _FROM_DICT:
+        raise LoadError(f"unknown payload_type {payload_type!r}", path=path)
+    try:
+        payload = _FROM_DICT[payload_type](doc["payload"])
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise LoadError(f"malformed {payload_type} payload: {exc!r}", path=path) from exc
+    meta = doc["meta"]
+    if not isinstance(meta, dict):
+        raise LoadError("meta must be an object", path=path)
+    return ResultSet(meta=meta, payload_type=payload_type, payload=payload)

@@ -148,7 +148,9 @@ class ProcessModel:
 
     ``production`` is an optional per-period series of delivered product
     (or energy) used by the economic indicators; length n_timesteps.
-    ``discount_rate`` is per grid period, not per year.
+    ``discount_rate`` is per grid period, not per year.  ``matrix_files``
+    maps each ``matrix_file`` path, as written in the model document, to
+    the file ``load_model`` read it from.
     """
 
     name: str
@@ -158,6 +160,7 @@ class ProcessModel:
     discount_rate: float = 0.0
     functional_unit: FunctionalUnit = field(default_factory=FunctionalUnit)
     production: np.ndarray | None = None
+    matrix_files: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "subprocesses", tuple(self.subprocesses))

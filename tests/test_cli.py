@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -117,7 +118,54 @@ subprocesses:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["config"]["rate"] == 0.12
-        assert set(doc["meta"]["input_sha256"]) == {"model", "db"}
+        assert set(doc["meta"]["input_sha256"]) == {"model", "db", "matrix_files"}
+
+    def test_matrix_file_hashes_follow_their_content(self, tmp_path):
+        model = tmp_path / "heatplant.model"
+        model.write_text((SAMPLES / "heatplant.model").read_text())
+        stack = tmp_path / "co2_stack.csv"
+        stack.write_bytes((SAMPLES / "co2_stack.csv").read_bytes())
+        hashes = []
+        for _ in range(2):
+            out = tmp_path / "r.json"
+            assert run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
+                           "--output", str(out)) == 0
+            hashes.append(json.loads(out.read_text())["meta"]["input_sha256"]["matrix_files"])
+            stack.write_text(stack.read_text().replace("81000", "80000", 1))
+        first, second = hashes
+        assert list(first) == ["co2_stack.csv"]
+        assert first["co2_stack.csv"] == hashlib.sha256(
+            (SAMPLES / "co2_stack.csv").read_bytes()).hexdigest()
+        assert second["co2_stack.csv"] != first["co2_stack.csv"]
+
+    def test_static_all_scalar_model_runs_on_its_grid(self, tmp_path, capsys):
+        # all-scalar amounts on a 2x5 grid with a 5-period production series
+        model = tmp_path / "scalar.model"
+        model.write_text((SAMPLES / "heatplant.model").read_text().replace(
+            "{matrix_file: co2_stack.csv}", "81000.0"))
+        out = tmp_path / "scalar.json"
+        rc = run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
+                     "--output", str(out))
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "present cost" in text and "MSP" in text and "LCOE" in text
+        assert text.index("LCOE") < text.index("results written to")
+        doc = json.loads(out.read_text())
+        assert np.asarray(doc["payload"]["cost"]).shape == (2, 5)
+
+    @pytest.mark.parametrize("value", [".nan", "-450", "0"])
+    def test_bad_production_exits_1_before_writing(self, tmp_path, capsys, value):
+        model = tmp_path / "heatplant.model"
+        series = ", ".join([value] * 5)
+        model.write_text((SAMPLES / "heatplant.model").read_text().replace(
+            "production: [450, 450, 450, 450, 450]", f"production: [{series}]"))
+        (tmp_path / "co2_stack.csv").write_bytes((SAMPLES / "co2_stack.csv").read_bytes())
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
+                     "--output", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: economic indicators:")
+        assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("run", "--frobnicate") == 1

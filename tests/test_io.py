@@ -329,3 +329,100 @@ class TestRoundTrips:
         path2.write_text("hello\nworld\n")
         with pytest.raises(LoadError):
             import_results(path2)
+
+
+@pytest.fixture(scope="module")
+def mc_csv(tmp_path_factory, heatplant_uncertain, background_db):
+    """A 2000-run Monte Carlo result CSV, about 110k data rows, and its result set."""
+    rs = result_set(run_monte_carlo(heatplant_uncertain, background_db, n_runs=2000, seed=11),
+                    {"mode": "montecarlo", "seed": 11})
+    path = tmp_path_factory.mktemp("mc") / "mc.csv"
+    export_results(rs, "csv", path)
+    return path, rs
+
+
+def _data_line(lines: list[bytes], prefix: bytes) -> int:
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _corrupt(lines: list[bytes], case: str) -> list[bytes]:
+    lines = list(lines)
+    mid = _data_line(lines, b"sp_unit_cost,boiler_operation,1000,2,,")
+    if case == "utf8_deep":
+        i = 100_000 + _data_line(lines, b"impact,")
+        lines[i] = lines[i].replace(b",", b",\xff", 1)
+    elif case == "broken_quote":
+        lines[mid] = lines[mid].replace(b"boiler_operation", b'"boiler_operation', 1)
+    elif case == "truncated_last_row":
+        lines[-1] = b",".join(lines[-1].split(b",")[:3])
+    elif case == "missing_cell":
+        del lines[mid]
+    elif case == "duplicate_cell":
+        lines.insert(mid, lines[mid])
+    elif case == "empty_scenario":
+        lines[mid] = lines[mid].replace(b",1000,", b",,", 1)
+    elif case == "shape_mismatch":
+        i = _data_line(lines, b"meta,payload_grid,")
+        lines[i] = lines[i].replace(b'""scenarios"": 2000', b'""scenarios"": 2001', 1)
+    return lines
+
+
+class TestStreamedCsvImport:
+    def test_mc_round_trip_2000_runs(self, mc_csv, tmp_path):
+        path, rs = mc_csv
+        loaded = import_results(path)
+        assert_result_sets_equal(rs, loaded)
+        again = tmp_path / "again.csv"
+        export_results(loaded, "csv", again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("case, message", [
+        ("utf8_deep", "not valid UTF-8: invalid start byte at byte"),
+        ("broken_quote", "CSV parse error|row has"),
+        ("truncated_last_row", "row has 3 cells"),
+        ("missing_cell", "section 'sp_unit_cost', name 'boiler_operation', category '': "
+                         "missing cell at scenario 1000, timestep 2"),
+        ("duplicate_cell", "section 'sp_unit_cost', name 'boiler_operation', category '': "
+                           "duplicate cell at scenario 1000, timestep 2"),
+        ("empty_scenario", "section 'sp_unit_cost', name 'boiler_operation', category '': "
+                           "empty or negative scenario"),
+        ("shape_mismatch", "section 'impact', name '', category 'GWP100': rows cover 2000x5 "
+                           "cells, payload_grid gives 2001x5"),
+    ])
+    def test_bad_csv_is_load_error_and_report_exit_2(self, mc_csv, tmp_path, capsys,
+                                                     case, message):
+        from lcengine.cli import main
+
+        path = tmp_path / f"{case}.csv"
+        data = b"".join(_corrupt(mc_csv[0].read_bytes().splitlines(True), case))
+        path.write_bytes(data)
+        if case == "utf8_deep":
+            message += " %d$" % data.index(b"\xff")
+        with pytest.raises(LoadError, match=message):
+            import_results(path)
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
+
+    def test_bad_row_diagnostic_names_its_line(self, mc_csv, tmp_path):
+        lines = mc_csv[0].read_bytes().splitlines(True)
+        i = _data_line(lines, b"cost,,7,3,,")
+        lines[i] = lines[i].replace(b",7,3,", b",7,x,")
+        path = tmp_path / "bad_row.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LoadError, match="bad data row") as exc_info:
+            import_results(path)
+        assert exc_info.value.line == i + 1
+
+    @pytest.mark.parametrize("extra, message", [
+        ("impact,,-1,0,GWP100,1.0\n", "empty or negative scenario"),
+        ("impact,,0,-2,GWP100,1.0\n", "negative timestep"),
+        ("stat,mean,,0,GWP100,1.0\n", "rows a unit result does not have"),
+    ])
+    def test_unit_csv_rejects_foreign_rows(self, tmp_path, extra, message):
+        path = tmp_path / "unit.csv"
+        export_results(result_set(run_static(simple_model(), empty_db()), {}), "csv", path)
+        path.write_text(path.read_text() + extra)
+        with pytest.raises(LoadError, match=message):
+            import_results(path)
