@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .dynamic import DynamicImpactResult, run_dynamic
 from .econ import ProductionSeries, discounted_cost_result
 from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
@@ -32,7 +32,7 @@ from .io import (
     result_set,
     sha256_file,
 )
-from .model import DistributionAmount, ProcessModel, iter_amounts, validate_model
+from .model import ProcessModel, validate_model
 
 log = logging.getLogger("lcengine")
 
@@ -93,6 +93,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="lcengine",
@@ -120,7 +130,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--categories", default=None,
                        help="comma-separated impact categories to compute")
-    p_run.add_argument("--threads", type=int, default=0,
+    p_run.add_argument("--threads", type=_non_negative_int, default=0,
                        help="worker threads for the matrix kernels (0 = all cores)")
 
     p_rep = sub.add_parser("report", help="Summarize a result file; optionally emit plot data.")
@@ -249,7 +259,7 @@ def cmd_run(config: RunConfig) -> int:
         print(str(warning), file=sys.stderr)
 
     threads = config.threads if config.threads > 0 else (os.cpu_count() or 1)
-    log.info("mode=%s backend=%s threads=%d", config.mode, kernels.backend_name(), threads)
+    log.info("mode=%s threads=%d", config.mode, threads)
 
     try:
         if config.mode == "static":
@@ -314,8 +324,7 @@ def _run_deterministic(model: ProcessModel, db, categories, seed: int, threads: 
     """Static mode: every model is evaluated on its own grid, so an all-scalar
     model on a larger grid gives constant cells; distributions are a usage
     error here."""
-    if any(isinstance(a, DistributionAmount) and a.spec.kind != "point"
-           for a in iter_amounts(model)):
+    if model.has_distributions():
         raise ValueError("model contains distribution amounts; use --mode montecarlo")
     if model.grid.shape == (1, 1):
         return run_static(model, db, categories=categories)

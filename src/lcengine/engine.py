@@ -11,11 +11,13 @@ scalar terms are folded into one constant (summed in flow/sub-process
 document order) and applied first, then the grid-valued terms are applied
 in document order.  Every cell therefore sees one fixed operation
 sequence, and results are reproducible to the bit across repeat runs,
-kernel backends, thread counts and block sizes; reordering effects stay
-within the documented 1e-9 accumulation tolerance.  Grids are float64,
-C-contiguous, scenario rows by time columns; per-scenario work partitions
-cleanly across rows, which is what the optional ``threads`` argument
-exploits.
+thread counts and block sizes; reordering effects stay within the
+documented 1e-9 accumulation tolerance.  ``run_matrix`` and the public
+``subprocess_aggregate``/``main_aggregate`` share that one accumulation
+path (``_Accumulator`` and its plan steps, executed by the NumPy ops in
+``kernels``), so they agree to the bit.  Grids are float64, C-contiguous,
+scenario rows by time columns; per-scenario work partitions cleanly
+across rows, which is what the optional ``threads`` argument exploits.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .model import (
     ScalarAmount,
     ScenarioGrid,
     SubProcessDefinition,
+    _draws_samples,
     broadcast_exchange,
     validate_model,
 )
@@ -105,27 +108,6 @@ class MonteCarloResult:
 # ---------------------------------------------------------------------------
 # core aggregation
 
-def _accumulate_term(acc: Grid, unit, exch) -> None:
-    """acc += unit * exch with scalar/grid operands, preserving cell-wise order."""
-    unit_is_grid = isinstance(unit, np.ndarray)
-    exch_is_grid = isinstance(exch, np.ndarray)
-    if unit_is_grid and exch_is_grid:
-        kernels.add_product(acc, unit, exch)
-    elif unit_is_grid:
-        kernels.add_scaled(acc, float(exch), unit)
-    elif exch_is_grid:
-        kernels.add_scaled(acc, float(unit), exch)
-    else:
-        kernels.add_const(acc, float(unit) * float(exch))
-
-
-def _sum_terms(terms, shape: tuple[int, int]) -> Grid:
-    acc = np.zeros(shape, dtype=np.float64)
-    for unit, exch in terms:
-        _accumulate_term(acc, unit, exch)
-    return acc
-
-
 def _as_operand_pairs(unit_values, exchange_grids, what: str):
     if len(unit_values) != len(exchange_grids):
         raise ShapeError(
@@ -153,7 +135,9 @@ def subprocess_aggregate(
 
     The same formula serves impacts (per category) and costs.  Operands may
     be scalars or conforming 2-D grids; at least one grid must be present
-    to fix the output shape.
+    to fix the output shape.  Terms are added in ``run_matrix``'s order
+    (scalar terms folded first), so with the same operands the result is
+    bit-identical to its ``sp_unit_impacts``/``sp_unit_costs``.
     """
     shape = _as_operand_pairs(unit_values, exchange_grids, f"subprocess {sp.name!r}")
     if shape is None:
@@ -161,20 +145,24 @@ def subprocess_aggregate(
             f"subprocess {sp.name!r}: all operands are scalars; "
             "pass at least one grid to fix the output shape"
         )
-    return _sum_terms(zip(unit_values, exchange_grids), shape)
+    return _aggregate(unit_values, exchange_grids, shape)
 
 
 def main_aggregate(
     unit_sp_grids: Sequence[np.ndarray],
     sp_exchange_grids: Sequence[np.ndarray],
 ) -> Grid:
-    """Sum over sub-processes of (sub-process unit value x exchange), cell-wise."""
+    """Sum over sub-processes of (sub-process unit value x exchange), cell-wise.
+
+    Same term order as ``subprocess_aggregate``; with the same operands the
+    result is bit-identical to ``run_matrix``'s ``impacts``/``cost``.
+    """
     if not len(unit_sp_grids):
         raise ShapeError("main_aggregate: no sub-process grids")
     shape = _as_operand_pairs(unit_sp_grids, sp_exchange_grids, "main process")
     if shape is None:
         raise ShapeError("main_aggregate: all operands are scalars")
-    return _sum_terms(zip(unit_sp_grids, sp_exchange_grids), shape)
+    return _aggregate(unit_sp_grids, sp_exchange_grids, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +231,7 @@ class _Accumulator:
     Scalar x scalar terms collapse into one constant (summed in document
     order); grid-valued terms keep document order.  The constant is
     applied first, then the grid terms, so the per-cell operation sequence
-    is fixed and identical across backends, threads and block sizes.  An
+    is fixed and identical across threads and block sizes.  An
     accumulator that never receives a grid term stays virtual: its result
     is a constant broadcast view and costs no memory or passes.
     """
@@ -322,6 +310,16 @@ def _run_plan(plan, rows: slice, n_timesteps: int) -> None:
         sub = slice(start, min(start + block, rows.stop))
         for step in plan:
             _apply_step(step, sub)
+
+
+def _aggregate(unit_values, exchange_values, shape: tuple[int, int]) -> Grid:
+    """One output grid, summed by the accumulator and plan steps of
+    ``_evaluate``, so the public aggregators give its bits."""
+    acc = _Accumulator(shape)
+    for unit, exch in zip(unit_values, exchange_values):
+        acc.add(unit, exch)
+    _run_plan(acc.steps(), slice(0, shape[0]), shape[1])
+    return acc.grid()
 
 
 def _evaluate(
@@ -414,14 +412,6 @@ def _require_valid(model: ProcessModel, db, grid=None, require_cost=True) -> Non
         )
 
 
-def _needs_seed(model: ProcessModel) -> bool:
-    for sp in model.subprocesses:
-        for amount in (*(f.amount for f in sp.flows), sp.amount):
-            if isinstance(amount, DistributionAmount) and amount.spec.kind != "point":
-                return True
-    return False
-
-
 def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
     """Deterministic single-value calculation on a 1x1 grid.
 
@@ -433,7 +423,7 @@ def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
     one = ScenarioGrid(1, 1, model.grid.step_label, model.grid.step_origin)
     for sp in model.subprocesses:
         for name, amount in [(f.name, f.amount) for f in sp.flows] + [(sp.name, sp.amount)]:
-            if isinstance(amount, DistributionAmount) and amount.spec.kind != "point":
+            if _draws_samples(amount):
                 raise StaticModeError(
                     f"{name!r} has a {amount.spec.kind} distribution; "
                     "use run_monte_carlo or run_matrix"
@@ -464,7 +454,7 @@ def run_matrix(
     """
     cats = _select_categories(model, categories)
     _require_valid(model, db)
-    if seed is None and _needs_seed(model):
+    if seed is None and model.has_distributions():
         raise ValueError("model has distribution amounts; pass seed=")
     return _evaluate(model, db, model.grid, seed, cats, threads)
 
@@ -488,7 +478,7 @@ def run_monte_carlo(
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     cats = _select_categories(model, categories)
-    if not _needs_seed(model):
+    if not model.has_distributions():
         warnings.warn(
             "model has no distribution amounts; Monte Carlo is degenerate",
             stacklevel=2,
@@ -536,7 +526,7 @@ def compute_inventory(
     grid = grid or model.grid
     _require_valid(model, db, grid=grid if grid is not model.grid else None,
                    require_cost=False)
-    if seed is None and _needs_seed(model):
+    if seed is None and model.has_distributions():
         raise ValueError("model has distribution amounts; pass seed=")
     shape = grid.shape
     emissions: dict[str, Grid] = {}

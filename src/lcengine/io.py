@@ -55,7 +55,7 @@ from .model import (
     SubProcessDefinition,
     validate_model,
 )
-from .sampler import DistributionSpec
+from .sampler import _PARAM_NAMES, DistributionSpec
 
 RESULT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
@@ -115,6 +115,14 @@ def _parse_number(text: str, where: str, path, line: int | None = None) -> float
     return value
 
 
+def _parse_integer(text: str, where: str, path, line: int) -> int:
+    value = _parse_number(text, where, path, line)
+    if not value.is_integer():  # also rejects nan and inf
+        raise LoadError(f"{where}: expected an integer, got {text.strip()!r}",
+                        path=path, line=line)
+    return int(value)
+
+
 def _read_csv_records(text: str, path) -> list[list[str]]:
     try:
         return list(csv.reader(_io.StringIO(text)))
@@ -171,24 +179,15 @@ def _as_str(value, where: str, path) -> str:
 # ---------------------------------------------------------------------------
 # model documents
 
-_DIST_PARAMS = {
-    "point": ("value",),
-    "uniform": ("low", "high"),
-    "normal": ("mean", "sd"),
-    "triangular": ("low", "mode", "high"),
-    "lognormal": ("mu", "sigma"),
-}
-
-
 def _parse_distribution(mapping: dict, where: str, path) -> DistributionAmount:
     kind = _as_str(_get(mapping, "dist", where, path), f"{where}: dist", path)
-    if kind not in _DIST_PARAMS:
+    if kind not in _PARAM_NAMES:
         raise LoadError(
             f"{where}: unknown distribution {kind!r}; "
-            f"expected one of {', '.join(_DIST_PARAMS)}",
+            f"expected one of {', '.join(_PARAM_NAMES)}",
             path=path,
         )
-    names = _DIST_PARAMS[kind]
+    names = _PARAM_NAMES[kind]
     _reject_unknown_keys(mapping, ("dist", *names), where, path)
     params = tuple(
         _as_number(_get(mapping, n, where, path), f"{where}: {n}", path) for n in names
@@ -527,7 +526,7 @@ def load_dcf_tables(path) -> list[DCFTable]:
                 raise LoadError(
                     f"{substance}/{category}: annual_step rows need a tau", path=path, line=lineno
                 )
-            tau_val = int(_parse_number(tau, f"{substance}: tau", path, lineno))
+            tau_val = _parse_integer(tau, f"{substance}: tau", path, lineno)
             taus = annual.setdefault(key, {})
             if not taus:
                 order.append((substance, category, ANNUAL_STEP))
@@ -553,7 +552,7 @@ def load_dcf_tables(path) -> list[DCFTable]:
                     path=path,
                     line=lineno,
                 )
-            h = int(_parse_number(horizon, f"{substance}: horizon", path, lineno))
+            h = _parse_integer(horizon, f"{substance}: horizon", path, lineno)
             if h < 1:
                 raise LoadError(
                     f"{substance}/{category}: horizon must be >= 1, got {h}",

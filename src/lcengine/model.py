@@ -9,6 +9,7 @@ frozen and safe to share between concurrent evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
@@ -171,10 +172,14 @@ class ProcessModel:
             object.__setattr__(self, "production", prod)
 
     def has_distributions(self) -> bool:
-        return any(
-            isinstance(a, DistributionAmount)
-            for a in iter_amounts(self)
-        )
+        """True when some amount has a non-point distribution, so evaluation
+        draws samples; point masses count as scalars."""
+        return any(_draws_samples(a) for a in iter_amounts(self))
+
+
+def _draws_samples(amount: ExchangeAmount) -> bool:
+    """Whether evaluating this amount draws from a sampler stream."""
+    return isinstance(amount, DistributionAmount) and amount.spec.kind != "point"
 
 
 def iter_amounts(model: ProcessModel) -> Iterable[ExchangeAmount]:
@@ -296,6 +301,22 @@ def _check_flow_resolution(
             report.add_error(location, "no unit cost resolvable")
 
 
+def _production_problem(production: np.ndarray) -> str | None:
+    """Why the economic indicators cannot divide by this series, if so.
+
+    Two reductions, because validation runs on every evaluation and NaN
+    propagates through min and max.
+    """
+    lo, hi = production.min(), production.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return "has non-finite values"
+    if lo < 0:
+        return "has negative values"
+    if hi == 0:
+        return "is all zeros"
+    return None
+
+
 def validate_model(
     model: ProcessModel,
     db: "UnitValueTable | None" = None,
@@ -306,7 +327,9 @@ def validate_model(
     """Collect every problem in the model; never raises.
 
     With ``db=None`` only structural checks run (names, shapes, rates);
-    pass the background database to also check that unit values resolve.
+    pass the background database to also check that unit values resolve
+    and that the ``production`` series can price the output (finite,
+    non-negative, not all zeros).
     ``grid`` overrides the model grid for shape conformance, which the
     Monte Carlo driver uses after swapping the scenario count for n_runs.
     Negative amounts are warnings only: avoided burdens are legitimate.
@@ -321,12 +344,17 @@ def validate_model(
             f"model {model.name!r}",
             f"discount_rate must be >= 0, got {model.discount_rate}",
         )
-    if model.production is not None and model.production.shape != (model.grid.n_timesteps,):
-        report.add_error(
-            f"model {model.name!r}",
-            f"production series length {model.production.shape[0]} "
-            f"does not match {model.grid.n_timesteps} time steps",
-        )
+    if model.production is not None:
+        if model.production.shape != (model.grid.n_timesteps,):
+            report.add_error(
+                f"model {model.name!r}",
+                f"production series length {model.production.shape[0]} "
+                f"does not match {model.grid.n_timesteps} time steps",
+            )
+        elif db is not None:
+            problem = _production_problem(model.production)
+            if problem:
+                report.add_error(f"model {model.name!r}", f"production series {problem}")
 
     seen_sp: set[str] = set()
     for sp in model.subprocesses:

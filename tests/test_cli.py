@@ -42,6 +42,18 @@ subprocesses:
     def test_nonexistent_path_exits_2(self, capsys):
         assert run_cli("validate", "--model", "/nonexistent.model", "--db", DB) == 2
 
+    @pytest.mark.parametrize("value, problem", [(".nan", "has non-finite values"),
+                                                ("-450", "has negative values"),
+                                                ("0", "is all zeros")])
+    def test_bad_production_exits_1(self, tmp_path, capsys, value, problem):
+        model = tmp_path / "heatplant.model"
+        series = ", ".join([value] * 5)
+        model.write_text((SAMPLES / "heatplant.model").read_text().replace(
+            "production: [450, 450, 450, 450, 450]", f"production: [{series}]"))
+        (tmp_path / "co2_stack.csv").write_bytes((SAMPLES / "co2_stack.csv").read_bytes())
+        assert run_cli("validate", "--model", str(model), "--db", DB) == 1
+        assert f"production series {problem}" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_static_summary_matches_export(self, tmp_path, capsys):
@@ -164,7 +176,27 @@ subprocesses:
         rc = run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
                      "--output", str(out))
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: economic indicators:")
+        assert capsys.readouterr().err.startswith("error: model 'heatplant': production series")
+        assert not out.exists()
+
+    def test_negative_threads_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
+                     "--threads", "-5", "--output", str(out))
+        assert rc == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "0.7"])
+    def test_non_integer_dcf_tau_exits_2(self, tmp_path, capsys, tau):
+        dcf = tmp_path / "dcf.csv"
+        dcf.write_text(Path(DCF).read_text().replace(
+            "CO2,GWP100,annual_step,,1,0.86", f"CO2,GWP100,annual_step,,{tau},0.86"))
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--dcf", str(dcf),
+                     "--mode", "dynamic", "--output", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {dcf}:3: CO2: tau: expected an integer")
         assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, capsys):

@@ -89,6 +89,43 @@ class TestMainAggregate:
             main_aggregate([], [])
 
 
+class TestOneAccumulationPath:
+    """The public aggregators add terms in run_matrix's order, to the bit."""
+
+    @staticmethod
+    def _model():
+        ones = MatrixAmount(np.ones((2, 3)))
+
+        def flow(name, amount, unit):
+            return FlowDefinition(name, "inflow", amount,
+                                  inline_unit_impact={"GWP100": unit}, inline_unit_cost=unit)
+
+        mixed = SubProcessDefinition("mixed", ScalarAmount(1.0), flows=(
+            flow("grid", ones, 0.1),
+            flow("b", ScalarAmount(1.0), 0.2),
+            flow("c", ScalarAmount(1.0), 0.3),
+        ))
+        b = SubProcessDefinition("b", ScalarAmount(1.0), flows=(flow("b", ScalarAmount(1.0), 0.2),))
+        c = SubProcessDefinition("c", ScalarAmount(1.0), flows=(flow("c", ScalarAmount(1.0), 0.3),))
+        return ProcessModel("order", (mixed, b, c), ScenarioGrid(2, 3), ("GWP100",))
+
+    def test_aggregators_match_run_matrix_bits(self):
+        model = self._model()
+        unit = run_matrix(model, empty_db())
+        ones = np.ones((2, 3))
+
+        sp_grid = subprocess_aggregate(model.subprocesses[0], [0.1, 0.2, 0.3], [ones, 1.0, 1.0])
+        assert sp_grid.tobytes() == unit.sp_unit_impacts["mixed"]["GWP100"].tobytes()
+        assert sp_grid.tobytes() == unit.sp_unit_costs["mixed"].tobytes()
+        # scalar terms first: (0.2 + 0.3) + 0.1, not (0.1 + 0.2) + 0.3
+        assert np.all(sp_grid == 0.6)
+
+        total = main_aggregate([sp_grid, 0.2, 0.3], [1.0, 1.0, 1.0])
+        assert total.tobytes() == unit.impacts["GWP100"].tobytes()
+        assert total.tobytes() == unit.cost.tobytes()
+        assert np.all(total == 1.1)
+
+
 class TestRunStatic:
     def test_passthrough(self):
         unit = run_static(simple_model(unit_impact=7.0), empty_db())

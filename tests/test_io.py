@@ -219,6 +219,35 @@ class TestLoadDcfTables:
         with pytest.raises(LoadError, match="mode"):
             load_dcf_tables(path)
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0.7"])
+    def test_non_integer_tau_names_its_line(self, tmp_path, tau):
+        path = tmp_path / "dcf.csv"
+        path.write_text("substance,category,mode,horizon,tau,factor\n"
+                        "CO2,GWP100,annual_step,,0,1.0\n"
+                        f"CO2,GWP100,annual_step,,{tau},0.9\n")
+        with pytest.raises(LoadError, match="tau: expected an integer") as exc_info:
+            load_dcf_tables(path)
+        assert exc_info.value.line == 3
+
+    @pytest.mark.parametrize("horizon", ["inf", "1.5"])
+    def test_non_integer_horizon_names_its_line(self, tmp_path, horizon):
+        path = tmp_path / "dcf.csv"
+        path.write_text("substance,category,mode,horizon,tau,factor\n"
+                        f"CH4,GWP100,fixed_horizon,{horizon},,28.0\n")
+        with pytest.raises(LoadError, match="horizon: expected an integer") as exc_info:
+            load_dcf_tables(path)
+        assert exc_info.value.line == 2
+
+    def test_integral_float_tau_and_horizon_accepted(self, tmp_path):
+        path = tmp_path / "dcf.csv"
+        path.write_text("substance,category,mode,horizon,tau,factor\n"
+                        "CO2,GWP100,annual_step,,0.0,1.0\n"
+                        "CO2,GWP100,annual_step,,1e0,0.9\n"
+                        "CH4,GWP100,fixed_horizon,100.0,,28.0\n")
+        annual, fixed = load_dcf_tables(path)
+        assert annual.factors.tolist() == [1.0, 0.9]
+        assert fixed.horizon == 100
+
 
 def _payloads(heatplant, heatplant_uncertain, background_db, dcf_tables):
     unit = run_matrix(heatplant, background_db)

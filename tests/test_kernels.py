@@ -1,20 +1,9 @@
-"""Backend contract tests: both kernel implementations must agree bit for bit."""
+"""Contract tests for the in-place NumPy kernel operations."""
 
 import numpy as np
 import pytest
 
 from lcengine import ShapeError, kernels
-
-needs_compiled = pytest.mark.skipif(
-    not kernels.have_compiled(), reason="compiled kernels not built"
-)
-
-
-def random_case(rng, n_s=9, n_t=7):
-    acc = rng.normal(size=(n_s, n_t))
-    u = rng.normal(size=(n_s, n_t))
-    x = rng.normal(size=(n_s, n_t))
-    return acc, u, x
 
 
 class TestContracts:
@@ -62,81 +51,3 @@ class TestContracts:
         acc = np.zeros((6, 4))
         kernels.add_const(acc[2:5], 1.0)
         assert np.all(acc[2:5] == 1.0) and np.all(acc[:2] == 0.0) and np.all(acc[5:] == 0.0)
-
-
-class TestBackendSelection:
-    def test_env_var_forces_numpy(self):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ, LCENGINE_BACKEND="numpy")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from lcengine import kernels; print(kernels.backend_name())"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numpy"
-
-    def test_env_var_rejects_unknown(self):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ, LCENGINE_BACKEND="fortran")
-        proc = subprocess.run(
-            [sys.executable, "-c", "import lcengine.kernels"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode != 0
-        assert "LCENGINE_BACKEND" in proc.stderr
-
-
-@needs_compiled
-class TestBackendEquivalence:
-    def test_forced_backend_names(self):
-        with kernels.force_backend("numpy"):
-            assert kernels.backend_name() == "numpy"
-        assert kernels.backend_name() == "cython"
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_add_ops_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        acc, u, x = random_case(rng)
-        c = float(rng.normal())
-
-        results = {}
-        for backend in ("cython", "numpy"):
-            a1, a2, a3 = acc.copy(), acc.copy(), acc.copy()
-            with kernels.force_backend(backend):
-                kernels.add_const(a1, c)
-                kernels.add_scaled(a2, c, x)
-                kernels.add_product(a3, u, x)
-            results[backend] = (a1, a2, a3)
-        for got, want in zip(results["cython"], results["numpy"]):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_convolution_bit_identical(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        em = rng.normal(size=(4, int(rng.integers(1, 9))))
-        taps = rng.normal(size=int(rng.integers(1, 7)))
-        shape = (4, em.shape[1] + taps.shape[0] - 1)
-        out_c, out_n = np.zeros(shape), np.zeros(shape)
-        with kernels.force_backend("cython"):
-            kernels.convolve_rows_into(out_c, em, taps)
-        with kernels.force_backend("numpy"):
-            kernels.convolve_rows_into(out_n, em, taps)
-        assert np.array_equal(out_c, out_n)
-
-    def test_full_engine_run_bit_identical_across_backends(self, heatplant, background_db):
-        from lcengine import run_matrix
-
-        with kernels.force_backend("cython"):
-            a = run_matrix(heatplant, background_db)
-        with kernels.force_backend("numpy"):
-            b = run_matrix(heatplant, background_db)
-        for cat in a.categories:
-            assert np.array_equal(a.impacts[cat], b.impacts[cat])
-        assert np.array_equal(a.cost, b.cost)
