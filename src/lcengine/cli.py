@@ -13,6 +13,7 @@ import dataclasses
 import logging
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +59,7 @@ class RunConfig:
     output: str | None = None
     format: str = "json"
     categories: tuple[str, ...] | None = None
-    threads: int = 0  # 0 = machine parallelism
+    threads: int = 0  # accepted for compatibility; has no effect
 
     def check(self) -> str | None:
         """Mode-specific invariants; returns a usage-error message or None."""
@@ -131,7 +132,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--categories", default=None,
                        help="comma-separated impact categories to compute")
     p_run.add_argument("--threads", type=_non_negative_int, default=0,
-                       help="worker threads for the matrix kernels (0 = all cores)")
+                       help="accepted for compatibility; has no effect")
 
     p_rep = sub.add_parser("report", help="Summarize a result file; optionally emit plot data.")
     p_rep.add_argument("result", metavar="RESULT", help="result file written by 'run'")
@@ -143,13 +144,19 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # validate
 
+def _load_failure(exc: LoadError) -> int:
+    """Report a load error; a model that parsed but fails structural
+    validation is invalid (exit 1), anything else is an I/O failure."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_IO if exc.report is None else EXIT_INVALID
+
+
 def cmd_validate(model_path: str, db_path: str) -> int:
     try:
         model = load_model(model_path)
         db = load_background_db(db_path)
     except LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _load_failure(exc)
     report = validate_model(model, db)
     for finding in report.findings:
         stream = sys.stderr if finding.severity == "error" else sys.stdout
@@ -244,8 +251,7 @@ def cmd_run(config: RunConfig) -> int:
         db = load_background_db(config.db)
         dcfs = load_dcf_tables(config.dcf) if config.dcf else None
     except LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _load_failure(exc)
 
     if config.rate is not None:
         model = dataclasses.replace(model, discount_rate=config.rate)
@@ -258,17 +264,19 @@ def cmd_run(config: RunConfig) -> int:
     for warning in report.warnings:
         print(str(warning), file=sys.stderr)
 
-    threads = config.threads if config.threads > 0 else (os.cpu_count() or 1)
-    log.info("mode=%s threads=%d", config.mode, threads)
+    log.info("mode=%s", config.mode)
 
     try:
         if config.mode == "static":
-            payload = _run_deterministic(model, db, categories, config.seed, threads)
+            payload = _run_deterministic(model, db, categories, config.seed)
         elif config.mode == "montecarlo":
-            payload = run_monte_carlo(
-                model, db, config.n_runs, config.seed,
-                categories=categories, threads=threads,
-            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                payload = run_monte_carlo(
+                    model, db, config.n_runs, config.seed, categories=categories
+                )
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
         else:
             payload = run_dynamic(model, db, dcfs, seed=config.seed, categories=categories)
     except LcengineError as exc:
@@ -320,7 +328,7 @@ def cmd_run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_deterministic(model: ProcessModel, db, categories, seed: int, threads: int):
+def _run_deterministic(model: ProcessModel, db, categories, seed: int):
     """Static mode: every model is evaluated on its own grid, so an all-scalar
     model on a larger grid gives constant cells; distributions are a usage
     error here."""
@@ -328,7 +336,7 @@ def _run_deterministic(model: ProcessModel, db, categories, seed: int, threads: 
         raise ValueError("model contains distribution amounts; use --mode montecarlo")
     if model.grid.shape == (1, 1):
         return run_static(model, db, categories=categories)
-    return run_matrix(model, db, seed=seed, categories=categories, threads=threads)
+    return run_matrix(model, db, seed=seed, categories=categories)
 
 
 def _cost_grid_for_indicators(payload, model, db, config) -> np.ndarray | None:

@@ -168,7 +168,9 @@ def discounted_cost_result(
     """Apply npv/msp/lcoe to every scenario row of a cost grid.
 
     Under Monte Carlo the rows are runs, so the returned arrays are the
-    indicator distributions.
+    indicator distributions.  The grid is discounted one time column at a
+    time in ``npv``'s order, so every row equals the scalar
+    ``npv``/``minimum_selling_price`` of that row to the bit.
     """
     grid = np.asarray(unit_cost_grid, dtype=np.float64)
     if grid.ndim != 2:
@@ -181,10 +183,22 @@ def discounted_cost_result(
             f"cost grid has {grid.shape[1]} columns"
         )
     n_s = grid.shape[0]
-    out_npv = np.empty(n_s, dtype=np.float64)
-    out_msp = np.empty(n_s, dtype=np.float64)
-    for s in range(n_s):
-        costs = CashFlowSeries(grid[s], rate)
-        out_npv[s] = npv(costs)
-        out_msp[s] = minimum_selling_price(costs, production)
+    if n_s == 0:
+        return ScenarioIndicators(npv=np.empty(0), msp=np.empty(0), lcoe=np.empty(0))
+    # the checks CashFlowSeries and minimum_selling_price make on each row
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("cash flow values must be finite")
+    rate = float(rate)
+    if not math.isfinite(rate) or rate <= -1.0:
+        raise ValueError(f"discount rate must be finite and > -1, got {rate}")
+    denom = _discounted_sum(production.values, rate)
+    if denom <= 0.0:
+        raise ZeroDivisionError(
+            f"minimum_selling_price: discounted production is {denom}, must be > 0"
+        )
+    out_npv = np.zeros(n_s, dtype=np.float64)
+    base = 1.0 + rate
+    for t in range(grid.shape[1]):
+        out_npv += grid[:, t] / base**t
+    out_msp = out_npv / denom
     return ScenarioIndicators(npv=out_npv, msp=out_msp, lcoe=out_msp.copy())

@@ -10,20 +10,28 @@ Accumulation order is canonical and fixed: per output grid, the purely
 scalar terms are folded into one constant (summed in flow/sub-process
 document order) and applied first, then the grid-valued terms are applied
 in document order.  Every cell therefore sees one fixed operation
-sequence, and results are reproducible to the bit across repeat runs,
-thread counts and block sizes; reordering effects stay within the
-documented 1e-9 accumulation tolerance.  ``run_matrix`` and the public
+sequence, and results are reproducible to the bit across repeat runs
+and block sizes; reordering effects stay within the documented 1e-9
+accumulation tolerance.  ``run_matrix`` and the public
 ``subprocess_aggregate``/``main_aggregate`` share that one accumulation
-path (``_Accumulator`` and its plan steps, executed by the NumPy ops in
-``kernels``), so they agree to the bit.  Grids are float64, C-contiguous,
-scenario rows by time columns; per-scenario work partitions cleanly
-across rows, which is what the optional ``threads`` argument exploits.
+path (``_Accumulator`` and its steps, executed by the NumPy ops in
+``kernels``), so they agree to the bit.
+
+Grids are float64, scenario rows by time columns.  Operands stay as
+cheap as their amounts allow: a per-period unit row or a per-scenario
+draw is a read-only broadcast view, not a copy.  An evaluation sums only
+the main-process totals, one cache-sized row block at a time; each
+sub-process unit grid is summed per block into scratch space and folded
+straight into its total.  The per-sub-process breakdowns
+(``sp_unit_impacts``/``sp_unit_costs``) are computed, with the same
+steps, the first time they are read.  Evaluation runs on one thread; the
+``threads`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -53,14 +61,18 @@ Grid = np.ndarray
 
 @dataclass(eq=False)
 class UnitResult:
-    """Unit impacts and cost of the main process, with per-sub-process breakdowns."""
+    """Unit impacts and cost of the main process, with per-sub-process breakdowns.
+
+    From an evaluation, ``sp_unit_impacts`` and ``sp_unit_costs`` are
+    read-only mappings that compute each grid the first time it is read.
+    """
 
     grid: ScenarioGrid
     categories: tuple[str, ...]
-    impacts: dict[str, Grid]                      # category -> (S, T)
-    cost: Grid                                    # (S, T)
-    sp_unit_impacts: dict[str, dict[str, Grid]]   # subprocess -> category -> (S, T)
-    sp_unit_costs: dict[str, Grid]
+    impacts: dict[str, Grid]                            # category -> (S, T)
+    cost: Grid                                          # (S, T)
+    sp_unit_impacts: Mapping[str, Mapping[str, Grid]]   # subprocess -> category -> (S, T)
+    sp_unit_costs: Mapping[str, Grid]
     sp_exchange: dict[str, Grid]
 
     @property
@@ -203,122 +215,139 @@ def _exchange_operand(amount, grid: ScenarioGrid, stream):
 
 
 def _unit_operand(value, shape: tuple[int, int]):
-    """Per-period unit rows become grids; scalars stay scalar."""
+    """Per-period unit rows become read-only grid views; scalars stay scalar."""
     if isinstance(value, np.ndarray):
-        return np.ascontiguousarray(np.broadcast_to(value, shape))
+        return np.broadcast_to(value, shape)
     return value
 
 
 # ---------------------------------------------------------------------------
 # evaluation driver
 
-# Target bytes of one grid's row block during plan execution.  Blocks keep
-# the working set cache-resident so every grid streams from memory once per
-# evaluation instead of once per accumulation step; cell values are
-# unaffected because each cell still sees the same operation sequence.
+# Target bytes of one grid's row block.  Blocks keep the working set
+# cache-resident so every operand streams from memory once per evaluation
+# instead of once per accumulation step; cell values are unaffected because
+# each cell still sees the same operation sequence.
 _CACHE_BLOCK_BYTES = 256 * 1024
 
 
-def _row_blocks(n_rows: int, n_blocks: int) -> list[slice]:
-    n_blocks = max(1, min(n_blocks, n_rows))
-    bounds = np.linspace(0, n_rows, n_blocks + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def _cache_blocks(n_rows: int, n_timesteps: int) -> list[slice]:
+    """Consecutive row slices covering ``n_rows``, each about one cache block."""
+    block = max(1, _CACHE_BLOCK_BYTES // (n_timesteps * 8))
+    return [slice(start, min(start + block, n_rows)) for start in range(0, n_rows, block)]
 
 
 class _Accumulator:
-    """One output grid being summed, with scalar terms folded.
+    """One output grid as a sum of terms, with scalar terms folded.
 
     Scalar x scalar terms collapse into one constant (summed in document
-    order); grid-valued terms keep document order.  The constant is
-    applied first, then the grid terms, so the per-cell operation sequence
-    is fixed and identical across threads and block sizes.  An
-    accumulator that never receives a grid term stays virtual: its result
-    is a constant broadcast view and costs no memory or passes.
+    order); grid-valued terms keep document order.  A grid-valued operand
+    is an array or another accumulator (a sub-process unit value feeding a
+    main-process total), which is summed block by block into scratch
+    space and never stored whole.  The constant is applied first, then
+    the grid terms, so the per-cell operation sequence is fixed and
+    identical across block sizes.  An accumulator that never receives a
+    grid term stays virtual: its grid is a constant broadcast view and
+    costs no memory or passes.
     """
 
-    __slots__ = ("shape", "const", "has_scalar_terms", "grid_terms", "_grid")
+    __slots__ = ("shape", "const", "has_scalar_terms", "grid_terms")
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = shape
         self.const = 0.0
         self.has_scalar_terms = False
         self.grid_terms: list[tuple[object, object]] = []
-        self._grid: Grid | None = None
 
     def add(self, unit, exch) -> None:
-        unit_is_grid = isinstance(unit, np.ndarray)
-        exch_is_grid = isinstance(exch, np.ndarray)
-        if not unit_is_grid and not exch_is_grid:
+        if isinstance(unit, _GRID_OPERANDS) or isinstance(exch, _GRID_OPERANDS):
+            self.grid_terms.append((unit, exch))
+        else:
             self.const += float(unit) * float(exch)
             self.has_scalar_terms = True
-        else:
-            self.grid_terms.append((unit, exch))
 
     @property
     def is_virtual(self) -> bool:
         return not self.grid_terms
 
-    def scalar_value(self) -> float:
-        return self.const
+    def fill(self, out: Grid, rows: slice, scratch: Grid | None) -> None:
+        """Add this grid's ``rows`` into ``out``, a zeroed block of that height.
+
+        An accumulator operand is first summed into ``scratch``, which holds
+        at least as many rows.  Such operands nest one level deep (a unit
+        value inside a total), so they get no scratch of their own.
+        """
+        if self.has_scalar_terms:
+            kernels.add_const(out, self.const)
+        for unit, exch in self.grid_terms:
+            unit = _operand_rows(unit, rows, scratch)
+            exch = _operand_rows(exch, rows, scratch)
+            if isinstance(unit, np.ndarray) and isinstance(exch, np.ndarray):
+                kernels.add_product(out, unit, exch)
+            elif isinstance(unit, np.ndarray):
+                kernels.add_scaled(out, float(exch), unit)
+            else:
+                kernels.add_scaled(out, float(unit), exch)
 
     def grid(self) -> Grid:
-        """Result grid: a real accumulator array, or a constant view."""
+        """The whole grid: a new array summed one row block at a time, or a
+        constant view when virtual."""
         if self.is_virtual:
             return np.broadcast_to(np.float64(self.const), self.shape)
-        if self._grid is None:
-            self._grid = np.zeros(self.shape, dtype=np.float64)
-        return self._grid
-
-    def steps(self) -> list[tuple]:
-        if self.is_virtual:
-            return []
-        acc = self.grid()
-        plan: list[tuple] = []
-        if self.has_scalar_terms:
-            plan.append(("const", acc, self.const))
-        for unit, exch in self.grid_terms:
-            unit_is_grid = isinstance(unit, np.ndarray)
-            exch_is_grid = isinstance(exch, np.ndarray)
-            if unit_is_grid and exch_is_grid:
-                plan.append(("product", acc, unit, exch))
-            elif unit_is_grid:
-                plan.append(("scaled", acc, float(exch), unit))
-            else:
-                plan.append(("scaled", acc, float(unit), exch))
-        return plan
+        out = np.zeros(self.shape, dtype=np.float64)
+        blocks = _cache_blocks(*self.shape)
+        scratch = np.empty((blocks[0].stop, self.shape[1]), dtype=np.float64)
+        for rows in blocks:
+            self.fill(out[rows], rows, scratch)
+        return out
 
 
-def _apply_step(step: tuple, rows: slice) -> None:
-    kind = step[0]
-    if kind == "const":
-        kernels.add_const(step[1][rows], step[2])
-    elif kind == "scaled":
-        kernels.add_scaled(step[1][rows], step[2], step[3][rows])
-    else:
-        kernels.add_product(step[1][rows], step[2][rows], step[3][rows])
+_GRID_OPERANDS = (np.ndarray, _Accumulator)
 
 
-def _run_plan(plan, rows: slice, n_timesteps: int) -> None:
-    """Execute the ordered steps over one range of scenario rows.
+def _operand_rows(operand, rows: slice, scratch: Grid):
+    if isinstance(operand, _Accumulator):
+        block = scratch[: rows.stop - rows.start]
+        block.fill(0.0)
+        operand.fill(block, rows, None)
+        return block
+    if isinstance(operand, np.ndarray):
+        return operand[rows]
+    return operand
 
-    Rows advance in cache-sized blocks; within a block every step runs in
-    plan order, so accumulators that later steps read (sub-process unit
-    grids feeding the main totals) are complete for those rows first.
+
+class _LazyGrids(Mapping):
+    """Read-only mapping whose accumulator values become grids on first read.
+
+    Each grid is summed by the accumulator's own steps, so it has the bits
+    an eager evaluation would give, and replaces its accumulator once read.
+    Other values (nested mappings) pass through.
     """
-    block = max(1, _CACHE_BLOCK_BYTES // (n_timesteps * 8))
-    for start in range(rows.start, rows.stop, block):
-        sub = slice(start, min(start + block, rows.stop))
-        for step in plan:
-            _apply_step(step, sub)
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: dict):
+        self._values = values
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        if isinstance(value, _Accumulator):
+            value = self._values[key] = value.grid()
+        return value
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
 
 
 def _aggregate(unit_values, exchange_values, shape: tuple[int, int]) -> Grid:
-    """One output grid, summed by the accumulator and plan steps of
-    ``_evaluate``, so the public aggregators give its bits."""
+    """One output grid, summed by the accumulator steps of ``_evaluate``,
+    so the public aggregators give its bits."""
     acc = _Accumulator(shape)
     for unit, exch in zip(unit_values, exchange_values):
         acc.add(unit, exch)
-    _run_plan(acc.steps(), slice(0, shape[0]), shape[1])
     return acc.grid()
 
 
@@ -328,7 +357,6 @@ def _evaluate(
     grid: ScenarioGrid,
     seed: int | None,
     categories: tuple[str, ...],
-    threads: int,
 ) -> UnitResult:
     shape = grid.shape
     kinds = (*categories, None)  # None = cost
@@ -336,8 +364,8 @@ def _evaluate(
     sp_units: dict[str, dict[object, _Accumulator]] = {}
     sp_exchange: dict[str, Grid] = {}
 
-    # Resolve operands and fold terms; all sampling happens here, on one
-    # thread, so draws are deterministic regardless of threading.
+    # Resolve operands and fold terms; all sampling happens here, in
+    # document order, so draws are deterministic.
     for sp in model.subprocesses:
         units = {kind: _Accumulator(shape) for kind in kinds}
         sp_units[sp.name] = units
@@ -358,39 +386,20 @@ def _evaluate(
         )
         for kind in kinds:
             unit_acc = units[kind]
-            unit_value = unit_acc.scalar_value() if unit_acc.is_virtual else unit_acc.grid()
-            totals[kind].add(unit_value, sp_x)
+            totals[kind].add(unit_acc.const if unit_acc.is_virtual else unit_acc, sp_x)
 
-    # sub-process unit grids first, then the main totals that read them
-    plan: list[tuple] = []
-    for units in sp_units.values():
-        for kind in kinds:
-            plan.extend(units[kind].steps())
-    for kind in kinds:
-        plan.extend(totals[kind].steps())
-
-    if plan:
-        ranges = _row_blocks(grid.n_scenarios, threads)
-        if len(ranges) <= 1:
-            _run_plan(plan, slice(0, grid.n_scenarios), grid.n_timesteps)
-        else:
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                futures = [
-                    pool.submit(_run_plan, plan, r, grid.n_timesteps) for r in ranges
-                ]
-                for fut in futures:
-                    fut.result()
-
+    # Only the totals are summed here; each sub-process unit grid is
+    # computed per row block inside them, and whole only when first read.
     return UnitResult(
         grid=grid,
         categories=categories,
         impacts={cat: totals[cat].grid() for cat in categories},
         cost=totals[None].grid(),
-        sp_unit_impacts={
-            name: {cat: units[cat].grid() for cat in categories}
+        sp_unit_impacts=_LazyGrids({
+            name: _LazyGrids({cat: units[cat] for cat in categories})
             for name, units in sp_units.items()
-        },
-        sp_unit_costs={name: units[None].grid() for name, units in sp_units.items()},
+        }),
+        sp_unit_costs=_LazyGrids({name: units[None] for name, units in sp_units.items()}),
         sp_exchange=sp_exchange,
     )
 
@@ -435,7 +444,7 @@ def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
                     "use run_matrix"
                 )
     _require_valid(model, db, grid=one if model.grid.shape != (1, 1) else None)
-    return _evaluate(model, db, one, None, cats, threads=1)
+    return _evaluate(model, db, one, None, cats)
 
 
 def run_matrix(
@@ -450,13 +459,14 @@ def run_matrix(
 
     ``seed`` is required when the model carries non-degenerate
     distribution amounts; with all-scalar inputs the result is cell-wise
-    constant and equals ``run_static``.
+    constant and equals ``run_static``.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     cats = _select_categories(model, categories)
     _require_valid(model, db)
     if seed is None and model.has_distributions():
         raise ValueError("model has distribution amounts; pass seed=")
-    return _evaluate(model, db, model.grid, seed, cats, threads)
+    return _evaluate(model, db, model.grid, seed, cats)
 
 
 def run_monte_carlo(
@@ -473,20 +483,22 @@ def run_monte_carlo(
     The scenario axis becomes the run axis (n_runs rows); every
     distribution draws once per run and holds across time.  Summary
     statistics (mean, sd, and the 2.5/50/97.5 percentiles with linear
-    interpolation) are computed across runs, per time step.
+    interpolation) are computed across runs, per time step.  A model
+    without distributions gives a warning once it has passed validation.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     cats = _select_categories(model, categories)
+    mc_grid = ScenarioGrid(n_runs, model.grid.n_timesteps,
+                           model.grid.step_label, model.grid.step_origin)
+    _require_valid(model, db, grid=mc_grid)
     if not model.has_distributions():
         warnings.warn(
             "model has no distribution amounts; Monte Carlo is degenerate",
             stacklevel=2,
         )
-    mc_grid = ScenarioGrid(n_runs, model.grid.n_timesteps,
-                           model.grid.step_label, model.grid.step_origin)
-    _require_valid(model, db, grid=mc_grid)
-    unit = _evaluate(model, db, mc_grid, seed, cats, threads)
+    unit = _evaluate(model, db, mc_grid, seed, cats)
     impact_stats = {cat: _summary_stats(unit.impacts[cat]) for cat in cats}
     return MonteCarloResult(
         n_runs=n_runs,
@@ -546,7 +558,7 @@ def compute_inventory(
             x = _exchange_operand(flow.amount, grid, stream)
             if isinstance(x, np.ndarray) or isinstance(sp_x, np.ndarray):
                 contrib = np.asarray(x) * np.asarray(sp_x)  # broadcasts scalar side
-                contrib = np.ascontiguousarray(np.broadcast_to(contrib, shape))
+                contrib = np.broadcast_to(contrib, shape)
             else:
                 contrib = float(x) * float(sp_x)
             for substance, amount_per_unit in per_unit.items():

@@ -36,12 +36,15 @@ class LoadError(LcengineError):
     """A model, database or factor file could not be parsed.
 
     ``path`` names the offending file; ``line`` is 1-based when known.
+    ``report`` is the ``ValidationReport`` when the file parsed but the
+    model fails structural validation, else None.
     """
 
-    def __init__(self, message, path=None, line=None):
+    def __init__(self, message, path=None, line=None, report=None):
         super().__init__(message)
         self.path = path
         self.line = line
+        self.report = report
 
     def __str__(self):
         prefix = ""

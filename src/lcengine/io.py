@@ -402,9 +402,8 @@ def load_model(path) -> ProcessModel:
 
     report = validate_model(model, None)
     if not report.is_valid:
-        err = LoadError(f"model fails structural validation:\n{report}", path=path)
-        err.report = report
-        raise err
+        raise LoadError(f"model fails structural validation:\n{report}", path=path,
+                        report=report)
     return model
 
 

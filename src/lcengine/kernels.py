@@ -3,7 +3,9 @@
 The scenario x time calculations reduce to three fused accumulate
 operations plus a row-wise convolution.  Each operation multiplies first
 and then adds, and the convolution applies its taps in ascending k order,
-so every cell sees one fixed operation sequence.
+so every cell sees one fixed operation sequence.  Operands may be any
+float64 2-D arrays of the right shape, including row slices and read-only
+broadcast views.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from .errors import ShapeError
 
 
 def _check_grid(name: str, a: np.ndarray, shape: tuple[int, int]) -> None:
-    if a.dtype != np.float64 or a.ndim != 2 or not a.flags.c_contiguous:
-        raise ShapeError(f"{name} must be a C-contiguous float64 2-D array")
+    if a.dtype != np.float64 or a.ndim != 2:
+        raise ShapeError(f"{name} must be a float64 2-D array")
     if a.shape != shape:
         raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
 

@@ -390,7 +390,9 @@ def broadcast_exchange(
 
     Scalars fill the grid; matrices pass through after a shape check
     (idempotent, no copy); distributions draw once per scenario and hold
-    that value across time, so each scenario row is one realization.
+    that value across time, so each scenario row is one realization.  A
+    distribution's grid is a read-only broadcast view of its draws, so
+    it costs one value per scenario, not per cell.
     """
     if isinstance(amount, ScalarAmount):
         return np.full(grid.shape, amount.value, dtype=np.float64)
@@ -407,7 +409,5 @@ def broadcast_exchange(
         if rng_stream is None:
             raise ValueError("distribution amounts require a sampler stream")
         draws = sample(amount.spec, grid.n_scenarios, rng_stream)
-        return np.ascontiguousarray(
-            np.repeat(draws[:, np.newaxis], grid.n_timesteps, axis=1)
-        )
+        return np.broadcast_to(draws[:, np.newaxis], grid.shape)
     raise TypeError(f"not an exchange amount: {amount!r}")

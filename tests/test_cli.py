@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,29 @@ DCF = str(SAMPLES / "dcf.csv")
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# (text in heatplant.model, replacement, diagnostic): models that parse but
+# fail structural validation
+STRUCTURAL_ERRORS = [
+    pytest.param("discount_rate: 0.05", "discount_rate: -0.05",
+                 "discount_rate must be >= 0", id="negative_rate"),
+    pytest.param("name: boiler_operation", "name: fuel_supply",
+                 "duplicate sub-process name", id="duplicate_subprocess"),
+    pytest.param("production: [450, 450, 450, 450, 450]", "production: [450, 450]",
+                 "production series length 2 does not match 5 time steps",
+                 id="production_length"),
+]
+
+
+def _heatplant_copy(tmp_path, old, new):
+    """heatplant.model with one text replacement, beside its matrix CSV."""
+    model = tmp_path / "heatplant.model"
+    text = (SAMPLES / "heatplant.model").read_text()
+    assert text.count(old) == 1
+    model.write_text(text.replace(old, new))
+    (tmp_path / "co2_stack.csv").write_bytes((SAMPLES / "co2_stack.csv").read_bytes())
+    return model
 
 
 class TestValidateCommand:
@@ -46,13 +70,24 @@ subprocesses:
                                                 ("-450", "has negative values"),
                                                 ("0", "is all zeros")])
     def test_bad_production_exits_1(self, tmp_path, capsys, value, problem):
-        model = tmp_path / "heatplant.model"
         series = ", ".join([value] * 5)
-        model.write_text((SAMPLES / "heatplant.model").read_text().replace(
-            "production: [450, 450, 450, 450, 450]", f"production: [{series}]"))
-        (tmp_path / "co2_stack.csv").write_bytes((SAMPLES / "co2_stack.csv").read_bytes())
+        model = _heatplant_copy(tmp_path, "production: [450, 450, 450, 450, 450]",
+                                f"production: [{series}]")
         assert run_cli("validate", "--model", str(model), "--db", DB) == 1
         assert f"production series {problem}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("old, new, problem", STRUCTURAL_ERRORS)
+    def test_structural_error_exits_1(self, tmp_path, capsys, command, old, new, problem):
+        model = _heatplant_copy(tmp_path, old, new)
+        out = tmp_path / "r.json"
+        extra = ("--mode", "static", "--output", str(out)) if command == "run" else ()
+        assert run_cli(command, "--model", str(model), "--db", DB, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: model fails structural validation")
+        assert problem in err
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -167,11 +202,9 @@ subprocesses:
 
     @pytest.mark.parametrize("value", [".nan", "-450", "0"])
     def test_bad_production_exits_1_before_writing(self, tmp_path, capsys, value):
-        model = tmp_path / "heatplant.model"
         series = ", ".join([value] * 5)
-        model.write_text((SAMPLES / "heatplant.model").read_text().replace(
-            "production: [450, 450, 450, 450, 450]", f"production: [{series}]"))
-        (tmp_path / "co2_stack.csv").write_bytes((SAMPLES / "co2_stack.csv").read_bytes())
+        model = _heatplant_copy(tmp_path, "production: [450, 450, 450, 450, 450]",
+                                f"production: [{series}]")
         out = tmp_path / "r.json"
         rc = run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
                      "--output", str(out))
@@ -186,6 +219,27 @@ subprocesses:
         assert rc == 1
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_invalid_degenerate_montecarlo_prints_no_warning(self, tmp_path, capsys):
+        # heatplant has no distributions, and its 2x5 matrix amount does not fit 2000 runs
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "montecarlo",
+                         "--n-runs", "2000", "--output", str(out))
+        assert rc == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "degenerate" not in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_degenerate_montecarlo_warns_on_a_plain_line(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "montecarlo",
+                     "--n-runs", "2", "--output", str(out))
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: model has no distribution amounts; Monte Carlo is degenerate\n")
 
     @pytest.mark.parametrize("tau", ["nan", "0.7"])
     def test_non_integer_dcf_tau_exits_2(self, tmp_path, capsys, tau):

@@ -173,3 +173,45 @@ class TestDiscountedCostResult:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             discounted_cost_result(np.ones((2, 3)), [1.0, 1.0], 0.0)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, -0.5])
+    def test_every_row_has_the_scalar_bits(self, rate):
+        rng = np.random.default_rng(5)
+        grid = rng.uniform(-1e6, 1e6, size=(40, 17))
+        grid[3] = 0.0
+        grid[4, ::2] = -0.0
+        grid[5] = -grid[5] * 1e-300
+        production = ProductionSeries(rng.uniform(0.0, 500.0, size=17))
+        out = discounted_cost_result(grid, production, rate)
+        for s in range(grid.shape[0]):
+            cf = CashFlowSeries(grid[s], rate)
+            assert out.npv[s].tobytes() == np.float64(npv(cf)).tobytes()
+            msp = np.float64(minimum_selling_price(cf, production))
+            assert out.msp[s].tobytes() == msp.tobytes()
+            assert out.lcoe[s].tobytes() == msp.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cell_rejected_like_a_row(self, bad):
+        grid = np.ones((3, 4))
+        grid[2, 1] = bad
+        with pytest.raises(ValueError, match="cash flow values must be finite"):
+            CashFlowSeries(grid[2], 0.05)
+        with pytest.raises(ValueError, match="cash flow values must be finite"):
+            discounted_cost_result(grid, [1.0] * 4, 0.05)
+
+    @pytest.mark.parametrize("rate", [-1.0, -2.0, np.nan, np.inf])
+    def test_bad_rate_rejected_like_a_row(self, rate):
+        message = f"discount rate must be finite and > -1, got {float(rate)}"
+        with pytest.raises(ValueError) as scalar:
+            CashFlowSeries([1.0, 2.0], rate)
+        with pytest.raises(ValueError) as grid:
+            discounted_cost_result(np.ones((2, 2)), [1.0, 1.0], rate)
+        assert str(grid.value) == str(scalar.value) == message
+
+    def test_zero_production_rejected_like_a_row(self):
+        production = ProductionSeries([0.0, 0.0, 0.0])
+        with pytest.raises(ZeroDivisionError) as scalar:
+            minimum_selling_price(CashFlowSeries([1.0, 2.0, 3.0], 0.1), production)
+        with pytest.raises(ZeroDivisionError) as grid:
+            discounted_cost_result(np.ones((2, 3)), production, 0.1)
+        assert str(grid.value) == str(scalar.value)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from lcengine import (
     run_static,
     subprocess_aggregate,
 )
-from lcengine.engine import _row_blocks
+from lcengine.engine import (
+    _cache_blocks,
+    _exchange_operand,
+    _resolve_unit_cost,
+    _resolve_unit_impact,
+    _unit_operand,
+)
 
 from conftest import db_with, empty_db, simple_model
 from modelgen import random_model
@@ -333,12 +340,95 @@ class TestRunMatrix:
             run_matrix(model, empty_db(), categories=("zzz",))
 
 
+class TestBreakdownsOnFirstRead:
+    """Sub-process breakdowns are summed when first read, with the bits of
+    the public aggregators, and not before."""
+
+    @staticmethod
+    def _sp_operands(model, db, sp, cat):
+        shape = model.grid.shape
+        units, exchanges = [], []
+        for flow in sp.flows:
+            if cat is None:
+                unit = _resolve_unit_cost(flow, db)
+            else:
+                unit = _resolve_unit_impact(flow, cat, db, model.grid.n_timesteps)
+            units.append(_unit_operand(unit, shape))
+            exchanges.append(_exchange_operand(flow.amount, model.grid, None))
+        return units, exchanges
+
+    def test_breakdowns_have_the_aggregator_bits(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(12):
+            # up to 600 x 120 cells: several cache blocks per grid
+            model, db, _ = random_model(rng, max_sp=4, max_flows=4, max_s=600, max_t=120)
+            unit = run_matrix(model, db)
+            for kind in (*model.categories, None):
+                sp_grids, sp_exchanges = [], []
+                for sp in model.subprocesses:
+                    read = (unit.sp_unit_costs[sp.name] if kind is None
+                            else unit.sp_unit_impacts[sp.name][kind])
+                    units, exchanges = self._sp_operands(model, db, sp, kind)
+                    if any(isinstance(v, np.ndarray) for v in (*units, *exchanges)):
+                        expected = subprocess_aggregate(sp, units, exchanges)
+                        assert read.tobytes() == expected.tobytes()
+                        sp_grids.append(read)
+                        checked += 1
+                    else:
+                        assert read.strides == (0, 0)  # a constant view
+                        sp_grids.append(float(read[0, 0]))
+                    sp_exchanges.append(_exchange_operand(sp.amount, model.grid, None))
+                if any(isinstance(v, np.ndarray) for v in (*sp_grids, *sp_exchanges)):
+                    total = unit.cost if kind is None else unit.impacts[kind]
+                    expected = main_aggregate(sp_grids, sp_exchanges)
+                    assert total.tobytes() == expected.tobytes()
+        assert checked > 20
+
+    def test_breakdowns_are_read_only_and_cached(self):
+        model, db, _ = random_model(random.Random(3), max_s=5, max_t=5)
+        unit = run_matrix(model, db)
+        sp = unit.subprocess_names[0]
+        assert unit.sp_unit_costs[sp] is unit.sp_unit_costs[sp]
+        assert list(unit.sp_unit_impacts[sp]) == list(unit.categories)
+        with pytest.raises(TypeError):
+            unit.sp_unit_costs[sp] = np.zeros(unit.grid.shape)
+
+    def test_no_breakdown_grid_is_allocated_before_a_read(self):
+        n_s, n_t, n_sp = 200, 50, 40
+        grid_bytes = n_s * n_t * 8
+        rng = np.random.default_rng(1)
+        sps = []
+        for i in range(n_sp):
+            flows = tuple(
+                FlowDefinition(f"f{j}", "inflow", MatrixAmount(rng.uniform(size=(n_s, n_t))),
+                               inline_unit_impact={"a": 1.0, "b": 2.0, "c": 3.0},
+                               inline_unit_cost=0.5)
+                for j in range(2))
+            sps.append(SubProcessDefinition(f"sp{i}", ScalarAmount(1.5), flows=flows))
+        model = ProcessModel("many", tuple(sps), ScenarioGrid(n_s, n_t), ("a", "b", "c"))
+        db = empty_db()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            unit = run_matrix(model, db)
+            after, peak = tracemalloc.get_traced_memory()
+            unit.sp_unit_impacts["sp7"]["b"]
+            after_read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the four totals plus block-sized scratch, not 160 breakdown grids
+        assert peak - before < 8 * grid_bytes
+        assert after - before < 5 * grid_bytes
+        assert after_read - after >= grid_bytes
+
+
 class TestRowBlocks:
     def test_partition_covers_all_rows(self):
-        for n_rows in (1, 2, 5, 17):
-            for n_blocks in (1, 2, 4, 32):
-                blocks = _row_blocks(n_rows, n_blocks)
-                covered = sorted(i for b in blocks for i in range(b.start, b.stop))
+        for n_rows in (1, 2, 5, 17, 40_000):
+            for n_timesteps in (1, 3, 100, 40_000):
+                blocks = _cache_blocks(n_rows, n_timesteps)
+                covered = [i for b in blocks for i in range(b.start, b.stop)]
                 assert covered == list(range(n_rows))
 
 

@@ -51,3 +51,16 @@ class TestContracts:
         acc = np.zeros((6, 4))
         kernels.add_const(acc[2:5], 1.0)
         assert np.all(acc[2:5] == 1.0) and np.all(acc[:2] == 0.0) and np.all(acc[5:] == 0.0)
+
+    def test_broadcast_and_strided_operands_accepted(self):
+        per_period = np.broadcast_to(np.array([1.0, 2.0, 3.0]), (2, 3))  # row stride 0
+        per_run = np.broadcast_to(np.array([[10.0], [20.0]]), (2, 3))    # column stride 0
+        wide = np.zeros((2, 5))
+        acc = wide[:, 1:4]  # a non-contiguous target
+        kernels.add_product(acc, per_period, per_run)
+        kernels.add_scaled(acc, 0.5, per_run)
+        kernels.add_const(acc, 1.0)
+        assert wide.tolist() == [[0.0, 16.0, 26.0, 36.0, 0.0], [0.0, 31.0, 51.0, 71.0, 0.0]]
+        out = np.zeros((2, 4))
+        kernels.convolve_rows_into(out, per_run, np.array([1.0, 0.5]))
+        assert out.tolist() == [[10.0, 15.0, 15.0, 5.0], [20.0, 30.0, 30.0, 10.0]]

@@ -16,7 +16,7 @@ from lcengine import (
     broadcast_exchange,
     validate_model,
 )
-from lcengine.sampler import SamplerStream
+from lcengine.sampler import SamplerStream, sample
 
 from conftest import db_with, empty_db, simple_model
 
@@ -68,6 +68,16 @@ class TestBroadcast:
         for row in out:
             assert np.all(row == row[0])
         assert len(np.unique(out[:, 0])) > 1  # rows differ
+
+    @pytest.mark.parametrize("spec", [DistributionSpec("normal", (5.0, 2.0)),
+                                      DistributionSpec("triangular", (0.0, 1.0, 4.0))])
+    def test_distribution_is_a_read_only_view_of_repeated_draws(self, spec):
+        grid = ScenarioGrid(6, 4)
+        out = broadcast_exchange(DistributionAmount(spec), grid, SamplerStream(3, 9))
+        draws = sample(spec, grid.n_scenarios, SamplerStream(3, 9))
+        repeated = np.repeat(draws[:, np.newaxis], grid.n_timesteps, axis=1)
+        assert out.shape == grid.shape and out.tobytes() == repeated.tobytes()
+        assert out.strides[1] == 0 and not out.flags.writeable
 
     def test_missing_stream_raises(self):
         amount = DistributionAmount(DistributionSpec("uniform", (0.0, 1.0)))
