@@ -9,11 +9,13 @@ for logging.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .io import (
     load_model,
     result_set,
     sha256_file,
+    write_csv_grid,
 )
 from .model import ProcessModel, validate_model
 
@@ -376,62 +379,42 @@ def _print_payload_summary(payload) -> None:
 # ---------------------------------------------------------------------------
 # report
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    import csv
-
+@contextmanager
+def _csv_file(path: Path, header: list[str]):
+    """A plot-data CSV, open for writing after its header row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        yield fh
 
 
 def _plot_data_unit(unit: UnitResult, out_dir: Path) -> list[Path]:
-    rows = []
-    for cat in unit.categories:
-        grid = unit.impacts[cat]
-        for s in range(grid.shape[0]):
-            for t in range(grid.shape[1]):
-                rows.append(["impact", cat, s, t, repr(float(grid[s, t]))])
-    for s in range(unit.cost.shape[0]):
-        for t in range(unit.cost.shape[1]):
-            rows.append(["cost", "", s, t, repr(float(unit.cost[s, t]))])
     impact_path = out_dir / "impact_over_time.csv"
-    _write_csv(impact_path, ["kind", "category", "scenario", "timestep", "value"], rows)
-
-    contrib_rows = []
-    for sp in unit.sp_unit_costs:
+    with _csv_file(impact_path, ["kind", "category", "scenario", "timestep", "value"]) as fh:
         for cat in unit.categories:
-            grid = unit.contribution_impact(sp, cat)
-            for s in range(grid.shape[0]):
-                for t in range(grid.shape[1]):
-                    contrib_rows.append(["impact", cat, sp, s, t, repr(float(grid[s, t]))])
-        grid = unit.contribution_cost(sp)
-        for s in range(grid.shape[0]):
-            for t in range(grid.shape[1]):
-                contrib_rows.append(["cost", "", sp, s, t, repr(float(grid[s, t]))])
+            write_csv_grid(fh, ("impact", cat), unit.impacts[cat])
+        write_csv_grid(fh, ("cost", ""), unit.cost)
+
     contrib_path = out_dir / "contributions.csv"
-    _write_csv(
-        contrib_path,
-        ["kind", "category", "subprocess", "scenario", "timestep", "value"],
-        contrib_rows,
-    )
+    with _csv_file(contrib_path,
+                   ["kind", "category", "subprocess", "scenario", "timestep", "value"]) as fh:
+        for sp in unit.sp_unit_costs:
+            for cat in unit.categories:
+                write_csv_grid(fh, ("impact", cat, sp), unit.contribution_impact(sp, cat))
+            write_csv_grid(fh, ("cost", "", sp), unit.contribution_cost(sp))
     return [impact_path, contrib_path]
 
 
 def _plot_data_mc(mc: MonteCarloResult, out_dir: Path) -> list[Path]:
-    rows = []
     stat_fields = (("mean", "mean"), ("sd", "sd"), ("p2.5", "p2_5"),
                    ("p50", "p50"), ("p97.5", "p97_5"))
-    for cat in mc.samples.categories:
-        stats = mc.impact_stats[cat]
-        for label, attr in stat_fields:
-            for t, v in enumerate(getattr(stats, attr)):
-                rows.append(["impact", cat, label, t, repr(float(v))])
-    for label, attr in stat_fields:
-        for t, v in enumerate(getattr(mc.cost_stats, attr)):
-            rows.append(["cost", "", label, t, repr(float(v))])
     impact_path = out_dir / "impact_over_time.csv"
-    _write_csv(impact_path, ["kind", "category", "stat", "timestep", "value"], rows)
+    with _csv_file(impact_path, ["kind", "category", "stat", "timestep", "value"]) as fh:
+        for cat in mc.samples.categories:
+            stats = mc.impact_stats[cat]
+            for label, attr in stat_fields:
+                write_csv_grid(fh, ("impact", cat, label), getattr(stats, attr))
+        for label, attr in stat_fields:
+            write_csv_grid(fh, ("cost", "", label), getattr(mc.cost_stats, attr))
 
     hist_rows = []
     for kind, cat, grid in (
@@ -443,51 +426,32 @@ def _plot_data_mc(mc: MonteCarloResult, out_dir: Path) -> list[Path]:
         for i, count in enumerate(counts):
             hist_rows.append([kind, cat, repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
     hist_path = out_dir / "histograms.csv"
-    _write_csv(hist_path, ["kind", "category", "bin_left", "bin_right", "count"], hist_rows)
+    with _csv_file(hist_path, ["kind", "category", "bin_left", "bin_right", "count"]) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(hist_rows)
 
-    contrib_rows = []
-    for sp in mc.samples.sp_unit_costs:
-        for cat in mc.samples.categories:
-            mean_contrib = mc.samples.contribution_impact(sp, cat).mean(axis=0)
-            for t, v in enumerate(mean_contrib):
-                contrib_rows.append(["impact", cat, sp, t, repr(float(v))])
-        mean_cost = mc.samples.contribution_cost(sp).mean(axis=0)
-        for t, v in enumerate(mean_cost):
-            contrib_rows.append(["cost", "", sp, t, repr(float(v))])
     contrib_path = out_dir / "contributions.csv"
-    _write_csv(
-        contrib_path,
-        ["kind", "category", "subprocess", "timestep", "value"],
-        contrib_rows,
-    )
+    with _csv_file(contrib_path, ["kind", "category", "subprocess", "timestep", "value"]) as fh:
+        for sp in mc.samples.sp_unit_costs:
+            for cat in mc.samples.categories:
+                write_csv_grid(fh, ("impact", cat, sp),
+                               mc.samples.contribution_impact(sp, cat).mean(axis=0))
+            write_csv_grid(fh, ("cost", "", sp), mc.samples.contribution_cost(sp).mean(axis=0))
     return [impact_path, hist_path, contrib_path]
 
 
 def _plot_data_dynamic(dyn: DynamicImpactResult, out_dir: Path) -> list[Path]:
-    def grid_rows(grids: dict[str, np.ndarray]):
-        rows = []
-        for cat, grid in grids.items():
-            for s in range(grid.shape[0]):
-                for t in range(grid.shape[1]):
-                    rows.append([cat, s, t, repr(float(grid[s, t]))])
-        return rows
-
     impact_path = out_dir / "impact_over_time.csv"
-    _write_csv(impact_path, ["category", "scenario", "timestep", "value"],
-               grid_rows(dyn.impacts))
     cum_path = out_dir / "cumulative.csv"
-    _write_csv(cum_path, ["category", "scenario", "timestep", "value"],
-               grid_rows(dyn.cumulative))
+    for path, grids in ((impact_path, dyn.impacts), (cum_path, dyn.cumulative)):
+        with _csv_file(path, ["category", "scenario", "timestep", "value"]) as fh:
+            for cat, grid in grids.items():
+                write_csv_grid(fh, (cat,), grid)
 
-    contrib_rows = []
-    for sub, per_cat in dyn.contributions.items():
-        for cat, grid in per_cat.items():
-            for s in range(grid.shape[0]):
-                for t in range(grid.shape[1]):
-                    contrib_rows.append([sub, cat, s, t, repr(float(grid[s, t]))])
     contrib_path = out_dir / "contributions.csv"
-    _write_csv(contrib_path, ["substance", "category", "scenario", "timestep", "value"],
-               contrib_rows)
+    with _csv_file(contrib_path, ["substance", "category", "scenario", "timestep", "value"]) as fh:
+        for sub, per_cat in dyn.contributions.items():
+            for cat, grid in per_cat.items():
+                write_csv_grid(fh, (sub, cat), grid)
     return [impact_path, cum_path, contrib_path]
 
 

@@ -34,7 +34,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -109,6 +109,8 @@ def _read_text(path) -> str:
 
 def _parse_number(text: str, where: str, path, line: int | None = None) -> float:
     try:
+        if "_" in text:  # float() takes digit-group underscores; CSV numbers do not
+            raise ValueError
         value = float(text.strip())
     except (ValueError, TypeError):
         raise LoadError(f"{where}: invalid number {text!r}", path=path, line=line) from None
@@ -198,24 +200,51 @@ def _parse_distribution(mapping: dict, where: str, path) -> DistributionAmount:
         raise LoadError(f"{where}: {exc}", path=path) from exc
 
 
+# the characters of a matrix CSV of plain numbers, as a str.translate table
+# that deletes them
+_PLAIN_MATRIX_CHARS = dict.fromkeys(map(ord, "0123456789eE+-.,\t\r\n "))
+
+
+def _plain_matrix_rows(text: str) -> list[list[float]] | None:
+    """The rows of a matrix CSV of plain numbers, or None where the
+    line-precise parser must decide.  Both parse cells with ``float()``, so
+    whenever this returns rows, they are the rows that parser gives."""
+    if text.translate(_PLAIN_MATRIX_CHARS) or (
+            "\r" in text and text.count("\r") != text.count("\r\n")):
+        return None  # quotes, letters, underscores, a \r that ends no line...
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None  # csv.reader refuses such a field
+    try:
+        return [list(map(float, line.split(","))) for line in lines if line.strip()]
+    except ValueError:
+        return None
+
+
 def load_matrix_csv(path) -> np.ndarray:
-    """Numeric CSV, scenario rows by time columns, no header."""
+    """Numeric CSV, scenario rows by time columns, no header.
+
+    A file of plain numbers (digits, signs, points, exponents, commas,
+    spaces, tabs and line ends) is split on lines and commas and its cells
+    parsed with ``float()``.  Any other file, or one where that fails, goes
+    to the CSV parser, which reports the line and column of a bad cell.
+    """
+    path = str(path)
     text = _read_text(path)
-    rows: list[list[float]] = []
-    for lineno, record in enumerate(_read_csv_records(text, path), start=1):
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        rows.append(
-            [_parse_number(cell, f"column {i + 1}", path, lineno) for i, cell in enumerate(record)]
-        )
+    rows = _plain_matrix_rows(text)
+    if rows is None:
+        rows = []
+        for lineno, record in enumerate(_read_csv_records(text, path), start=1):
+            if not record or all(not cell.strip() for cell in record):
+                continue
+            rows.append([_parse_number(cell, f"column {i + 1}", path, lineno)
+                         for i, cell in enumerate(record)])
     if not rows:
-        raise LoadError("matrix file is empty", path=str(path))
+        raise LoadError("matrix file is empty", path=path)
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise LoadError(
-                f"row {i + 1} has {len(row)} columns, expected {width}", path=str(path)
-            )
+            raise LoadError(f"row {i + 1} has {len(row)} columns, expected {width}", path=path)
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -633,50 +662,78 @@ def _grid_to_dict(grid: ScenarioGrid) -> dict:
     }
 
 
-def _grid_from_dict(d: dict) -> ScenarioGrid:
-    return ScenarioGrid(d["scenarios"], d["timesteps"], d["step"], d["origin"])
+def _grid_from_dict(d: dict, where: str, path) -> ScenarioGrid:
+    grid = ScenarioGrid(d["scenarios"], d["timesteps"], d["step"], d["origin"])
+    for n in grid.shape:
+        _as_int(n, where, path)
+    return grid
+
+
+def _grid_where(section: str, name: str, category: str) -> str:
+    """Where a grid sits in a result, in the CSV's terms, for diagnostics."""
+    return f"section {section!r}, name {name!r}, category {category!r}"
+
+
+def _json_grids(shape: tuple[int, int], path):
+    """The check every grid of a JSON payload passes: it has ``shape``, or,
+    for a stat series, one value per time step."""
+    def take(value, section: str, name: str, category: str, series: bool = False):
+        grid = np.asarray(value, dtype=np.float64)
+        want = shape[1:] if series else shape
+        if grid.shape != want:
+            raise LoadError(
+                f"{_grid_where(section, name, category)}: shape "
+                f"{'x'.join(map(str, grid.shape))}, payload grid gives {'x'.join(map(str, want))}",
+                path=path,
+            )
+        return grid
+    return take
 
 
 def _unit_to_dict(u: UnitResult) -> dict:
     return {
         "grid": _grid_to_dict(u.grid),
         "categories": list(u.categories),
-        "impacts": {cat: u.impacts[cat].tolist() for cat in u.categories},
-        "cost": u.cost.tolist(),
+        "impacts": {cat: u.impacts[cat] for cat in u.categories},
+        "cost": u.cost,
         "sp_order": list(u.sp_unit_costs),
         "sp_unit_impacts": {
-            sp: {cat: grids[cat].tolist() for cat in u.categories}
+            sp: {cat: grids[cat] for cat in u.categories}
             for sp, grids in u.sp_unit_impacts.items()
         },
-        "sp_unit_costs": {sp: g.tolist() for sp, g in u.sp_unit_costs.items()},
-        "sp_exchange": {sp: g.tolist() for sp, g in u.sp_exchange.items()},
+        "sp_unit_costs": u.sp_unit_costs,
+        "sp_exchange": u.sp_exchange,
     }
 
 
-def _unit_from_dict(d: dict) -> UnitResult:
+def _unit_from_dict(d: dict, path) -> UnitResult:
+    grid = _grid_from_dict(d["grid"], "payload grid", path)
+    take = _json_grids(grid.shape, path)
     cats = tuple(d["categories"])
-    arr = lambda x: np.asarray(x, dtype=np.float64)
     return UnitResult(
-        grid=_grid_from_dict(d["grid"]),
+        grid=grid,
         categories=cats,
-        impacts={cat: arr(d["impacts"][cat]) for cat in cats},
-        cost=arr(d["cost"]),
+        impacts={cat: take(d["impacts"][cat], "impact", "", cat) for cat in cats},
+        cost=take(d["cost"], "cost", "", ""),
         sp_unit_impacts={
-            sp: {cat: arr(d["sp_unit_impacts"][sp][cat]) for cat in cats}
+            sp: {cat: take(d["sp_unit_impacts"][sp][cat], "sp_unit_impact", sp, cat)
+                 for cat in cats}
             for sp in d["sp_order"]
         },
-        sp_unit_costs={sp: arr(d["sp_unit_costs"][sp]) for sp in d["sp_order"]},
-        sp_exchange={sp: arr(d["sp_exchange"][sp]) for sp in d["sp_order"]},
+        sp_unit_costs={
+            sp: take(d["sp_unit_costs"][sp], "sp_unit_cost", sp, "") for sp in d["sp_order"]
+        },
+        sp_exchange={sp: take(d["sp_exchange"][sp], "sp_exchange", sp, "") for sp in d["sp_order"]},
     )
 
 
 def _stats_to_dict(s: SummaryStats) -> dict:
     return {
-        "mean": s.mean.tolist(),
-        "sd": s.sd.tolist(),
-        "p2.5": s.p2_5.tolist(),
-        "p50": s.p50.tolist(),
-        "p97.5": s.p97_5.tolist(),
+        "mean": s.mean,
+        "sd": s.sd,
+        "p2.5": s.p2_5,
+        "p50": s.p50,
+        "p97.5": s.p97_5,
     }
 
 
@@ -701,13 +758,21 @@ def _mc_to_dict(m: MonteCarloResult) -> dict:
     }
 
 
-def _mc_from_dict(d: dict) -> MonteCarloResult:
+def _mc_from_dict(d: dict, path) -> MonteCarloResult:
+    samples = _unit_from_dict(d["samples"], path)
+    take = _json_grids(samples.grid.shape, path)
+
+    def stats(series: dict, section: str, category: str) -> SummaryStats:
+        return _stats_from_dict(
+            {s: take(series[s], section, s, category, series=True) for s in _STAT_NAMES}
+        )
+
     return MonteCarloResult(
         n_runs=d["n_runs"],
         seed=d["seed"],
-        samples=_unit_from_dict(d["samples"]),
-        impact_stats={cat: _stats_from_dict(s) for cat, s in d["impact_stats"].items()},
-        cost_stats=_stats_from_dict(d["cost_stats"]),
+        samples=samples,
+        impact_stats={cat: stats(s, "stat", cat) for cat, s in d["impact_stats"].items()},
+        cost_stats=stats(d["cost_stats"], "stat_cost", ""),
     )
 
 
@@ -716,26 +781,28 @@ def _dynamic_to_dict(r: DynamicImpactResult) -> dict:
         "grid": _grid_to_dict(r.grid),
         "t_out": r.t_out,
         "categories": list(r.categories),
-        "impacts": {cat: r.impacts[cat].tolist() for cat in r.categories},
-        "cumulative": {cat: r.cumulative[cat].tolist() for cat in r.categories},
+        "impacts": {cat: r.impacts[cat] for cat in r.categories},
+        "cumulative": {cat: r.cumulative[cat] for cat in r.categories},
         "substances": list(r.contributions),
-        "contributions": {
-            sub: {cat: grid.tolist() for cat, grid in per_cat.items()}
-            for sub, per_cat in r.contributions.items()
-        },
+        "contributions": r.contributions,
     }
 
 
-def _dynamic_from_dict(d: dict) -> DynamicImpactResult:
-    arr = lambda x: np.asarray(x, dtype=np.float64)
+def _dynamic_from_dict(d: dict, path) -> DynamicImpactResult:
+    grid = _grid_from_dict(d["grid"], "payload grid", path)
+    t_out = _as_int(d["t_out"], "payload t_out", path)
+    take = _json_grids((grid.n_scenarios, t_out), path)
     return DynamicImpactResult(
-        grid=_grid_from_dict(d["grid"]),
-        t_out=d["t_out"],
+        grid=grid,
+        t_out=t_out,
         categories=tuple(d["categories"]),
-        impacts={cat: arr(g) for cat, g in d["impacts"].items()},
-        cumulative={cat: arr(g) for cat, g in d["cumulative"].items()},
+        impacts={cat: take(g, "dynamic_impact", "", cat) for cat, g in d["impacts"].items()},
+        cumulative={
+            cat: take(g, "dynamic_cumulative", "", cat) for cat, g in d["cumulative"].items()
+        },
         contributions={
-            sub: {cat: arr(g) for cat, g in d["contributions"][sub].items()}
+            sub: {cat: take(g, "dynamic_contribution", sub, cat)
+                  for cat, g in d["contributions"][sub].items()}
             for sub in d["substances"]
         },
     )
@@ -745,15 +812,103 @@ _TO_DICT = {"unit": _unit_to_dict, "monte_carlo": _mc_to_dict, "dynamic": _dynam
 _FROM_DICT = {"unit": _unit_from_dict, "monte_carlo": _mc_from_dict, "dynamic": _dynamic_from_dict}
 
 
-def _fmt(v: float) -> str:
-    # shortest decimal that round-trips the exact float64 (<= 17 significant digits)
-    return repr(float(v))
+# ---------------------------------------------------------------------------
+# grid text: one writer for JSON results, CSV results and plot data
+#
+# Floats are written as float.__repr__ writes them: the shortest decimal that
+# round-trips the exact float64 (at most 17 significant digits).  Each grid
+# gets a %-template for one row, built once, and each block of rows becomes
+# text in one formatting call, so memory follows a block, not the file.
+
+_BLOCK_CELLS = 8192
 
 
-def _csv_grid_rows(writer, section: str, name: str, grid: np.ndarray, category: str) -> None:
-    for s in range(grid.shape[0]):
-        for t in range(grid.shape[1]):
-            writer.writerow([section, name, s, t, category, _fmt(grid[s, t])])
+def _grid_blocks(grid: np.ndarray, row_fmt: str, scenarios: bool = False,
+                 cell=None) -> Iterator[str]:
+    """The text of a 2-D grid, a block of rows at a time.
+
+    Each row is ``row_fmt % cells``: the row's values in order, each after
+    its scenario number when ``scenarios`` is set.  ``%s`` writes a float as
+    ``float.__repr__``; ``cell``, when given, turns each value into its text
+    first.
+    """
+    n_s, n_t = grid.shape
+    rows = max(1, min(n_s, _BLOCK_CELLS // max(1, n_t)))
+    block_fmt = row_fmt * rows
+    for start in range(0, n_s, rows):
+        block = grid[start:start + rows]
+        cells = block.ravel().tolist()
+        if cell is not None:
+            cells = list(map(cell, cells))
+        if scenarios:
+            values, cells = cells, [0] * (2 * len(cells))
+            cells[0::2] = [s for s in range(start, start + len(block)) for _ in range(n_t)]
+            cells[1::2] = values
+        yield (block_fmt if len(block) == rows else row_fmt * len(block)) % tuple(cells)
+
+
+def _csv_fields(fields: Sequence[str]) -> str:
+    """``fields`` as ``csv.writer`` quotes them, each followed by a comma."""
+    if not fields:
+        return ""
+    buf = _io.StringIO()
+    # the trailing empty field keeps a lone empty field from coming out as ""
+    csv.writer(buf, lineterminator="\n").writerow([*fields, ""])
+    return buf.getvalue()[:-1]
+
+
+def write_csv_grid(fh, lead: Sequence[str], grid: np.ndarray, trail: Sequence[str] = ()) -> None:
+    """One CSV line per cell: the ``lead`` fields, the scenario (2-D grids
+    only), the timestep, the ``trail`` fields and the value, byte for byte
+    as ``csv.writer`` writes those rows with ``lineterminator="\\n"``."""
+    grid = np.asarray(grid, dtype=np.float64)
+    head = _csv_fields(lead).replace("%", "%%")
+    tail = _csv_fields(trail).replace("%", "%%")
+    scenario = "" if grid.ndim == 1 else "%s,"
+    row_fmt = "".join(f"{head}{scenario}{t},{tail}%s\n" for t in range(grid.shape[-1]))
+    fh.writelines(_grid_blocks(np.atleast_2d(grid), row_fmt, scenarios=grid.ndim == 2))
+
+
+def _write_json_array(fh, array: np.ndarray, level: int) -> None:
+    """A series or grid as ``json.dump(array.tolist(), indent=2)`` writes it
+    at nesting ``level``: a non-finite cell reads NaN, Infinity or
+    -Infinity."""
+    if array.size == 0:
+        _write_json(fh, array.tolist(), level)
+        return
+    exact = array.dtype == np.float64 and bool(np.isfinite(array).all())
+    cell = None if exact else json.dumps
+    ind = ["\n" + "  " * (level + k) for k in range(3)]
+    if array.ndim == 1:
+        row_fmt = "[" + ",".join([ind[1] + "%s"] * array.size) + ind[0] + "]"
+        fh.writelines(_grid_blocks(array[None], row_fmt, cell=cell))
+        return
+    # each row opens with a comma, which the first row drops
+    row_fmt = f",{ind[1]}[" + ",".join([ind[2] + "%s"] * array.shape[1]) + f"{ind[1]}]"
+    blocks = _grid_blocks(array, row_fmt, cell=cell)
+    fh.write("[" + next(blocks)[1:])
+    fh.writelines(blocks)
+    fh.write(ind[0] + "]")
+
+
+def _write_json(fh, value, level: int = 0) -> None:
+    """``json.dump(value, fh, indent=2)`` at nesting ``level``, with float
+    arrays in place of their ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        _write_json_array(fh, value, level)
+    elif isinstance(value, Mapping) and not value:
+        fh.write("{}")
+    elif isinstance(value, Mapping):
+        ind = "\n" + "  " * (level + 1)
+        sep = "{"
+        for key, item in value.items():
+            # the key as json writes it: str, or a number, bool or None as a string
+            fh.write(f"{sep}{ind}{json.dumps({key: 0})[1:-4]}: ")
+            _write_json(fh, item, level + 1)
+            sep = ","
+        fh.write("\n" + "  " * level + "}")
+    else:
+        fh.write(json.dumps(value, indent=2).replace("\n", "\n" + "  " * level))
 
 
 def _export_csv(rs: ResultSet, fh) -> None:
@@ -775,36 +930,34 @@ def _export_csv(rs: ResultSet, fh) -> None:
             meta_row("payload_n_runs", rs.payload.n_runs)
             meta_row("payload_seed", rs.payload.seed)
         for cat in unit.categories:
-            _csv_grid_rows(writer, "impact", "", unit.impacts[cat], cat)
-        _csv_grid_rows(writer, "cost", "", unit.cost, "")
+            write_csv_grid(fh, ("impact", ""), unit.impacts[cat], (cat,))
+        write_csv_grid(fh, ("cost", ""), unit.cost, ("",))
         for sp in unit.sp_unit_costs:
             for cat in unit.categories:
-                _csv_grid_rows(writer, "sp_unit_impact", sp, unit.sp_unit_impacts[sp][cat], cat)
-            _csv_grid_rows(writer, "sp_unit_cost", sp, unit.sp_unit_costs[sp], "")
-            _csv_grid_rows(writer, "sp_exchange", sp, unit.sp_exchange[sp], "")
+                write_csv_grid(fh, ("sp_unit_impact", sp), unit.sp_unit_impacts[sp][cat], (cat,))
+            write_csv_grid(fh, ("sp_unit_cost", sp), unit.sp_unit_costs[sp], ("",))
+            write_csv_grid(fh, ("sp_exchange", sp), unit.sp_exchange[sp], ("",))
         if rs.payload_type == "monte_carlo":
             mc = rs.payload
             for cat in unit.categories:
                 stats = _stats_to_dict(mc.impact_stats[cat])
                 for stat_name in _STAT_NAMES:
-                    for t, v in enumerate(stats[stat_name]):
-                        writer.writerow(["stat", stat_name, "", t, cat, _fmt(v)])
+                    write_csv_grid(fh, ("stat", stat_name, ""), stats[stat_name], (cat,))
             cost_stats = _stats_to_dict(mc.cost_stats)
             for stat_name in _STAT_NAMES:
-                for t, v in enumerate(cost_stats[stat_name]):
-                    writer.writerow(["stat_cost", stat_name, "", t, "", _fmt(v)])
+                write_csv_grid(fh, ("stat_cost", stat_name, ""), cost_stats[stat_name], ("",))
     else:
         dyn = rs.payload
         grid_dict = _grid_to_dict(dyn.grid)
         meta_row("payload_grid", grid_dict)
         meta_row("payload_t_out", dyn.t_out)
         for cat in dyn.categories:
-            _csv_grid_rows(writer, "dynamic_impact", "", dyn.impacts[cat], cat)
+            write_csv_grid(fh, ("dynamic_impact", ""), dyn.impacts[cat], (cat,))
         for cat in dyn.categories:
-            _csv_grid_rows(writer, "dynamic_cumulative", "", dyn.cumulative[cat], cat)
+            write_csv_grid(fh, ("dynamic_cumulative", ""), dyn.cumulative[cat], (cat,))
         for sub, per_cat in dyn.contributions.items():
             for cat, grid in per_cat.items():
-                _csv_grid_rows(writer, "dynamic_contribution", sub, grid, cat)
+                write_csv_grid(fh, ("dynamic_contribution", sub), grid, (cat,))
 
 
 def _grid_from_cells(
@@ -886,14 +1039,12 @@ def _import_csv(path: str, lines) -> ResultSet:
         if required not in meta_map:
             raise LoadError(f"missing meta row {required!r}", path=path)
     payload_type = meta_map["payload_type"]
-    if payload_type not in _FROM_DICT:
+    if not isinstance(payload_type, str) or payload_type not in _FROM_DICT:
         raise LoadError(f"unknown payload_type {payload_type!r}", path=path)
     try:
-        grid = _grid_from_dict(meta_map["payload_grid"])
+        grid = _grid_from_dict(meta_map["payload_grid"], "meta payload_grid", path)
     except (KeyError, TypeError, ShapeError) as exc:
         raise LoadError(f"bad payload_grid: {exc}", path=path) from exc
-    for n in grid.shape:
-        _as_int(n, "meta payload_grid", path)
     reserved = {"result_schema", "payload_type", "payload_grid", "payload_n_runs",
                 "payload_seed", "payload_t_out"}
     meta = {k: v for k, v in meta_pairs if k not in reserved}
@@ -904,7 +1055,7 @@ def _import_csv(path: str, lines) -> ResultSet:
     def take(section: str, name: str, category: str, shape=None) -> np.ndarray:
         """One grid of the payload, or with ``shape`` None the per-time-step
         series of a stat row, which carries no scenario."""
-        where = f"section {section!r}, name {name!r}, category {category!r}"
+        where = _grid_where(section, name, category)
         cells = columns.pop((section, name, category), None)
         if cells is None:
             raise LoadError(f"{where}: no rows", path=path)
@@ -960,8 +1111,7 @@ def _import_csv(path: str, lines) -> ResultSet:
     if columns:
         section, name, category = next(iter(columns))
         raise LoadError(
-            f"section {section!r}, name {name!r}, category {category!r}: "
-            f"rows a {payload_type} result does not have",
+            f"{_grid_where(section, name, category)}: rows a {payload_type} result does not have",
             path=path,
         )
     return ResultSet(meta=meta, payload_type=payload_type, payload=payload)
@@ -981,13 +1131,38 @@ def export_results(rs: ResultSet, format: str, path) -> None:
             "payload": _TO_DICT[rs.payload_type](rs.payload),
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            _write_json(fh, doc)
             fh.write("\n")
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _export_csv(rs, fh)
     else:
         raise ValueError(f"unknown format {format!r}; use 'json' or 'csv'")
+
+
+def _grids_hook(obj: dict) -> dict:
+    """``json.loads`` object hook: every value that is a list of equal-length
+    lists of floats becomes a float64 grid as soon as its object is parsed,
+    so the nested lists of a whole result never exist at once.  Only exact
+    floats convert, so ``_json_lists`` can restore any other value."""
+    for key, value in obj.items():
+        if (type(value) is list and value and all(type(row) is list for row in value)
+                and len(set(map(len, value))) == 1
+                and {type(v) for row in value for v in row} == {float}):
+            obj[key] = np.array(value, dtype=np.float64)
+    return obj
+
+
+def _json_lists(value):
+    """``value`` with every grid of ``_grids_hook`` turned back into the lists
+    JSON gave, for parts of a result that are not payload grids."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _json_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_lists(v) for v in value]
+    return value
 
 
 def _read_through_blank(fh) -> str:
@@ -1023,22 +1198,25 @@ def import_results(path) -> ResultSet:
     except OSError as exc:
         raise LoadError(f"cannot read file: {exc}", path=path) from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_grids_hook)
     except json.JSONDecodeError as exc:
         raise LoadError(f"JSON parse error: {exc}", path=path, line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise LoadError("JSON parse error: nested too deeply", path=path) from exc
     if not isinstance(doc, dict):
         raise LoadError("result JSON must be an object", path=path)
     for required in ("schema_version", "meta", "payload_type", "payload"):
         if required not in doc:
             raise LoadError(f"missing key {required!r}", path=path)
     payload_type = doc["payload_type"]
-    if payload_type not in _FROM_DICT:
+    if not isinstance(payload_type, str) or payload_type not in _FROM_DICT:
         raise LoadError(f"unknown payload_type {payload_type!r}", path=path)
     try:
-        payload = _FROM_DICT[payload_type](doc["payload"])
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        payload = _FROM_DICT[payload_type](doc["payload"], path)
+    # IndexError: a grid (an array after the hook) where a mapping belongs
+    except (LookupError, TypeError, ValueError, ShapeError) as exc:
         raise LoadError(f"malformed {payload_type} payload: {exc!r}", path=path) from exc
     meta = doc["meta"]
     if not isinstance(meta, dict):
         raise LoadError("meta must be an object", path=path)
-    return ResultSet(meta=meta, payload_type=payload_type, payload=payload)
+    return ResultSet(meta=_json_lists(meta), payload_type=payload_type, payload=payload)

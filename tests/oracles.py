@@ -20,7 +20,12 @@ list of rows (S x T).
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
+
+import numpy as np
 
 
 def cell_value(operand, s: int, t: int) -> float:
@@ -115,3 +120,166 @@ def oracle_percentile(values, q: float) -> float:
         return ordered[lo]
     frac = rank - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+# ---------------------------------------------------------------------------
+# result text: the per-cell emitters the grid-row writer replaced, frozen as
+# byte references.  A result set is read through its public attributes only.
+
+_ORACLE_STATS = (("mean", "mean"), ("sd", "sd"), ("p2.5", "p2_5"), ("p50", "p50"),
+                 ("p97.5", "p97_5"))
+
+
+def _oracle_grid_dict(grid) -> dict:
+    return {"scenarios": grid.n_scenarios, "timesteps": grid.n_timesteps,
+            "step": grid.step_label, "origin": grid.step_origin}
+
+
+def _oracle_unit_dict(u) -> dict:
+    return {
+        "grid": _oracle_grid_dict(u.grid),
+        "categories": list(u.categories),
+        "impacts": {cat: u.impacts[cat].tolist() for cat in u.categories},
+        "cost": u.cost.tolist(),
+        "sp_order": list(u.sp_unit_costs),
+        "sp_unit_impacts": {sp: {cat: grids[cat].tolist() for cat in u.categories}
+                            for sp, grids in u.sp_unit_impacts.items()},
+        "sp_unit_costs": {sp: g.tolist() for sp, g in u.sp_unit_costs.items()},
+        "sp_exchange": {sp: g.tolist() for sp, g in u.sp_exchange.items()},
+    }
+
+
+def _oracle_stats_dict(s) -> dict:
+    return {label: getattr(s, attr).tolist() for label, attr in _ORACLE_STATS}
+
+
+def _oracle_payload_dict(kind: str, p) -> dict:
+    if kind == "unit":
+        return _oracle_unit_dict(p)
+    if kind == "monte_carlo":
+        return {"n_runs": p.n_runs, "seed": p.seed, "samples": _oracle_unit_dict(p.samples),
+                "impact_stats": {c: _oracle_stats_dict(s) for c, s in p.impact_stats.items()},
+                "cost_stats": _oracle_stats_dict(p.cost_stats)}
+    return {
+        "grid": _oracle_grid_dict(p.grid),
+        "t_out": p.t_out,
+        "categories": list(p.categories),
+        "impacts": {cat: p.impacts[cat].tolist() for cat in p.categories},
+        "cumulative": {cat: p.cumulative[cat].tolist() for cat in p.categories},
+        "substances": list(p.contributions),
+        "contributions": {sub: {cat: g.tolist() for cat, g in per_cat.items()}
+                          for sub, per_cat in p.contributions.items()},
+    }
+
+
+def oracle_result_json(rs) -> str:
+    """``json.dump(indent=2)`` of the result's ``tolist()`` document, plus a newline."""
+    doc = {"schema_version": 1, "meta": rs.meta, "payload_type": rs.payload_type,
+           "payload": _oracle_payload_dict(rs.payload_type, rs.payload)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _cell_rows(lead, grid, trail=()):
+    """One row per cell, ``float`` repr by repr, scenario by scenario."""
+    for s in range(grid.shape[0]):
+        for t in range(grid.shape[1]):
+            yield [*lead, s, t, *trail, repr(float(grid[s, t]))]
+
+
+def oracle_result_csv(rs) -> str:
+    """The long-format result CSV, one ``csv.writer`` row per cell."""
+    rows = [["section", "name", "scenario", "timestep", "category", "value"]]
+    meta = lambda key, value: rows.append(["meta", key, "", "", "", json.dumps(value)])
+    meta("result_schema", 1)
+    meta("payload_type", rs.payload_type)
+    for key, value in rs.meta.items():
+        meta(key, value)
+    p = rs.payload
+    if rs.payload_type == "dynamic":
+        meta("payload_grid", _oracle_grid_dict(p.grid))
+        meta("payload_t_out", p.t_out)
+        for section, grids in (("dynamic_impact", p.impacts),
+                               ("dynamic_cumulative", p.cumulative)):
+            for cat in p.categories:
+                rows += _cell_rows((section, ""), grids[cat], (cat,))
+        for sub, per_cat in p.contributions.items():
+            for cat, grid in per_cat.items():
+                rows += _cell_rows(("dynamic_contribution", sub), grid, (cat,))
+        return _csv_text(rows)
+    unit = p.samples if rs.payload_type == "monte_carlo" else p
+    meta("payload_grid", _oracle_grid_dict(unit.grid))
+    if rs.payload_type == "monte_carlo":
+        meta("payload_n_runs", p.n_runs)
+        meta("payload_seed", p.seed)
+    for cat in unit.categories:
+        rows += _cell_rows(("impact", ""), unit.impacts[cat], (cat,))
+    rows += _cell_rows(("cost", ""), unit.cost, ("",))
+    for sp in unit.sp_unit_costs:
+        for cat in unit.categories:
+            rows += _cell_rows(("sp_unit_impact", sp), unit.sp_unit_impacts[sp][cat], (cat,))
+        rows += _cell_rows(("sp_unit_cost", sp), unit.sp_unit_costs[sp], ("",))
+        rows += _cell_rows(("sp_exchange", sp), unit.sp_exchange[sp], ("",))
+    if rs.payload_type == "monte_carlo":
+        stats = [("stat", cat, p.impact_stats[cat]) for cat in unit.categories]
+        for section, cat, s in (*stats, ("stat_cost", "", p.cost_stats)):
+            for label, attr in _ORACLE_STATS:
+                for t, v in enumerate(getattr(s, attr).tolist()):
+                    rows.append([section, label, "", t, cat, repr(float(v))])
+    return _csv_text(rows)
+
+
+def oracle_plot_data(kind: str, p) -> dict:
+    """``report --plot-data`` files of a payload: file name -> text."""
+    if kind == "unit":
+        impact = [["kind", "category", "scenario", "timestep", "value"]]
+        for cat in p.categories:
+            impact += _cell_rows(("impact", cat), p.impacts[cat])
+        impact += _cell_rows(("cost", ""), p.cost)
+        contrib = [["kind", "category", "subprocess", "scenario", "timestep", "value"]]
+        for sp in p.sp_unit_costs:
+            for cat in p.categories:
+                contrib += _cell_rows(("impact", cat, sp), p.contribution_impact(sp, cat))
+            contrib += _cell_rows(("cost", "", sp), p.contribution_cost(sp))
+        return {"impact_over_time.csv": _csv_text(impact),
+                "contributions.csv": _csv_text(contrib)}
+    if kind == "monte_carlo":
+        impact = [["kind", "category", "stat", "timestep", "value"]]
+        stats = [("impact", cat, p.impact_stats[cat]) for cat in p.samples.categories]
+        for kind_, cat, s in (*stats, ("cost", "", p.cost_stats)):
+            for label, attr in _ORACLE_STATS:
+                for t, v in enumerate(getattr(s, attr)):
+                    impact.append([kind_, cat, label, t, repr(float(v))])
+        hist = [["kind", "category", "bin_left", "bin_right", "count"]]
+        totals = [("impact", c, p.samples.impacts[c]) for c in p.samples.categories]
+        for kind_, cat, grid in (*totals, ("cost", "", p.samples.cost)):
+            counts, edges = np.histogram(grid.sum(axis=1), bins=50)
+            for i, count in enumerate(counts):
+                hist.append([kind_, cat, repr(float(edges[i])), repr(float(edges[i + 1])),
+                             int(count)])
+        contrib = [["kind", "category", "subprocess", "timestep", "value"]]
+        for sp in p.samples.sp_unit_costs:
+            for cat in p.samples.categories:
+                for t, v in enumerate(p.samples.contribution_impact(sp, cat).mean(axis=0)):
+                    contrib.append(["impact", cat, sp, t, repr(float(v))])
+            for t, v in enumerate(p.samples.contribution_cost(sp).mean(axis=0)):
+                contrib.append(["cost", "", sp, t, repr(float(v))])
+        return {"impact_over_time.csv": _csv_text(impact), "histograms.csv": _csv_text(hist),
+                "contributions.csv": _csv_text(contrib)}
+    files = {}
+    for name, grids in (("impact_over_time.csv", p.impacts), ("cumulative.csv", p.cumulative)):
+        rows = [["category", "scenario", "timestep", "value"]]
+        for cat, grid in grids.items():
+            rows += _cell_rows((cat,), grid)
+        files[name] = _csv_text(rows)
+    rows = [["substance", "category", "scenario", "timestep", "value"]]
+    for sub, per_cat in p.contributions.items():
+        for cat, grid in per_cat.items():
+            rows += _cell_rows((sub, cat), grid)
+    files["contributions.csv"] = _csv_text(rows)
+    return files
