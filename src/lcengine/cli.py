@@ -27,6 +27,7 @@ from .econ import ProductionSeries, discounted_cost_result
 from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
 from .errors import LcengineError, LoadError
 from .io import (
+    _STATS,
     export_results,
     import_results,
     load_background_db,
@@ -174,19 +175,28 @@ def cmd_validate(model_path: str, db_path: str) -> int:
 # run
 
 def _scan_nonfinite(payload) -> str | None:
-    """Locate the first non-finite output cell, if any."""
+    """Locate the first non-finite output cell, if any, or else the first
+    scenario or run of a unit or Monte Carlo result whose total over time is
+    not finite."""
     if isinstance(payload, MonteCarloResult):
         payload = payload.samples
+    sections = [(f"impact[{cat}]", grid) for cat, grid in payload.impacts.items()]
     if isinstance(payload, UnitResult):
-        sections = [(f"impact[{cat}]", grid) for cat, grid in payload.impacts.items()]
         sections.append(("cost", payload.cost))
     else:
-        sections = [(f"impact[{cat}]", grid) for cat, grid in payload.impacts.items()]
+        sections += [(f"cumulative[{cat}]", grid) for cat, grid in payload.cumulative.items()]
     for label, grid in sections:
         bad = np.argwhere(~np.isfinite(grid))
         if bad.size:
             s, t = bad[0]
             return f"{label} at scenario={s}, timestep={t} is {grid[s, t]}"
+    if isinstance(payload, UnitResult):  # the summaries total each scenario over time
+        for label, grid in sections:
+            with np.errstate(over="ignore"):
+                totals = grid.sum(axis=1)
+            bad = np.flatnonzero(~np.isfinite(totals))
+            if bad.size:
+                return f"{label} summed over time at scenario={bad[0]} is {totals[bad[0]]}"
     return None
 
 
@@ -379,9 +389,15 @@ def _print_payload_summary(payload) -> None:
 # ---------------------------------------------------------------------------
 # report
 
+class _NumericalFailure(Exception):
+    pass
+
+
 @contextmanager
 def _csv_file(path: Path, header: list[str]):
-    """A plot-data CSV, open for writing after its header row."""
+    """A plot-data CSV, open for writing after its header row; its directory
+    is made with the first file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         yield fh
@@ -404,27 +420,36 @@ def _plot_data_unit(unit: UnitResult, out_dir: Path) -> list[Path]:
     return [impact_path, contrib_path]
 
 
-def _plot_data_mc(mc: MonteCarloResult, out_dir: Path) -> list[Path]:
-    stat_fields = (("mean", "mean"), ("sd", "sd"), ("p2.5", "p2_5"),
-                   ("p50", "p50"), ("p97.5", "p97_5"))
-    impact_path = out_dir / "impact_over_time.csv"
-    with _csv_file(impact_path, ["kind", "category", "stat", "timestep", "value"]) as fh:
-        for cat in mc.samples.categories:
-            stats = mc.impact_stats[cat]
-            for label, attr in stat_fields:
-                write_csv_grid(fh, ("impact", cat, label), getattr(stats, attr))
-        for label, attr in stat_fields:
-            write_csv_grid(fh, ("cost", "", label), getattr(mc.cost_stats, attr))
-
-    hist_rows = []
+def _histogram_rows(mc: MonteCarloResult) -> list[list]:
+    """50-bin histograms of the per-run totals of each category and of cost."""
+    rows = []
     for kind, cat, grid in (
         *((("impact", c, mc.samples.impacts[c])) for c in mc.samples.categories),
         ("cost", "", mc.samples.cost),
     ):
         run_totals = grid.sum(axis=1)
-        counts, edges = np.histogram(run_totals, bins=50)
+        try:
+            with np.errstate(all="ignore"):
+                counts, edges = np.histogram(run_totals, bins=50)
+        except ValueError as exc:  # a range too narrow or too wide for 50 float bins
+            label = f"impact[{cat}]" if kind == "impact" else kind
+            raise _NumericalFailure(f"histogram of {label} run totals: {exc}") from None
         for i, count in enumerate(counts):
-            hist_rows.append([kind, cat, repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
+            rows.append([kind, cat, repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
+    return rows
+
+
+def _plot_data_mc(mc: MonteCarloResult, out_dir: Path) -> list[Path]:
+    hist_rows = _histogram_rows(mc)  # before any file, so a failure writes none
+    impact_path = out_dir / "impact_over_time.csv"
+    with _csv_file(impact_path, ["kind", "category", "stat", "timestep", "value"]) as fh:
+        for cat in mc.samples.categories:
+            stats = mc.impact_stats[cat]
+            for label, attr in _STATS:
+                write_csv_grid(fh, ("impact", cat, label), getattr(stats, attr))
+        for label, attr in _STATS:
+            write_csv_grid(fh, ("cost", "", label), getattr(mc.cost_stats, attr))
+
     hist_path = out_dir / "histograms.csv"
     with _csv_file(hist_path, ["kind", "category", "bin_left", "bin_right", "count"]) as fh:
         csv.writer(fh, lineterminator="\n").writerows(hist_rows)
@@ -461,6 +486,10 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    bad_cell = _scan_nonfinite(rs.payload)
+    if bad_cell:
+        print(f"numerical failure: {bad_cell}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     print(f"result: {result_path}  payload: {rs.payload_type}")
     for key in ("model", "mode", "seed"):
@@ -470,13 +499,19 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
 
     if plot_data:
         out_dir = Path(plot_data)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if isinstance(rs.payload, MonteCarloResult):
-            written = _plot_data_mc(rs.payload, out_dir)
-        elif isinstance(rs.payload, UnitResult):
-            written = _plot_data_unit(rs.payload, out_dir)
-        else:
-            written = _plot_data_dynamic(rs.payload, out_dir)
+        try:
+            if isinstance(rs.payload, MonteCarloResult):
+                written = _plot_data_mc(rs.payload, out_dir)
+            elif isinstance(rs.payload, UnitResult):
+                written = _plot_data_unit(rs.payload, out_dir)
+            else:
+                written = _plot_data_dynamic(rs.payload, out_dir)
+        except _NumericalFailure as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except OSError as exc:
+            print(f"error: cannot write plot data to {out_dir}: {exc}", file=sys.stderr)
+            return EXIT_IO
         for path in written:
             print(f"plot data written to: {path}")
     return EXIT_OK

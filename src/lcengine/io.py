@@ -18,10 +18,12 @@ Three input formats, all UTF-8 with dot decimal separators:
   fixed_horizon entries are a single row with horizon filled and tau
   empty.
 
-Results export to JSON (full fidelity) or long-format CSV; both re-import
-bit-exactly, and exporting an imported result reproduces the file byte for
-byte.  Loaders raise LoadError with file/line context and never return a
-partially built object.
+Results export to JSON (full fidelity) or long-format CSV, and both hold the
+same grids: ``_payload_grids`` lists them, ``_JSON_KEYS`` places each in the
+JSON payload, and both importers end in ``_build_payload``, so the formats
+share one reader contract.  Both re-import bit-exactly, and exporting an
+imported result reproduces the file byte for byte.  Loaders raise LoadError
+with file/line context and never return a partially built object.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .sampler import _PARAM_NAMES, DistributionSpec
 RESULT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
 
-_STAT_NAMES = ("mean", "sd", "p2.5", "p50", "p97.5")
 _CSV_HEADER = ["section", "name", "scenario", "timestep", "category", "value"]
 
 
@@ -662,154 +663,227 @@ def _grid_to_dict(grid: ScenarioGrid) -> dict:
     }
 
 
-def _grid_from_dict(d: dict, where: str, path) -> ScenarioGrid:
-    grid = ScenarioGrid(d["scenarios"], d["timesteps"], d["step"], d["origin"])
-    for n in grid.shape:
-        _as_int(n, where, path)
-    return grid
-
-
 def _grid_where(section: str, name: str, category: str) -> str:
     """Where a grid sits in a result, in the CSV's terms, for diagnostics."""
     return f"section {section!r}, name {name!r}, category {category!r}"
 
 
-def _json_grids(shape: tuple[int, int], path):
-    """The check every grid of a JSON payload passes: it has ``shape``, or,
-    for a stat series, one value per time step."""
-    def take(value, section: str, name: str, category: str, series: bool = False):
-        grid = np.asarray(value, dtype=np.float64)
-        want = shape[1:] if series else shape
-        if grid.shape != want:
-            raise LoadError(
-                f"{_grid_where(section, name, category)}: shape "
-                f"{'x'.join(map(str, grid.shape))}, payload grid gives {'x'.join(map(str, want))}",
-                path=path,
-            )
-        return grid
-    return take
+# ---------------------------------------------------------------------------
+# the result layout: the grids of each payload type, in CSV file order, and
+# their places in the JSON payload
+
+# each SummaryStats series: its name in a result file, its attribute
+_STATS = (("mean", "mean"), ("sd", "sd"), ("p2.5", "p2_5"), ("p50", "p50"), ("p97.5", "p97_5"))
+
+# each section's place in a JSON payload: the keys down to its grids, where
+# "{name}" and "{category}" stand for a grid's name and category
+_JSON_KEYS = {
+    "unit": {
+        "impact": ("impacts", "{category}"),
+        "cost": ("cost",),
+        "sp_unit_impact": ("sp_unit_impacts", "{name}", "{category}"),
+        "sp_unit_cost": ("sp_unit_costs", "{name}"),
+        "sp_exchange": ("sp_exchange", "{name}"),
+    },
+    "dynamic": {
+        "dynamic_impact": ("impacts", "{category}"),
+        "dynamic_cumulative": ("cumulative", "{category}"),
+        "dynamic_contribution": ("contributions", "{name}", "{category}"),
+    },
+}
+# a Monte Carlo payload keeps its unit sections under "samples"
+_JSON_KEYS["monte_carlo"] = {
+    **{section: ("samples", *keys) for section, keys in _JSON_KEYS["unit"].items()},
+    "stat": ("impact_stats", "{category}", "{name}"),
+    "stat_cost": ("cost_stats", "{name}"),
+}
+
+# each name list of a JSON payload: the section whose grids carry the names,
+# and the field of a grid's (section, name, category) key that holds one
+_NAME_LISTS = {
+    "unit": {"categories": ("impact", 2), "sp_order": ("sp_unit_cost", 1)},
+    "monte_carlo": {"categories": ("impact", 2), "sp_order": ("sp_unit_cost", 1)},
+    "dynamic": {"categories": ("dynamic_impact", 2), "substances": ("dynamic_contribution", 1)},
+}
 
 
-def _unit_to_dict(u: UnitResult) -> dict:
+def _payload_grids(payload_type: str, payload) -> Iterator[tuple[str, str, str, np.ndarray]]:
+    """Every grid of a payload as ``(section, name, category, grid)``, in
+    CSV file order."""
+    if payload_type == "dynamic":
+        for section, grids in (("dynamic_impact", payload.impacts),
+                               ("dynamic_cumulative", payload.cumulative)):
+            for cat in payload.categories:
+                yield section, "", cat, grids[cat]
+        for sub, per_cat in payload.contributions.items():
+            for cat, grid in per_cat.items():
+                yield "dynamic_contribution", sub, cat, grid
+        return
+    unit = payload.samples if payload_type == "monte_carlo" else payload
+    for cat in unit.categories:
+        yield "impact", "", cat, unit.impacts[cat]
+    yield "cost", "", "", unit.cost
+    for sp in unit.sp_unit_costs:
+        for cat in unit.categories:
+            yield "sp_unit_impact", sp, cat, unit.sp_unit_impacts[sp][cat]
+        yield "sp_unit_cost", sp, "", unit.sp_unit_costs[sp]
+        yield "sp_exchange", sp, "", unit.sp_exchange[sp]
+    if payload_type == "monte_carlo":
+        stats = [("stat", cat, payload.impact_stats[cat]) for cat in unit.categories]
+        for section, cat, series in (*stats, ("stat_cost", "", payload.cost_stats)):
+            for name, attr in _STATS:
+                yield section, name, cat, getattr(series, attr)
+
+
+def _json_payload(payload_type: str, payload) -> dict:
+    """The JSON payload object: dimensions and name lists, then every grid
+    at its ``_JSON_KEYS`` place."""
+    unit = payload.samples if payload_type == "monte_carlo" else payload
+    if payload_type == "dynamic":
+        subs = list(payload.contributions)
+        doc = {"grid": _grid_to_dict(payload.grid), "t_out": payload.t_out,
+               "categories": list(payload.categories), "impacts": {}, "cumulative": {},
+               "substances": subs, "contributions": {sub: {} for sub in subs}}
+    else:
+        sps = list(unit.sp_unit_costs)
+        doc = {"grid": _grid_to_dict(unit.grid), "categories": list(unit.categories),
+               "impacts": {}, "cost": None, "sp_order": sps,
+               "sp_unit_impacts": {sp: {} for sp in sps}, "sp_unit_costs": {}, "sp_exchange": {}}
+    if payload_type == "monte_carlo":
+        doc = {"n_runs": payload.n_runs, "seed": payload.seed, "samples": doc,
+               "impact_stats": {cat: {} for cat in unit.categories}, "cost_stats": {}}
+    for section, name, category, grid in _payload_grids(payload_type, payload):
+        *keys, last = (key.format(name=name, category=category)
+                       for key in _JSON_KEYS[payload_type][section])
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = grid
+    return doc
+
+
+def _json_cells(payload_type: str, payload) -> dict[tuple[str, str, str], object]:
+    """The grids of a JSON payload by ``(section, name, category)``, found
+    along ``_JSON_KEYS`` in file order; a missing key holds no grids."""
+    cells = {}
+
+    def walk(node, section: str, keys: tuple[str, ...], names: dict) -> None:
+        if not keys:
+            cells[section, names.get("{name}", ""), names.get("{category}", "")] = node
+        elif not isinstance(node, dict):
+            raise TypeError(f"{section} grids: expected an object, got {type(node).__name__}")
+        elif keys[0].startswith("{"):  # one entry per name or category
+            for key, value in node.items():
+                walk(value, section, keys[1:], {**names, keys[0]: key})
+        elif keys[0] in node:
+            walk(node[keys[0]], section, keys[1:], names)
+
+    for section, keys in _JSON_KEYS[payload_type].items():
+        walk(payload, section, keys, {})
+    return cells
+
+
+def _carried_names(payload_type: str, cells) -> dict[str, list[str]]:
+    """Each name list of a payload as its grids carry it, in file order."""
     return {
-        "grid": _grid_to_dict(u.grid),
-        "categories": list(u.categories),
-        "impacts": {cat: u.impacts[cat] for cat in u.categories},
-        "cost": u.cost,
-        "sp_order": list(u.sp_unit_costs),
-        "sp_unit_impacts": {
-            sp: {cat: grids[cat] for cat in u.categories}
-            for sp, grids in u.sp_unit_impacts.items()
-        },
-        "sp_unit_costs": u.sp_unit_costs,
-        "sp_exchange": u.sp_exchange,
+        key: list(dict.fromkeys(cell[field] for cell in cells if cell[0] == section))
+        for key, (section, field) in _NAME_LISTS[payload_type].items()
     }
 
 
-def _unit_from_dict(d: dict, path) -> UnitResult:
-    grid = _grid_from_dict(d["grid"], "payload grid", path)
-    take = _json_grids(grid.shape, path)
-    cats = tuple(d["categories"])
-    return UnitResult(
-        grid=grid,
-        categories=cats,
-        impacts={cat: take(d["impacts"][cat], "impact", "", cat) for cat in cats},
-        cost=take(d["cost"], "cost", "", ""),
-        sp_unit_impacts={
-            sp: {cat: take(d["sp_unit_impacts"][sp][cat], "sp_unit_impact", sp, cat)
-                 for cat in cats}
-            for sp in d["sp_order"]
-        },
-        sp_unit_costs={
-            sp: take(d["sp_unit_costs"][sp], "sp_unit_cost", sp, "") for sp in d["sp_order"]
-        },
-        sp_exchange={sp: take(d["sp_exchange"][sp], "sp_exchange", sp, "") for sp in d["sp_order"]},
-    )
-
-
-def _stats_to_dict(s: SummaryStats) -> dict:
-    return {
-        "mean": s.mean,
-        "sd": s.sd,
-        "p2.5": s.p2_5,
-        "p50": s.p50,
-        "p97.5": s.p97_5,
-    }
-
-
-def _stats_from_dict(d: dict) -> SummaryStats:
-    arr = lambda x: np.asarray(x, dtype=np.float64)
-    return SummaryStats(
-        mean=arr(d["mean"]),
-        sd=arr(d["sd"]),
-        p2_5=arr(d["p2.5"]),
-        p50=arr(d["p50"]),
-        p97_5=arr(d["p97.5"]),
-    )
-
-
-def _mc_to_dict(m: MonteCarloResult) -> dict:
-    return {
-        "n_runs": m.n_runs,
-        "seed": m.seed,
-        "samples": _unit_to_dict(m.samples),
-        "impact_stats": {cat: _stats_to_dict(s) for cat, s in m.impact_stats.items()},
-        "cost_stats": _stats_to_dict(m.cost_stats),
-    }
-
-
-def _mc_from_dict(d: dict, path) -> MonteCarloResult:
-    samples = _unit_from_dict(d["samples"], path)
-    take = _json_grids(samples.grid.shape, path)
-
-    def stats(series: dict, section: str, category: str) -> SummaryStats:
-        return _stats_from_dict(
-            {s: take(series[s], section, s, category, series=True) for s in _STAT_NAMES}
+def _check_name_lists(payload_type: str, doc: dict, cells, path) -> None:
+    """A JSON payload's name lists must list the names its grids carry, in
+    their order; the error names the grid of the first name that differs."""
+    for key, carried in _carried_names(payload_type, cells).items():
+        listed = _json_lists(doc.get(key))
+        if listed == carried:
+            continue
+        if not isinstance(listed, list):
+            raise TypeError(f"{key}: expected a list, got {type(listed).__name__}")
+        name = next(a if a is not _MISSING else b
+                    for a, b in itertools.zip_longest(carried, listed, fillvalue=_MISSING)
+                    if a != b)
+        section, field = _NAME_LISTS[payload_type][key]
+        cell = next((cell for cell in cells if cell[0] == section and cell[field] == name),
+                    (section, name, "") if field == 1 else (section, "", name))
+        raise LoadError(
+            f"{_grid_where(*cell)}: payload {key} {listed!r}, its grids carry {carried!r}",
+            path=path,
         )
 
-    return MonteCarloResult(
-        n_runs=d["n_runs"],
-        seed=d["seed"],
-        samples=samples,
-        impact_stats={cat: stats(s, "stat", cat) for cat, s in d["impact_stats"].items()},
-        cost_stats=stats(d["cost_stats"], "stat_cost", ""),
-    )
 
+def _build_payload(payload_type: str, dims: Mapping, label: str, cells: dict,
+                   to_grid, path):
+    """Rebuild a payload, for either format, from its dimensions (``grid``,
+    ``n_runs``, ``seed``, ``t_out``; ``label`` names them in diagnostics) and
+    ``cells``, what the file gives for each grid by ``(section, name,
+    category)``, which ``to_grid(raw, shape, where)`` turns into an array.
+    The names are those the grids carry, in file order; every grid the
+    layout expects for them must be there, and no other."""
+    try:
+        d = dims.get("grid")
+        grid = ScenarioGrid(d["scenarios"], d["timesteps"], d["step"], d["origin"])
+    except (LookupError, TypeError, ShapeError) as exc:
+        raise LoadError(f"bad {label}grid: {exc}", path=path) from exc
+    for n in grid.shape:
+        _as_int(n, f"{label}grid", path)
 
-def _dynamic_to_dict(r: DynamicImpactResult) -> dict:
-    return {
-        "grid": _grid_to_dict(r.grid),
-        "t_out": r.t_out,
-        "categories": list(r.categories),
-        "impacts": {cat: r.impacts[cat] for cat in r.categories},
-        "cumulative": {cat: r.cumulative[cat] for cat in r.categories},
-        "substances": list(r.contributions),
-        "contributions": r.contributions,
-    }
+    def dim(key: str) -> int:
+        return _as_int(dims.get(key), f"{label}{key}", path)
 
+    def take(section: str, name: str, category: str, shape) -> np.ndarray:
+        where = _grid_where(section, name, category)
+        if (section, name, category) not in cells:
+            raise LoadError(f"{where}: no rows", path=path)
+        return to_grid(cells.pop((section, name, category)), shape, where)
 
-def _dynamic_from_dict(d: dict, path) -> DynamicImpactResult:
-    grid = _grid_from_dict(d["grid"], "payload grid", path)
-    t_out = _as_int(d["t_out"], "payload t_out", path)
-    take = _json_grids((grid.n_scenarios, t_out), path)
-    return DynamicImpactResult(
-        grid=grid,
-        t_out=t_out,
-        categories=tuple(d["categories"]),
-        impacts={cat: take(g, "dynamic_impact", "", cat) for cat, g in d["impacts"].items()},
-        cumulative={
-            cat: take(g, "dynamic_cumulative", "", cat) for cat, g in d["cumulative"].items()
-        },
-        contributions={
-            sub: {cat: take(g, "dynamic_contribution", sub, cat)
-                  for cat, g in d["contributions"][sub].items()}
-            for sub in d["substances"]
-        },
-    )
+    names = _carried_names(payload_type, cells)
+    cats = tuple(names["categories"])
+    if payload_type == "dynamic":
+        t_out = dim("t_out")
+        if t_out < grid.n_timesteps:
+            raise LoadError(f"{label}t_out: {t_out} is shorter than the model's "
+                            f"{grid.n_timesteps} time steps", path=path)
+        shape = (grid.n_scenarios, t_out)
+        impacts = {cat: take("dynamic_impact", "", cat, shape) for cat in cats}
+        cumulative = {cat: take("dynamic_cumulative", "", cat, shape) for cat in cats}
+        contributions: dict[str, dict[str, np.ndarray]] = {}
+        for _, sub, cat in [cell for cell in cells
+                            if cell[0] == "dynamic_contribution" and cell[2] in cats]:
+            contributions.setdefault(sub, {})[cat] = take("dynamic_contribution", sub, cat, shape)
+        payload = DynamicImpactResult(grid=grid, t_out=t_out, categories=cats, impacts=impacts,
+                                      cumulative=cumulative, contributions=contributions)
+    else:
+        shape, sps = grid.shape, names["sp_order"]
+        payload = unit = UnitResult(
+            grid=grid,
+            categories=cats,
+            impacts={cat: take("impact", "", cat, shape) for cat in cats},
+            cost=take("cost", "", "", shape),
+            sp_unit_impacts={sp: {cat: take("sp_unit_impact", sp, cat, shape) for cat in cats}
+                             for sp in sps},
+            sp_unit_costs={sp: take("sp_unit_cost", sp, "", shape) for sp in sps},
+            sp_exchange={sp: take("sp_exchange", sp, "", shape) for sp in sps},
+        )
+        if payload_type == "monte_carlo":
+            def stats(section: str, cat: str) -> SummaryStats:
+                # a stat series runs over the time steps
+                return SummaryStats(**{attr: take(section, name, cat, shape[1:])
+                                       for name, attr in _STATS})
 
-
-_TO_DICT = {"unit": _unit_to_dict, "monte_carlo": _mc_to_dict, "dynamic": _dynamic_to_dict}
-_FROM_DICT = {"unit": _unit_from_dict, "monte_carlo": _mc_from_dict, "dynamic": _dynamic_from_dict}
+            payload = MonteCarloResult(
+                n_runs=dim("n_runs"),
+                seed=dim("seed"),
+                samples=unit,
+                impact_stats={cat: stats("stat", cat) for cat in cats},
+                cost_stats=stats("stat_cost", ""),
+            )
+    if cells:
+        raise LoadError(
+            f"{_grid_where(*next(iter(cells)))}: rows a {payload_type} result does not have",
+            path=path,
+        )
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -912,52 +986,20 @@ def _write_json(fh, value, level: int = 0) -> None:
 
 
 def _export_csv(rs: ResultSet, fh) -> None:
+    unit = rs.payload.samples if rs.payload_type == "monte_carlo" else rs.payload
+    meta = [("result_schema", RESULT_SCHEMA_VERSION), ("payload_type", rs.payload_type),
+            *rs.meta.items(), ("payload_grid", _grid_to_dict(unit.grid))]
+    if rs.payload_type == "monte_carlo":
+        meta += [("payload_n_runs", rs.payload.n_runs), ("payload_seed", rs.payload.seed)]
+    elif rs.payload_type == "dynamic":
+        meta.append(("payload_t_out", rs.payload.t_out))
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
-
-    def meta_row(key, value):
-        writer.writerow(["meta", key, "", "", "", json.dumps(value)])
-
-    meta_row("result_schema", RESULT_SCHEMA_VERSION)
-    meta_row("payload_type", rs.payload_type)
-    for key, value in rs.meta.items():
-        meta_row(key, value)
-
-    if rs.payload_type in ("unit", "monte_carlo"):
-        unit = rs.payload.samples if rs.payload_type == "monte_carlo" else rs.payload
-        meta_row("payload_grid", _grid_to_dict(unit.grid))
-        if rs.payload_type == "monte_carlo":
-            meta_row("payload_n_runs", rs.payload.n_runs)
-            meta_row("payload_seed", rs.payload.seed)
-        for cat in unit.categories:
-            write_csv_grid(fh, ("impact", ""), unit.impacts[cat], (cat,))
-        write_csv_grid(fh, ("cost", ""), unit.cost, ("",))
-        for sp in unit.sp_unit_costs:
-            for cat in unit.categories:
-                write_csv_grid(fh, ("sp_unit_impact", sp), unit.sp_unit_impacts[sp][cat], (cat,))
-            write_csv_grid(fh, ("sp_unit_cost", sp), unit.sp_unit_costs[sp], ("",))
-            write_csv_grid(fh, ("sp_exchange", sp), unit.sp_exchange[sp], ("",))
-        if rs.payload_type == "monte_carlo":
-            mc = rs.payload
-            for cat in unit.categories:
-                stats = _stats_to_dict(mc.impact_stats[cat])
-                for stat_name in _STAT_NAMES:
-                    write_csv_grid(fh, ("stat", stat_name, ""), stats[stat_name], (cat,))
-            cost_stats = _stats_to_dict(mc.cost_stats)
-            for stat_name in _STAT_NAMES:
-                write_csv_grid(fh, ("stat_cost", stat_name, ""), cost_stats[stat_name], ("",))
-    else:
-        dyn = rs.payload
-        grid_dict = _grid_to_dict(dyn.grid)
-        meta_row("payload_grid", grid_dict)
-        meta_row("payload_t_out", dyn.t_out)
-        for cat in dyn.categories:
-            write_csv_grid(fh, ("dynamic_impact", ""), dyn.impacts[cat], (cat,))
-        for cat in dyn.categories:
-            write_csv_grid(fh, ("dynamic_cumulative", ""), dyn.cumulative[cat], (cat,))
-        for sub, per_cat in dyn.contributions.items():
-            for cat, grid in per_cat.items():
-                write_csv_grid(fh, ("dynamic_contribution", sub), grid, (cat,))
+    writer.writerows(["meta", key, "", "", "", json.dumps(value)] for key, value in meta)
+    for section, name, category, grid in _payload_grids(rs.payload_type, rs.payload):
+        # a stat series leaves the scenario empty
+        lead = (section, name) if np.ndim(grid) == 2 else (section, name, "")
+        write_csv_grid(fh, lead, grid, (category,))
 
 
 def _grid_from_cells(
@@ -1016,7 +1058,7 @@ def _import_csv(path: str, lines) -> ResultSet:
             if section == "meta":
                 try:
                     meta_pairs.append((name, json.loads(value)))
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also an integer past int's digit limit
                     raise LoadError(
                         f"bad meta value for {name!r}: {exc}", path=path, line=reader.line_num
                     ) from exc
@@ -1034,86 +1076,24 @@ def _import_csv(path: str, lines) -> ResultSet:
     except csv.Error as exc:
         raise LoadError(f"CSV parse error: {exc}", path=path, line=reader.line_num) from exc
 
-    meta_map = dict(meta_pairs)
+    meta = dict(meta_pairs)
     for required in ("result_schema", "payload_type", "payload_grid"):
-        if required not in meta_map:
+        if required not in meta:
             raise LoadError(f"missing meta row {required!r}", path=path)
-    payload_type = meta_map["payload_type"]
-    if not isinstance(payload_type, str) or payload_type not in _FROM_DICT:
+    del meta["result_schema"]
+    payload_type = meta.pop("payload_type")
+    if not isinstance(payload_type, str) or payload_type not in _JSON_KEYS:
         raise LoadError(f"unknown payload_type {payload_type!r}", path=path)
-    try:
-        grid = _grid_from_dict(meta_map["payload_grid"], "meta payload_grid", path)
-    except (KeyError, TypeError, ShapeError) as exc:
-        raise LoadError(f"bad payload_grid: {exc}", path=path) from exc
-    reserved = {"result_schema", "payload_type", "payload_grid", "payload_n_runs",
-                "payload_seed", "payload_t_out"}
-    meta = {k: v for k, v in meta_pairs if k not in reserved}
+    # the payload_* rows are the payload's dimensions; the other rows are meta
+    dims = {key: meta.pop(f"payload_{key}", None) for key in ("grid", "n_runs", "seed", "t_out")}
 
-    def keys(section: str) -> list[tuple[str, str, str]]:
-        return [key for key in columns if key[0] == section]
-
-    def take(section: str, name: str, category: str, shape=None) -> np.ndarray:
-        """One grid of the payload, or with ``shape`` None the per-time-step
-        series of a stat row, which carries no scenario."""
-        where = _grid_where(section, name, category)
-        cells = columns.pop((section, name, category), None)
-        if cells is None:
-            raise LoadError(f"{where}: no rows", path=path)
+    def to_grid(cells, shape, where: str) -> np.ndarray:
         s, t, v = (np.frombuffer(c, dtype=c.typecode) for c in cells)
-        if shape is None:
-            return _grid_from_cells(np.zeros_like(s), t, v, (1, grid.n_timesteps), where, path)[0]
+        if len(shape) == 1:  # a stat series; its rows carry no scenario
+            return _grid_from_cells(np.zeros_like(s), t, v, (1, *shape), where, path)[0]
         return _grid_from_cells(s, t, v, shape, where, path)
 
-    if payload_type in ("unit", "monte_carlo"):
-        shape = grid.shape
-        cats = tuple(cat for _, _, cat in keys("impact"))
-        sp_order = list(dict.fromkeys(sp for _, sp, _ in keys("sp_unit_cost")))
-        payload = unit = UnitResult(
-            grid=grid,
-            categories=cats,
-            impacts={cat: take("impact", "", cat, shape) for cat in cats},
-            cost=take("cost", "", "", shape),
-            sp_unit_impacts={
-                sp: {cat: take("sp_unit_impact", sp, cat, shape) for cat in cats}
-                for sp in sp_order
-            },
-            sp_unit_costs={sp: take("sp_unit_cost", sp, "", shape) for sp in sp_order},
-            sp_exchange={sp: take("sp_exchange", sp, "", shape) for sp in sp_order},
-        )
-        if payload_type == "monte_carlo":
-            payload = MonteCarloResult(
-                n_runs=_as_int(meta_map.get("payload_n_runs"), "meta payload_n_runs", path),
-                seed=_as_int(meta_map.get("payload_seed"), "meta payload_seed", path),
-                samples=unit,
-                impact_stats={
-                    cat: _stats_from_dict({s: take("stat", s, cat) for s in _STAT_NAMES})
-                    for cat in cats
-                },
-                cost_stats=_stats_from_dict({s: take("stat_cost", s, "") for s in _STAT_NAMES}),
-            )
-    else:
-        t_out = _as_int(meta_map.get("payload_t_out"), "meta payload_t_out", path)
-        shape = (grid.n_scenarios, t_out)
-        cats = tuple(cat for _, _, cat in keys("dynamic_impact"))
-        impacts = {cat: take("dynamic_impact", "", cat, shape) for cat in cats}
-        cumulative = {cat: take("dynamic_cumulative", "", cat, shape) for cat in cats}
-        contributions: dict[str, dict[str, np.ndarray]] = {}
-        for _, sub, cat in keys("dynamic_contribution"):
-            contributions.setdefault(sub, {})[cat] = take("dynamic_contribution", sub, cat, shape)
-        payload = DynamicImpactResult(
-            grid=grid,
-            t_out=t_out,
-            categories=cats,
-            impacts=impacts,
-            cumulative=cumulative,
-            contributions=contributions,
-        )
-    if columns:
-        section, name, category = next(iter(columns))
-        raise LoadError(
-            f"{_grid_where(section, name, category)}: rows a {payload_type} result does not have",
-            path=path,
-        )
+    payload = _build_payload(payload_type, dims, "meta payload_", columns, to_grid, path)
     return ResultSet(meta=meta, payload_type=payload_type, payload=payload)
 
 
@@ -1128,7 +1108,7 @@ def export_results(rs: ResultSet, format: str, path) -> None:
             "schema_version": RESULT_SCHEMA_VERSION,
             "meta": rs.meta,
             "payload_type": rs.payload_type,
-            "payload": _TO_DICT[rs.payload_type](rs.payload),
+            "payload": _json_payload(rs.payload_type, rs.payload),
         }
         with open(path, "w", encoding="utf-8") as fh:
             _write_json(fh, doc)
@@ -1201,6 +1181,8 @@ def import_results(path) -> ResultSet:
         doc = json.loads(text, object_hook=_grids_hook)
     except json.JSONDecodeError as exc:
         raise LoadError(f"JSON parse error: {exc}", path=path, line=exc.lineno) from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        raise LoadError(f"JSON parse error: {exc}", path=path) from exc
     except RecursionError as exc:
         raise LoadError("JSON parse error: nested too deeply", path=path) from exc
     if not isinstance(doc, dict):
@@ -1209,11 +1191,28 @@ def import_results(path) -> ResultSet:
         if required not in doc:
             raise LoadError(f"missing key {required!r}", path=path)
     payload_type = doc["payload_type"]
-    if not isinstance(payload_type, str) or payload_type not in _FROM_DICT:
+    if not isinstance(payload_type, str) or payload_type not in _JSON_KEYS:
         raise LoadError(f"unknown payload_type {payload_type!r}", path=path)
+
+    def to_grid(value, shape, where: str) -> np.ndarray:
+        grid = np.asarray(value, dtype=np.float64)
+        if grid.shape != shape:
+            raise LoadError(
+                f"{where}: shape {'x'.join(map(str, grid.shape))}, "
+                f"payload grid gives {'x'.join(map(str, shape))}",
+                path=path,
+            )
+        return grid
+
     try:
-        payload = _FROM_DICT[payload_type](doc["payload"], path)
-    # IndexError: a grid (an array after the hook) where a mapping belongs
+        payload = doc["payload"]
+        cells = _json_cells(payload_type, payload)
+        unit = payload["samples"] if payload_type == "monte_carlo" else payload
+        _check_name_lists(payload_type, unit, cells, path)
+        # the dimensions: "grid" of the unit payload, the counts beside it
+        dims = dict(payload, grid=unit.get("grid"))
+        payload = _build_payload(payload_type, dims, "payload ", cells, to_grid, path)
+    # a part missing or of the wrong type, or a grid that is not one of numbers
     except (LookupError, TypeError, ValueError, ShapeError) as exc:
         raise LoadError(f"malformed {payload_type} payload: {exc!r}", path=path) from exc
     meta = doc["meta"]

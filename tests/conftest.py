@@ -46,6 +46,20 @@ def dcf_tables():
     return load_dcf_tables(SAMPLES / "dcf.csv")
 
 
+@pytest.fixture(scope="session")
+def sample_results(heatplant, heatplant_uncertain, background_db, dcf_tables):
+    """A small result set of each payload type, from the sample models."""
+    from lcengine import result_set, run_dynamic, run_matrix, run_monte_carlo
+
+    mc = run_monte_carlo(heatplant_uncertain, background_db, n_runs=6, seed=2)
+    return {
+        "unit": result_set(run_matrix(heatplant, background_db), {"mode": "static"}),
+        "monte_carlo": result_set(mc, {"mode": "montecarlo", "seed": 2}),
+        "dynamic": result_set(run_dynamic(heatplant, background_db, dcf_tables),
+                              {"mode": "dynamic"}),
+    }
+
+
 def simple_model(
     *,
     n_scenarios=1,

@@ -145,6 +145,29 @@ subprocesses:
         err = capsys.readouterr().err
         assert "scenario=0" in err and "timestep=0" in err
 
+    def test_overflowing_scenario_total_exits_3_before_writing(self, tmp_path, capsys):
+        # each cell is finite, their sum over the two time steps is not
+        doc = """
+schema_version: 1
+process: {name: overflow, categories: [c]}
+grid: {scenarios: 1, timesteps: 2}
+subprocesses:
+  - name: s
+    amount: 1.0
+    flows: [{name: f, direction: inflow, amount: 1.0e+308, unit_impact: {c: 1.0}, unit_cost: 0.0}]
+"""
+        path = tmp_path / "overflow.model"
+        path.write_text(doc)
+        output = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("run", "--model", str(path), "--db", DB, "--mode", "static",
+                         "--output", str(output))
+        assert rc == 3 and not output.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: impact[c] summed over time at scenario=0 is inf\n"
+
     def test_static_mode_rejects_distributions(self, capsys):
         rc = run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", "static")
         assert rc == 1
@@ -257,6 +280,28 @@ subprocesses:
         assert run_cli("run", "--frobnicate") == 1
 
 
+def _mc_result_with(tmp_path, fmt, cells) -> Path:
+    """A 20-run Monte Carlo result file whose GWP100 samples hold ``cells``,
+    {(run, timestep): value}."""
+    path = tmp_path / f"mc.{fmt}"
+    assert run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", "montecarlo",
+                   "--n-runs", "20", "--seed", "3", "--format", fmt, "--output", str(path)) == 0
+    if fmt == "json":
+        doc = json.loads(path.read_text())
+        grid = doc["payload"]["samples"]["impacts"]["GWP100"]
+        for (s, t), value in cells.items():
+            grid[s][t] = value
+        path.write_text(json.dumps(doc, indent=2))
+    else:
+        rows = list(csv.reader(path.open(newline="")))
+        for row in rows:
+            if row[0] == "impact" and row[4] == "GWP100" and (int(row[2]), int(row[3])) in cells:
+                row[5] = repr(cells[int(row[2]), int(row[3])])
+        with path.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 class TestReportCommand:
     def _run_to(self, tmp_path, mode, *extra):
         out = tmp_path / f"{mode}.json"
@@ -323,3 +368,58 @@ class TestReportCommand:
         assert run_cli("report", str(out)) == 0
         text = capsys.readouterr().out
         assert "heatplant" in text and "static" in text
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("cells, problem", [
+        ({(3, 2): float("inf")}, "impact[GWP100] at scenario=3, timestep=2 is inf"),
+        ({(3, 1): 1e308, (3, 2): 1e308}, "impact[GWP100] summed over time at scenario=3 is inf"),
+    ], ids=["inf_cell", "overflowing_run_total"])
+    def test_nonfinite_result_exits_3_before_any_output(self, tmp_path, capsys, fmt, cells,
+                                                        problem):
+        path = _mc_result_with(tmp_path, fmt, cells)
+        if fmt == "json" and float("inf") in cells.values():
+            assert "Infinity" in path.read_text()
+        plots = tmp_path / "plots"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            assert run_cli("report", str(path), "--plot-data", str(plots)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"numerical failure: {problem}\n"
+        assert not plots.exists()
+
+    def test_nonfinite_dynamic_cumulative_exits_3(self, tmp_path, capsys, sample_results):
+        from lcengine import export_results
+
+        path = tmp_path / "dyn.json"
+        export_results(sample_results["dynamic"], "json", path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["cumulative"]["AP"][1][3] = float("-inf")
+        path.write_text(json.dumps(doc, indent=2))
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: cumulative[AP] at scenario=1, timestep=3 is -inf\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_run_totals_too_close_for_50_bins_exit_3_without_plot_data(self, tmp_path, capsys,
+                                                                        fmt):
+        # every run totals 5e17, and 5e17 +- 0.5 rounds back to 5e17
+        path = _mc_result_with(tmp_path, fmt, {(s, t): 1e17 for s in range(20) for t in range(5)})
+        plots = tmp_path / "plots"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("report", str(path), "--plot-data", str(plots)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: histogram of impact[GWP100] run totals: ")
+        assert not plots.exists()
+
+    def test_plot_data_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = self._run_to(tmp_path, "static")
+        blocker = tmp_path / "plots"
+        blocker.write_text("not a directory")
+        assert run_cli("report", str(out), "--plot-data", str(blocker)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write plot data") and "Traceback" not in err

@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -396,6 +399,43 @@ def _corrupt(lines: list[bytes], case: str) -> list[bytes]:
     return lines
 
 
+def _edit_csv_grid(path, source, target=None):
+    """Copy the rows of one grid of a result CSV, keyed by (section, name,
+    category), to the ``target`` grid; without a target, drop them."""
+    rows = list(csv.reader(path.open(newline="")))
+    grid = [r for r in rows if (r[0], r[1], r[4]) == source]
+    assert grid
+    if target is None:
+        rows = [r for r in rows if (r[0], r[1], r[4]) != source]
+    else:
+        rows += [[target[0], target[1], r[2], r[3], target[2], r[5]] for r in grid]
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+NOT_HELD = r"rows a \w+ result does not have"
+
+# (payload types, id, grid whose rows are copied, the copy's grid or None to
+# drop them, the grid the error names, the problem)
+CSV_CONTRACT = [
+    (("unit", "monte_carlo"), "extra_category", ("impact", "", "GWP100"),
+     ("impact", "", "EXTRA"), ("sp_unit_impact", "fuel_supply", "EXTRA"), "no rows"),
+    (("unit", "monte_carlo"), "ghost_breakdown", ("sp_unit_impact", "fuel_supply", "GWP100"),
+     ("sp_unit_impact", "ghost", "GWP100"), ("sp_unit_impact", "ghost", "GWP100"), NOT_HELD),
+    (("unit", "monte_carlo"), "dropped_grid", ("sp_exchange", "boiler_operation", ""), None,
+     ("sp_exchange", "boiler_operation", ""), "no rows"),
+    (("monte_carlo",), "dropped_stat", ("stat", "p50", "AP"), None, ("stat", "p50", "AP"),
+     "no rows"),
+    (("dynamic",), "extra_category", ("dynamic_impact", "", "GWP100"),
+     ("dynamic_impact", "", "EXTRA"), ("dynamic_cumulative", "", "EXTRA"), "no rows"),
+    (("dynamic",), "extra_substance", ("dynamic_contribution", "CO2", "GWP100"),
+     ("dynamic_contribution", "N2O", "EXTRA"), ("dynamic_contribution", "N2O", "EXTRA"),
+     NOT_HELD),
+    (("dynamic",), "dropped_grid", ("dynamic_cumulative", "", "AP"), None,
+     ("dynamic_cumulative", "", "AP"), "no rows"),
+]
+
+
 class TestStreamedCsvImport:
     def test_mc_round_trip_2000_runs(self, mc_csv, tmp_path):
         path, rs = mc_csv
@@ -455,3 +495,23 @@ class TestStreamedCsvImport:
         path.write_text(path.read_text() + extra)
         with pytest.raises(LoadError, match=message):
             import_results(path)
+
+    @pytest.mark.parametrize("kind, source, target, grid, problem", [
+        pytest.param(kind, *args, id=f"{kind}-{case_id}")
+        for kinds, case_id, *args in CSV_CONTRACT for kind in kinds
+    ])
+    def test_layout_contract(self, tmp_path, sample_results, capsys, kind, source, target,
+                             grid, problem):
+        from lcengine.cli import main
+
+        path = tmp_path / "result.csv"
+        export_results(sample_results[kind], "csv", path)
+        _edit_csv_grid(path, source, target)
+        where = f"section {grid[0]!r}, name {grid[1]!r}, category {grid[2]!r}: "
+        with pytest.raises(LoadError, match=re.escape(where) + problem):
+            import_results(path)
+        plots = tmp_path / "plots"
+        assert main(["report", str(path), "--plot-data", str(plots)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not plots.exists()

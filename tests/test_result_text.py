@@ -2,6 +2,7 @@
 the JSON import's shape checks and grid hook, and the matrix CSV fast path."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,62 @@ def _mc_json(tmp_path, heatplant_uncertain, background_db) -> tuple:
     return path, json.loads(path.read_text())
 
 
+def _unit_doc(payload: dict) -> dict:
+    """The unit part of a JSON payload: itself, or its Monte Carlo samples."""
+    return payload.get("samples", payload)
+
+
+def _add_ghost(payload: dict) -> None:
+    """A whole sub-process "ghost" in every per-sub-process section, but not
+    in sp_order."""
+    unit = _unit_doc(payload)
+    for section in ("sp_unit_impacts", "sp_unit_costs", "sp_exchange"):
+        unit[section]["ghost"] = unit[section]["fuel_supply"]
+
+
+def _expand(cases):
+    """One parameter set per payload type a case applies to."""
+    return [pytest.param(kind, *args, id=f"{kind}-{case_id}")
+            for kinds, case_id, *args in cases for kind in kinds]
+
+
+UNIT, MC, DYN = "unit", "monte_carlo", "dynamic"
+NOT_HELD = r"rows a \w+ result does not have"
+
+# (payload types, id, edit of the JSON payload, the grid the error names, the
+# problem): each is a LoadError naming that grid, and report exits 2
+JSON_CONTRACT = [
+    ((UNIT, MC), "extra_category",
+     lambda p: _unit_doc(p)["impacts"].update(EXTRA=_unit_doc(p)["impacts"]["GWP100"]),
+     ("impact", "", "EXTRA"),
+     r"payload categories \['GWP100', 'AP'\], its grids carry \['GWP100', 'AP', 'EXTRA'\]"),
+    ((UNIT, MC), "ghost_breakdown",
+     lambda p: _unit_doc(p)["sp_unit_impacts"].update(
+         ghost=_unit_doc(p)["sp_unit_impacts"]["fuel_supply"]),
+     ("sp_unit_impact", "ghost", "GWP100"), NOT_HELD),
+    ((UNIT, MC), "subprocess_not_in_sp_order", _add_ghost, ("sp_unit_cost", "ghost", ""),
+     r"payload sp_order \['fuel_supply', 'boiler_operation'\], its grids carry "
+     r"\['fuel_supply', 'boiler_operation', 'ghost'\]"),
+    ((UNIT, MC), "dropped_grid", lambda p: _unit_doc(p)["sp_exchange"].pop("boiler_operation"),
+     ("sp_exchange", "boiler_operation", ""), "no rows"),
+    ((UNIT, MC), "categories_out_of_order", lambda p: _unit_doc(p)["categories"].reverse(),
+     ("impact", "", "GWP100"), r"payload categories \['AP', 'GWP100'\]"),
+    ((MC,), "dropped_stat", lambda p: p["impact_stats"]["AP"].pop("p50"),
+     ("stat", "p50", "AP"), "no rows"),
+    ((DYN,), "extra_category", lambda p: p["impacts"].update(EXTRA=p["impacts"]["GWP100"]),
+     ("dynamic_impact", "", "EXTRA"), r"payload categories"),
+    ((DYN,), "extra_substance",
+     lambda p: p["contributions"].update(N2O=p["contributions"]["CO2"]),
+     ("dynamic_contribution", "N2O", "GWP100"),
+     r"payload substances \['CO2', 'CH4', 'NOx'\], its grids carry "
+     r"\['CO2', 'CH4', 'NOx', 'N2O'\]"),
+    ((DYN,), "dropped_grid", lambda p: p["cumulative"].pop("AP"),
+     ("dynamic_cumulative", "", "AP"), "no rows"),
+    ((DYN,), "substance_without_grids", lambda p: p["substances"].append("N2O"),
+     ("dynamic_contribution", "N2O", ""), r"payload substances"),
+]
+
+
 class TestJsonImportChecks:
     def test_short_grid_is_load_error_and_report_writes_nothing(
             self, tmp_path, heatplant, background_db, capsys):
@@ -182,6 +239,23 @@ class TestJsonImportChecks:
         assert main(["report", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, edit, grid, problem", _expand(JSON_CONTRACT))
+    def test_layout_contract(self, tmp_path, sample_results, capsys, kind, edit, grid,
+                             problem):
+        path = tmp_path / "result.json"
+        export_results(sample_results[kind], "json", path)
+        doc = json.loads(path.read_text())
+        edit(doc["payload"])
+        path.write_text(json.dumps(doc, indent=2))
+        where = f"section {grid[0]!r}, name {grid[1]!r}, category {grid[2]!r}: "
+        with pytest.raises(LoadError, match=re.escape(where) + problem):
+            import_results(path)
+        plots = tmp_path / "plots"
+        assert main(["report", str(path), "--plot-data", str(plots)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not plots.exists()
+
     def test_stat_series_runs_over_the_time_steps(self, tmp_path, heatplant_uncertain,
                                                   background_db):
         path, doc = _mc_json(tmp_path, heatplant_uncertain, background_db)
@@ -204,6 +278,25 @@ class TestJsonImportChecks:
         with pytest.raises(LoadError, match=r"section 'dynamic_impact', name '', category "
                                             r"'GWP100': shape 2x14, payload grid gives 2x15"):
             import_results(path)
+
+    def test_t_out_shorter_than_the_model_is_load_error(self, tmp_path, sample_results,
+                                                         capsys):
+        # grids of 0 columns match t_out 0, and the summary reads the last column
+        path = tmp_path / "dyn.json"
+        export_results(sample_results["dynamic"], "json", path)
+        doc = json.loads(path.read_text())
+        payload = doc["payload"]
+        payload["t_out"] = 0
+        for grids in (payload["impacts"], payload["cumulative"],
+                      *payload["contributions"].values()):
+            grids.update((cat, [[], []]) for cat in grids)
+        path.write_text(json.dumps(doc, indent=2))
+        message = "payload t_out: 0 is shorter than the model's 5 time steps"
+        with pytest.raises(LoadError, match=message):
+            import_results(path)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_import_returns_float_grids_and_meta_keeps_json_types(self, tmp_path):
         rs = random_result("monte_carlo", 6)
