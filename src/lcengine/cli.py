@@ -174,67 +174,83 @@ def cmd_validate(model_path: str, db_path: str) -> int:
 # ---------------------------------------------------------------------------
 # run
 
-def _scan_nonfinite(payload) -> str | None:
-    """Locate the first non-finite output cell, if any, or else the first
-    scenario or run of a unit or Monte Carlo result whose total over time is
-    not finite."""
-    if isinstance(payload, MonteCarloResult):
-        payload = payload.samples
-    sections = [(f"impact[{cat}]", grid) for cat, grid in payload.impacts.items()]
-    if isinstance(payload, UnitResult):
-        sections.append(("cost", payload.cost))
-    else:
-        sections += [(f"cumulative[{cat}]", grid) for cat, grid in payload.cumulative.items()]
-    for label, grid in sections:
-        bad = np.argwhere(~np.isfinite(grid))
-        if bad.size:
-            s, t = bad[0]
-            return f"{label} at scenario={s}, timestep={t} is {grid[s, t]}"
-    if isinstance(payload, UnitResult):  # the summaries total each scenario over time
-        for label, grid in sections:
-            with np.errstate(over="ignore"):
-                totals = grid.sum(axis=1)
-            bad = np.flatnonzero(~np.isfinite(totals))
-            if bad.size:
-                return f"{label} summed over time at scenario={bad[0]} is {totals[bad[0]]}"
-    return None
+class _NumericalFailure(Exception):
+    pass
 
 
 def _fmt_value(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _unit_totals(unit: UnitResult) -> dict[str, float]:
-    """Per-category totals: summed over time, averaged over scenarios."""
-    totals = {cat: float(unit.impacts[cat].sum(axis=1).mean()) for cat in unit.categories}
-    totals["cost"] = float(unit.cost.sum(axis=1).mean())
+def _number(value, what: str) -> str:
+    """A summary number, formatted; a non-finite one is a numerical failure."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise _NumericalFailure(f"{what} is {value}")
+    return _fmt_value(value)
+
+
+def _sections(unit: UnitResult):
+    """(kind, category, grid) of each impact category, then of cost."""
+    for cat in unit.categories:
+        yield "impact", cat, unit.impacts[cat]
+    yield "cost", "", unit.cost
+
+
+def _label(kind: str, category: str) -> str:
+    return f"impact[{category}]" if kind == "impact" else kind
+
+
+def _run_totals(what: str, grid: np.ndarray) -> np.ndarray:
+    """Each scenario's or run's total over time; a non-finite one is a
+    numerical failure."""
+    totals = grid.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(totals))
+    if bad.size:
+        raise _NumericalFailure(
+            f"{what} summed over time at scenario={bad[0]} is {totals[bad[0]]}")
     return totals
 
 
-def _print_unit_summary(unit: UnitResult) -> None:
-    label = "total" if unit.grid.n_scenarios == 1 else "total (scenario mean)"
-    for cat, value in _unit_totals(unit).items():
-        print(f"  {cat:<20} {label}: {_fmt_value(value)}")
-
-
-def _print_mc_summary(mc: MonteCarloResult) -> None:
-    print(f"  runs: {mc.n_runs}, seed: {mc.seed}")
-    for cat in (*mc.samples.categories, "cost"):
-        grid = mc.samples.cost if cat == "cost" else mc.samples.impacts[cat]
-        run_totals = grid.sum(axis=1)
-        lo, mid, hi = np.percentile(run_totals, [2.5, 50.0, 97.5])
-        print(
-            f"  {cat:<20} mean: {_fmt_value(run_totals.mean())}  "
-            f"sd: {_fmt_value(run_totals.std(ddof=1))}  "
-            f"[p2.5 {_fmt_value(lo)}, p50 {_fmt_value(mid)}, p97.5 {_fmt_value(hi)}]"
-        )
-
-
-def _print_dynamic_summary(dyn: DynamicImpactResult) -> None:
-    print(f"  horizon: {dyn.t_out} periods (model window + factor tail)")
-    for cat in dyn.categories:
-        total = float(dyn.cumulative[cat][:, -1].mean())
-        print(f"  {cat:<20} cumulative (scenario mean): {_fmt_value(total)}")
+def _summary_lines(payload) -> list[str]:
+    """The printed summary of a result, made before anything is printed or
+    written.  Raises _NumericalFailure at the first non-finite output cell,
+    else at the first non-finite scenario or run total, else at the first
+    non-finite summary number: each can overflow where what it sums is
+    finite."""
+    unit = payload.samples if isinstance(payload, MonteCarloResult) else payload
+    if isinstance(unit, UnitResult):
+        sections = [(_label(kind, cat), cat or kind, grid) for kind, cat, grid in _sections(unit)]
+    else:
+        sections = [(f"{name}[{cat}]", cat, grid) for name, grids in
+                    (("impact", unit.impacts), ("cumulative", unit.cumulative))
+                    for cat, grid in grids.items()]
+    for what, _, grid in sections:
+        bad = np.argwhere(~np.isfinite(grid))
+        if bad.size:
+            s, t = bad[0]
+            raise _NumericalFailure(f"{what} at scenario={s}, timestep={t} is {grid[s, t]}")
+    with np.errstate(all="ignore"):
+        if isinstance(payload, DynamicImpactResult):
+            return [f"  horizon: {payload.t_out} periods (model window + factor tail)"] + [
+                f"  {cat:<20} cumulative (scenario mean): " + _number(
+                    payload.cumulative[cat][:, -1].mean(), f"cumulative[{cat}] scenario mean")
+                for cat in payload.categories]
+        totals = [(what, name, _run_totals(what, grid)) for what, name, grid in sections]
+        if isinstance(payload, UnitResult):
+            label = "total" if unit.grid.n_scenarios == 1 else "total (scenario mean)"
+            return [f"  {name:<20} {label}: " + _number(runs.mean(), f"{what} {label}")
+                    for what, name, runs in totals]
+        lines = [f"  runs: {payload.n_runs}, seed: {payload.seed}"]
+        for what, name, runs in totals:
+            lo, mid, hi = np.percentile(runs, [2.5, 50.0, 97.5])
+            mean, sd, lo, mid, hi = (
+                _number(value, f"{what} run totals: {stat}") for stat, value in (
+                    ("mean", runs.mean()), ("sd", runs.std(ddof=1)),
+                    ("p2.5", lo), ("p50", mid), ("p97.5", hi)))
+            lines.append(f"  {name:<20} mean: {mean}  sd: {sd}  "
+                         f"[p2.5 {lo}, p50 {mid}, p97.5 {hi}]")
+        return lines
 
 
 def _print_indicators(indicators, rate: float) -> None:
@@ -299,9 +315,10 @@ def cmd_run(config: RunConfig) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    bad_cell = _scan_nonfinite(payload)
-    if bad_cell:
-        print(f"numerical failure: {bad_cell}", file=sys.stderr)
+    try:
+        summary = _summary_lines(payload)
+    except _NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     meta = {
@@ -334,7 +351,7 @@ def cmd_run(config: RunConfig) -> int:
 
     print(f"model: {model.name}  mode: {config.mode}  "
           f"grid: {model.grid.n_scenarios}x{model.grid.n_timesteps} ({model.grid.step_label})")
-    _print_payload_summary(payload)
+    print("\n".join(summary))
     if indicators is not None:
         _print_indicators(indicators, model.discount_rate)
     print(f"results written to: {output}")
@@ -377,21 +394,8 @@ def _input_hashes(config: RunConfig, model: ProcessModel) -> dict:
     return hashes
 
 
-def _print_payload_summary(payload) -> None:
-    if isinstance(payload, MonteCarloResult):
-        _print_mc_summary(payload)
-    elif isinstance(payload, UnitResult):
-        _print_unit_summary(payload)
-    else:
-        _print_dynamic_summary(payload)
-
-
 # ---------------------------------------------------------------------------
 # report
-
-class _NumericalFailure(Exception):
-    pass
-
 
 @contextmanager
 def _csv_file(path: Path, header: list[str]):
@@ -403,37 +407,52 @@ def _csv_file(path: Path, header: list[str]):
         yield fh
 
 
+def _contributions(unit: UnitResult, mean_over_runs: bool):
+    """Each sub-process's term of each category and of cost, or its mean
+    over runs, as (row key, term); computed on demand."""
+    for sp in unit.sp_unit_costs:
+        for kind, cat, _ in _sections(unit):
+            term = (unit.contribution_impact(sp, cat) if kind == "impact"
+                    else unit.contribution_cost(sp))
+            yield (kind, cat, sp), term.mean(axis=0) if mean_over_runs else term
+
+
+def _check_contributions(unit: UnitResult, mean_over_runs: bool) -> None:
+    """A finite breakdown times a finite exchange can overflow, so every
+    term is checked before any plot file is written."""
+    with np.errstate(all="ignore"):
+        for (kind, cat, sp), term in _contributions(unit, mean_over_runs):
+            bad = term[~np.isfinite(term)]
+            if bad.size:
+                raise _NumericalFailure(
+                    f"contribution of sub-process {sp!r} to {_label(kind, cat)} is {bad[0]}")
+
+
 def _plot_data_unit(unit: UnitResult, out_dir: Path) -> list[Path]:
+    _check_contributions(unit, False)
     impact_path = out_dir / "impact_over_time.csv"
     with _csv_file(impact_path, ["kind", "category", "scenario", "timestep", "value"]) as fh:
-        for cat in unit.categories:
-            write_csv_grid(fh, ("impact", cat), unit.impacts[cat])
-        write_csv_grid(fh, ("cost", ""), unit.cost)
+        for kind, cat, grid in _sections(unit):
+            write_csv_grid(fh, (kind, cat), grid)
 
     contrib_path = out_dir / "contributions.csv"
     with _csv_file(contrib_path,
                    ["kind", "category", "subprocess", "scenario", "timestep", "value"]) as fh:
-        for sp in unit.sp_unit_costs:
-            for cat in unit.categories:
-                write_csv_grid(fh, ("impact", cat, sp), unit.contribution_impact(sp, cat))
-            write_csv_grid(fh, ("cost", "", sp), unit.contribution_cost(sp))
+        for key, term in _contributions(unit, False):
+            write_csv_grid(fh, key, term)
     return [impact_path, contrib_path]
 
 
 def _histogram_rows(mc: MonteCarloResult) -> list[list]:
     """50-bin histograms of the per-run totals of each category and of cost."""
     rows = []
-    for kind, cat, grid in (
-        *((("impact", c, mc.samples.impacts[c])) for c in mc.samples.categories),
-        ("cost", "", mc.samples.cost),
-    ):
-        run_totals = grid.sum(axis=1)
+    for kind, cat, grid in _sections(mc.samples):
         try:
             with np.errstate(all="ignore"):
-                counts, edges = np.histogram(run_totals, bins=50)
+                counts, edges = np.histogram(grid.sum(axis=1), bins=50)
         except ValueError as exc:  # a range too narrow or too wide for 50 float bins
-            label = f"impact[{cat}]" if kind == "impact" else kind
-            raise _NumericalFailure(f"histogram of {label} run totals: {exc}") from None
+            raise _NumericalFailure(
+                f"histogram of {_label(kind, cat)} run totals: {exc}") from None
         for i, count in enumerate(counts):
             rows.append([kind, cat, repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
     return rows
@@ -441,14 +460,13 @@ def _histogram_rows(mc: MonteCarloResult) -> list[list]:
 
 def _plot_data_mc(mc: MonteCarloResult, out_dir: Path) -> list[Path]:
     hist_rows = _histogram_rows(mc)  # before any file, so a failure writes none
+    _check_contributions(mc.samples, True)
     impact_path = out_dir / "impact_over_time.csv"
     with _csv_file(impact_path, ["kind", "category", "stat", "timestep", "value"]) as fh:
-        for cat in mc.samples.categories:
-            stats = mc.impact_stats[cat]
+        for kind, cat, _ in _sections(mc.samples):
+            stats = mc.impact_stats[cat] if kind == "impact" else mc.cost_stats
             for label, attr in _STATS:
-                write_csv_grid(fh, ("impact", cat, label), getattr(stats, attr))
-        for label, attr in _STATS:
-            write_csv_grid(fh, ("cost", "", label), getattr(mc.cost_stats, attr))
+                write_csv_grid(fh, (kind, cat, label), getattr(stats, attr))
 
     hist_path = out_dir / "histograms.csv"
     with _csv_file(hist_path, ["kind", "category", "bin_left", "bin_right", "count"]) as fh:
@@ -456,11 +474,8 @@ def _plot_data_mc(mc: MonteCarloResult, out_dir: Path) -> list[Path]:
 
     contrib_path = out_dir / "contributions.csv"
     with _csv_file(contrib_path, ["kind", "category", "subprocess", "timestep", "value"]) as fh:
-        for sp in mc.samples.sp_unit_costs:
-            for cat in mc.samples.categories:
-                write_csv_grid(fh, ("impact", cat, sp),
-                               mc.samples.contribution_impact(sp, cat).mean(axis=0))
-            write_csv_grid(fh, ("cost", "", sp), mc.samples.contribution_cost(sp).mean(axis=0))
+        for key, term in _contributions(mc.samples, True):
+            write_csv_grid(fh, key, term)
     return [impact_path, hist_path, contrib_path]
 
 
@@ -486,16 +501,17 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    bad_cell = _scan_nonfinite(rs.payload)
-    if bad_cell:
-        print(f"numerical failure: {bad_cell}", file=sys.stderr)
+    try:
+        summary = _summary_lines(rs.payload)
+    except _NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     print(f"result: {result_path}  payload: {rs.payload_type}")
     for key in ("model", "mode", "seed"):
         if key in rs.meta:
             print(f"  {key}: {rs.meta[key]}")
-    _print_payload_summary(rs.payload)
+    print("\n".join(summary))
 
     if plot_data:
         out_dir = Path(plot_data)

@@ -169,37 +169,27 @@ def run_dynamic(
     """
     inventory = compute_inventory(model, db, seed=seed)
 
-    annual: dict[tuple[str, str], DCFTable] = {}
-    fixed: dict[tuple[str, str], DCFTable] = {}
+    # mode -> (substance, category) -> table; annual-step tables come first
+    tables: dict[str, dict[tuple[str, str], DCFTable]] = {ANNUAL_STEP: {}, FIXED_HORIZON: {}}
     for table in dcfs:
-        target = annual if table.mode == ANNUAL_STEP else fixed
-        target[(table.substance, table.category)] = table
+        tables[table.mode][table.substance, table.category] = table
 
     # (substance, category, source) dispatch in deterministic document order
     jobs: list[tuple[str, str, str, object]] = []
     for substance in inventory.emissions:
-        found = False
-        seen: set[str] = set()
-        for (sub, cat), table in annual.items():
-            if sub == substance:
-                jobs.append((substance, cat, ANNUAL_STEP, table))
-                seen.add(cat)
-                found = True
-        for (sub, cat), table in fixed.items():
-            if sub == substance and cat not in seen:
-                jobs.append((substance, cat, FIXED_HORIZON, table))
-                seen.add(cat)
-                found = True
+        sources: dict[str, tuple[str, object]] = {}  # category -> richest source
+        for mode, by_key in tables.items():
+            for (sub, cat), table in by_key.items():
+                if sub == substance:
+                    sources.setdefault(cat, (mode, table))
         for cat, factor in db.static_factors(substance).items():
-            if cat not in seen:
-                jobs.append((substance, cat, "static", factor))
-                seen.add(cat)
-                found = True
-        if not found:
+            sources.setdefault(cat, ("static", factor))
+        if not sources:
             raise MissingDataError(
                 f"substance {substance!r} has neither dynamic factors nor a "
                 f"static factor row in the database"
             )
+        jobs += [(substance, cat, mode, data) for cat, (mode, data) in sources.items()]
 
     if categories is not None:
         wanted = set(categories)

@@ -1,10 +1,11 @@
 """Scenario x time aggregation engine.
 
-Computes, per impact category and for cost, the unit result of the main
-process: the sum over sub-processes of (sub-process unit value x
-sub-process exchange amount), where each sub-process unit value is the sum
-over its flows of (flow unit value x flow exchange amount).  All products
-and sums are cell-wise on the scenario x time grid.
+Computes, per impact category, for cost and per emitted substance, the
+unit result of the main process: the sum over sub-processes of
+(sub-process unit value x sub-process exchange amount), where each
+sub-process unit value is the sum over its flows of (flow unit value x
+flow exchange amount).  All products and sums are cell-wise on the
+scenario x time grid.
 
 Accumulation order is canonical and fixed: per output grid, the purely
 scalar terms are folded into one constant (summed in flow/sub-process
@@ -12,10 +13,10 @@ document order) and applied first, then the grid-valued terms are applied
 in document order.  Every cell therefore sees one fixed operation
 sequence, and results are reproducible to the bit across repeat runs
 and block sizes; reordering effects stay within the documented 1e-9
-accumulation tolerance.  ``run_matrix`` and the public
-``subprocess_aggregate``/``main_aggregate`` share that one accumulation
-path (``_Accumulator`` and its steps, executed by the NumPy ops in
-``kernels``), so they agree to the bit.
+accumulation tolerance.  ``run_matrix``, ``compute_inventory`` and the
+public ``subprocess_aggregate``/``main_aggregate`` share that one
+accumulation path (``_Accumulator`` and its steps, executed by the NumPy
+ops in ``kernels``), so they agree to the bit.
 
 Grids are float64, scenario rows by time columns.  Operands stay as
 cheap as their amounts allow: a per-period unit row or a per-scenario
@@ -120,14 +121,16 @@ class MonteCarloResult:
 # ---------------------------------------------------------------------------
 # core aggregation
 
-def _as_operand_pairs(unit_values, exchange_grids, what: str):
-    if len(unit_values) != len(exchange_grids):
+def _aggregate(unit_values, exchange_values, what: str) -> Grid:
+    """One output grid from scalar or conforming 2-D operands, summed by the
+    accumulator steps of ``_fold``, so the public aggregators give its bits."""
+    if len(unit_values) != len(exchange_values):
         raise ShapeError(
             f"{what}: {len(unit_values)} unit values vs "
-            f"{len(exchange_grids)} exchange grids"
+            f"{len(exchange_values)} exchange grids"
         )
     shape = None
-    for arr in (*unit_values, *exchange_grids):
+    for arr in (*unit_values, *exchange_values):
         if isinstance(arr, np.ndarray):
             if arr.ndim != 2:
                 raise ShapeError(f"{what}: grids must be 2-D, got ndim={arr.ndim}")
@@ -135,7 +138,14 @@ def _as_operand_pairs(unit_values, exchange_grids, what: str):
                 shape = arr.shape
             elif arr.shape != shape:
                 raise ShapeError(f"{what}: mixed grid shapes {shape} and {arr.shape}")
-    return shape
+    if shape is None:
+        raise ShapeError(
+            f"{what}: all operands are scalars; pass at least one grid to fix the output shape"
+        )
+    acc = _Accumulator(shape)
+    for unit, exch in zip(unit_values, exchange_values):
+        acc.add(unit, exch)
+    return acc.grid()
 
 
 def subprocess_aggregate(
@@ -151,13 +161,7 @@ def subprocess_aggregate(
     (scalar terms folded first), so with the same operands the result is
     bit-identical to its ``sp_unit_impacts``/``sp_unit_costs``.
     """
-    shape = _as_operand_pairs(unit_values, exchange_grids, f"subprocess {sp.name!r}")
-    if shape is None:
-        raise ShapeError(
-            f"subprocess {sp.name!r}: all operands are scalars; "
-            "pass at least one grid to fix the output shape"
-        )
-    return _aggregate(unit_values, exchange_grids, shape)
+    return _aggregate(unit_values, exchange_grids, f"subprocess {sp.name!r}")
 
 
 def main_aggregate(
@@ -171,10 +175,7 @@ def main_aggregate(
     """
     if not len(unit_sp_grids):
         raise ShapeError("main_aggregate: no sub-process grids")
-    shape = _as_operand_pairs(unit_sp_grids, sp_exchange_grids, "main process")
-    if shape is None:
-        raise ShapeError("main_aggregate: all operands are scalars")
-    return _aggregate(unit_sp_grids, sp_exchange_grids, shape)
+    return _aggregate(unit_sp_grids, sp_exchange_grids, "main process")
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +207,10 @@ def _resolve_unit_cost(flow: FlowDefinition, db) -> float:
 
 
 def _exchange_operand(amount, grid: ScenarioGrid, stream):
-    """Scalar amounts stay scalar; everything else becomes a grid."""
+    """Scalar amounts and point masses stay scalar; everything else becomes a grid."""
     if isinstance(amount, ScalarAmount):
         return amount.value
-    if isinstance(amount, DistributionAmount) and amount.spec.kind == "point":
+    if isinstance(amount, DistributionAmount) and not _draws_samples(amount):
         return amount.spec.parameters[0]
     return broadcast_exchange(amount, grid, stream)
 
@@ -342,13 +343,47 @@ class _LazyGrids(Mapping):
         return len(self._values)
 
 
-def _aggregate(unit_values, exchange_values, shape: tuple[int, int]) -> Grid:
-    """One output grid, summed by the accumulator steps of ``_evaluate``,
-    so the public aggregators give its bits."""
-    acc = _Accumulator(shape)
-    for unit, exch in zip(unit_values, exchange_values):
-        acc.add(unit, exch)
-    return acc.grid()
+def _fold(model: ProcessModel, grid: ScenarioGrid, seed: int | None, kinds: tuple,
+          unit_values):
+    """The one accumulation path: each flow's exchange operand is resolved
+    once and feeds a unit accumulator per ``(kind, unit value)`` pair of
+    ``unit_values(flow)``; each unit accumulator is folded into its kind's
+    total times the sub-process exchange.  Every sub-process has ``kinds``;
+    other kinds join in first-seen order.  A flow with no pairs draws
+    nothing; all sampling happens here, in document order.
+    """
+    if seed is None and model.has_distributions():
+        raise ValueError("model has distribution amounts; pass seed=")
+    shape = grid.shape
+    totals = {kind: _Accumulator(shape) for kind in kinds}
+    sp_units: dict[str, dict[object, _Accumulator]] = {}
+    sp_exchange: dict[str, Grid] = {}
+    for sp in model.subprocesses:
+        units = {kind: _Accumulator(shape) for kind in kinds}
+        sp_units[sp.name] = units
+        for flow in sp.flows:
+            pairs = unit_values(flow)
+            if not pairs:
+                continue
+            stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
+            x = _exchange_operand(flow.amount, grid, stream)
+            for kind, unit in pairs:
+                acc = units.get(kind)
+                if acc is None:
+                    acc = units[kind] = _Accumulator(shape)
+                acc.add(_unit_operand(unit, shape), x)
+        sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
+        sp_x = _exchange_operand(sp.amount, grid, sp_stream)
+        sp_exchange[sp.name] = (
+            sp_x if isinstance(sp_x, np.ndarray)
+            else np.broadcast_to(np.float64(sp_x), shape)
+        )
+        for kind, unit_acc in units.items():
+            total = totals.get(kind)
+            if total is None:
+                total = totals[kind] = _Accumulator(shape)
+            total.add(unit_acc.const if unit_acc.is_virtual else unit_acc, sp_x)
+    return totals, sp_units, sp_exchange
 
 
 def _evaluate(
@@ -358,36 +393,13 @@ def _evaluate(
     seed: int | None,
     categories: tuple[str, ...],
 ) -> UnitResult:
-    shape = grid.shape
-    kinds = (*categories, None)  # None = cost
-    totals = {kind: _Accumulator(shape) for kind in kinds}
-    sp_units: dict[str, dict[object, _Accumulator]] = {}
-    sp_exchange: dict[str, Grid] = {}
+    def unit_values(flow):  # per category, then cost (kind None)
+        pairs = [(cat, _resolve_unit_impact(flow, cat, db, grid.n_timesteps))
+                 for cat in categories]
+        pairs.append((None, _resolve_unit_cost(flow, db)))
+        return pairs
 
-    # Resolve operands and fold terms; all sampling happens here, in
-    # document order, so draws are deterministic.
-    for sp in model.subprocesses:
-        units = {kind: _Accumulator(shape) for kind in kinds}
-        sp_units[sp.name] = units
-        for flow in sp.flows:
-            stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
-            x = _exchange_operand(flow.amount, grid, stream)
-            for cat in categories:
-                u = _unit_operand(
-                    _resolve_unit_impact(flow, cat, db, grid.n_timesteps), shape
-                )
-                units[cat].add(u, x)
-            units[None].add(_resolve_unit_cost(flow, db), x)
-        sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
-        sp_x = _exchange_operand(sp.amount, grid, sp_stream)
-        sp_exchange[sp.name] = (
-            sp_x if isinstance(sp_x, np.ndarray)
-            else np.broadcast_to(np.float64(sp_x), shape)
-        )
-        for kind in kinds:
-            unit_acc = units[kind]
-            totals[kind].add(unit_acc.const if unit_acc.is_virtual else unit_acc, sp_x)
-
+    totals, sp_units, sp_exchange = _fold(model, grid, seed, (*categories, None), unit_values)
     # Only the totals are summed here; each sub-process unit grid is
     # computed per row block inside them, and whole only when first read.
     return UnitResult(
@@ -464,8 +476,6 @@ def run_matrix(
     """
     cats = _select_categories(model, categories)
     _require_valid(model, db)
-    if seed is None and model.has_distributions():
-        raise ValueError("model has distribution amounts; pass seed=")
     return _evaluate(model, db, model.grid, seed, cats)
 
 
@@ -533,40 +543,23 @@ def compute_inventory(
     emission) for every substance in its background inventory; a flow
     tagged with ``substance`` additionally emits one unit of that
     substance per unit of flow.  Flows without inventory data simply
-    contribute nothing.
+    contribute nothing.  The terms are folded like ``run_matrix``'s, so a
+    substance whose per-unit emissions equal a category's unit impacts
+    gets that category's bits; a substance emitted only through scalar
+    terms gets a read-only constant view.
     """
     grid = grid or model.grid
     _require_valid(model, db, grid=grid if grid is not model.grid else None,
                    require_cost=False)
-    if seed is None and model.has_distributions():
-        raise ValueError("model has distribution amounts; pass seed=")
-    shape = grid.shape
-    emissions: dict[str, Grid] = {}
-    for sp in model.subprocesses:
-        sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
-        sp_x = _exchange_operand(sp.amount, grid, sp_stream)
-        for flow in sp.flows:
-            per_unit: dict[str, float] = {}
-            row = db.rows.get(flow.background_ref) if db is not None else None
-            if row is not None:
-                per_unit.update(row.inventory)
-            if flow.substance is not None:
-                per_unit[flow.substance] = per_unit.get(flow.substance, 0.0) + 1.0
-            if not per_unit:
-                continue
-            stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
-            x = _exchange_operand(flow.amount, grid, stream)
-            if isinstance(x, np.ndarray) or isinstance(sp_x, np.ndarray):
-                contrib = np.asarray(x) * np.asarray(sp_x)  # broadcasts scalar side
-                contrib = np.broadcast_to(contrib, shape)
-            else:
-                contrib = float(x) * float(sp_x)
-            for substance, amount_per_unit in per_unit.items():
-                acc = emissions.setdefault(
-                    substance, np.zeros(shape, dtype=np.float64)
-                )
-                if isinstance(contrib, np.ndarray):
-                    kernels.add_scaled(acc, amount_per_unit, contrib)
-                else:
-                    kernels.add_const(acc, amount_per_unit * contrib)
-    return InventoryResult(grid=grid, emissions=emissions)
+
+    def per_unit_emissions(flow):
+        row = db.rows.get(flow.background_ref) if db is not None else None
+        per_unit = dict(row.inventory) if row is not None else {}
+        if flow.substance is not None:
+            per_unit[flow.substance] = per_unit.get(flow.substance, 0.0) + 1.0
+        return per_unit.items()
+
+    totals, _, _ = _fold(model, grid, seed, (), per_unit_emissions)
+    return InventoryResult(
+        grid=grid, emissions={substance: acc.grid() for substance, acc in totals.items()}
+    )

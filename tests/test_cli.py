@@ -302,6 +302,26 @@ def _mc_result_with(tmp_path, fmt, cells) -> Path:
     return path
 
 
+def _csv_result_with(tmp_path, mode, cells) -> Path:
+    """A CSV result of the heatplant model (static) or of a 20-run Monte
+    Carlo run, with ``cells`` replaced, {(section, name, category, scenario,
+    timestep): value}."""
+    path = tmp_path / f"{mode}.csv"
+    model, extra = (MODEL, ()) if mode == "static" else (MODEL_MC, ("--n-runs", "20"))
+    assert run_cli("run", "--model", model, "--db", DB, "--mode", mode, *extra,
+                   "--format", "csv", "--output", str(path)) == 0
+    cells = {(*key[:3], str(key[3]), str(key[4])): value for key, value in cells.items()}
+    rows = list(csv.reader(path.open(newline="")))
+    for row in rows:
+        key = (row[0], row[1], row[4], row[2], row[3])
+        if key in cells:
+            row[5] = repr(cells.pop(key))
+    assert not cells  # every cell was found
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 class TestReportCommand:
     def _run_to(self, tmp_path, mode, *extra):
         out = tmp_path / f"{mode}.json"
@@ -386,6 +406,45 @@ class TestReportCommand:
             assert run_cli("report", str(path), "--plot-data", str(plots)) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == f"numerical failure: {problem}\n"
+        assert not plots.exists()
+
+    # every cell and scenario or run total is finite; a number of the summary is not
+    @pytest.mark.parametrize("mode, cells, problem", [
+        ("static", {("impact", "", "GWP100", 0, 1): 1e308, ("impact", "", "GWP100", 1, 3): 1e308},
+         "impact[GWP100] total (scenario mean) is inf"),
+        ("montecarlo", {("impact", "", "GWP100", 0, 1): 1e308,
+                        ("impact", "", "GWP100", 5, 2): 1e308},
+         "impact[GWP100] run totals: mean is inf"),
+        ("montecarlo", {("cost", "", "", 0, 1): 1e308, ("cost", "", "", 5, 2): -1e308},
+         "cost run totals: sd is inf"),
+    ], ids=["scenario_mean", "run_mean", "run_sd"])
+    def test_overflowing_summary_exits_3_before_any_output(self, tmp_path, capsys, mode, cells,
+                                                           problem):
+        path = _csv_result_with(tmp_path, mode, cells)
+        plots = tmp_path / "plots"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            assert run_cli("report", str(path), "--plot-data", str(plots)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"numerical failure: {problem}\n"
+        assert not plots.exists()
+
+    @pytest.mark.parametrize("mode", ["static", "montecarlo"])
+    def test_overflowing_contribution_exits_3_without_plot_data(self, tmp_path, capsys, mode):
+        # a finite breakdown cell times its finite sub-process exchange
+        path = _csv_result_with(tmp_path, mode, {
+            ("sp_unit_impact", "fuel_supply", "GWP100", 0, 2): 1e308,
+            ("sp_exchange", "fuel_supply", "", 0, 2): 2.0,
+        })
+        plots = tmp_path / "plots"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("report", str(path), "--plot-data", str(plots)) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: contribution of sub-process 'fuel_supply' "
+                       "to impact[GWP100] is inf\n")
         assert not plots.exists()
 
     def test_nonfinite_dynamic_cumulative_exits_3(self, tmp_path, capsys, sample_results):

@@ -509,6 +509,27 @@ class TestInventory:
         model = ProcessModel("m", (sp,), ScenarioGrid(1, 1), ("GWP100",))
         inv = compute_inventory(model, db_with({"fuel": row}))
         assert inv.emissions["CO2"][0, 0] == 6.0
+        assert not inv.emissions["CO2"].flags.writeable  # all-scalar: a constant view
+
+    def test_inventory_has_the_run_matrix_bits(self):
+        # each flow's unit impact for GWP100 equals its per-unit CO2 emission,
+        # so the inventory and the impact grid are the same fold
+        rows = {ref: BackgroundRow(flow=ref, unit_cost=0.0, impacts={"GWP100": e},
+                                   inventory={"CO2": e})
+                for ref, e in (("steel", 0.7), ("gas", 0.45))}
+        uniform = DistributionAmount(DistributionSpec("uniform", (1.0, 2.0)))
+        steel = np.random.default_rng(4).uniform(0.1, 9.0, (3, 4))
+        sp = SubProcessDefinition("plant", ScalarAmount(2.5), flows=(
+            FlowDefinition("steel", "inflow", MatrixAmount(steel), background_ref="steel"),
+            FlowDefinition("stack", "outflow", uniform, inline_unit_impact={"GWP100": 1.0},
+                           inline_unit_cost=0.0, substance="CO2"),
+            FlowDefinition("gas", "inflow", ScalarAmount(3.1), background_ref="gas"),
+        ))
+        model = ProcessModel("m", (sp,), ScenarioGrid(3, 4), ("GWP100",))
+        db = db_with(rows)
+        emissions = compute_inventory(model, db, seed=11).emissions["CO2"]
+        impacts = run_matrix(model, db, seed=11).impacts["GWP100"]
+        assert emissions.tobytes() == impacts.tobytes()
 
     def test_empty_inventory_contributes_nothing(self):
         model = simple_model()
