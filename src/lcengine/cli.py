@@ -28,6 +28,8 @@ from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, r
 from .errors import LcengineError, LoadError
 from .io import (
     _STATS,
+    _grid_where,
+    _payload_grids,
     export_results,
     import_results,
     load_background_db,
@@ -253,22 +255,25 @@ def _summary_lines(payload) -> list[str]:
         return lines
 
 
-def _print_indicators(indicators, rate: float) -> None:
+def _indicator_lines(indicators, rate: float) -> list[str]:
+    """The printed economic indicators; a non-finite one is a numerical
+    failure, since a finite cost grid can still overflow its present value."""
+    named = (("present cost", indicators.npv), ("MSP", indicators.msp), ("LCOE", indicators.lcoe))
     if indicators.npv.shape[0] == 1:
-        print(
-            f"  economics (rate {rate:g}): present cost {_fmt_value(indicators.npv[0])}, "
-            f"MSP {_fmt_value(indicators.msp[0])}, LCOE {_fmt_value(indicators.lcoe[0])}"
-        )
-    else:
-        for name, values in (("present cost", indicators.npv), ("MSP", indicators.msp),
-                             ("LCOE", indicators.lcoe)):
-            lo, hi = np.percentile(values, [2.5, 97.5])
-            print(
-                f"  {name} (rate {rate:g}): mean {_fmt_value(values.mean())} "
-                f"[p2.5 {_fmt_value(lo)}, p97.5 {_fmt_value(hi)}]"
-            )
+        npv, msp, lcoe = (_number(values[0], name) for name, values in named)
+        return [f"  economics (rate {rate:g}): present cost {npv}, MSP {msp}, LCOE {lcoe}"]
+    lines = []
+    for name, values in named:
+        lo, hi = np.percentile(values, [2.5, 97.5])
+        mean, lo, hi = (_number(value, f"{name} {stat}") for stat, value in (
+            ("mean", values.mean()), ("p2.5", lo), ("p97.5", hi)))
+        lines.append(f"  {name} (rate {rate:g}): mean {mean} [p2.5 {lo}, p97.5 {hi}]")
+    return lines
 
 
+# run checks its results for non-finite numbers before it prints or writes
+# them, so NumPy's floating-point warnings would only announce a failure it reports
+@np.errstate(all="ignore")
 def cmd_run(config: RunConfig) -> int:
     problem = config.check()
     if problem:
@@ -330,17 +335,22 @@ def cmd_run(config: RunConfig) -> int:
     }
     rs = result_set(payload, meta)
 
-    indicators = None
+    indicators = []
     if model.production is not None:
         cost_grid = _cost_grid_for_indicators(payload, model, db, config)
         if cost_grid is not None:
             try:
-                indicators = discounted_cost_result(
+                result = discounted_cost_result(
                     cost_grid, ProductionSeries(model.production), model.discount_rate
                 )
-            except (LcengineError, ValueError, ZeroDivisionError) as exc:
+                indicators = _indicator_lines(result, model.discount_rate)
+            # ArithmeticError: a division by zero, or a discount factor past the float range
+            except (LcengineError, ValueError, ArithmeticError) as exc:
                 print(f"error: economic indicators: {exc}", file=sys.stderr)
                 return EXIT_INVALID
+            except _NumericalFailure as exc:
+                print(f"numerical failure: {exc}", file=sys.stderr)
+                return EXIT_NUMERIC
 
     output = config.output or f"{Path(config.model).stem}_{config.mode}.{config.format}"
     try:
@@ -351,9 +361,7 @@ def cmd_run(config: RunConfig) -> int:
 
     print(f"model: {model.name}  mode: {config.mode}  "
           f"grid: {model.grid.n_scenarios}x{model.grid.n_timesteps} ({model.grid.step_label})")
-    print("\n".join(summary))
-    if indicators is not None:
-        _print_indicators(indicators, model.discount_rate)
+    print("\n".join(summary + indicators))
     print(f"results written to: {output}")
     return EXIT_OK
 
@@ -495,6 +503,18 @@ def _plot_data_dynamic(dyn: DynamicImpactResult, out_dir: Path) -> list[Path]:
     return [impact_path, cum_path, contrib_path]
 
 
+def _check_grids(rs) -> None:
+    """Every grid of a result is finite, breakdowns and statistics too; a
+    non-finite cell is a numerical failure."""
+    for section, name, category, grid in _payload_grids(rs.payload_type, rs.payload):
+        bad = np.argwhere(~np.isfinite(grid))
+        if bad.size:
+            at = tuple(bad[0])  # (scenario, timestep), or (timestep,) for a statistic
+            cell = f"scenario={at[0]}, timestep={at[1]}" if len(at) == 2 else f"timestep={at[0]}"
+            raise _NumericalFailure(
+                f"{_grid_where(section, name, category)} at {cell} is {grid[at]}")
+
+
 def cmd_report(result_path: str, plot_data: str | None = None) -> int:
     try:
         rs = import_results(result_path)
@@ -502,7 +522,8 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        summary = _summary_lines(rs.payload)
+        summary = _summary_lines(rs.payload)  # the totals first, with the summary's messages
+        _check_grids(rs)
     except _NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

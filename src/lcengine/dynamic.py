@@ -38,7 +38,7 @@ class DCFTable:
     periods; ages past the end of the list contribute zero.  mode
     "fixed_horizon": a single factor integrated over a declared horizon of
     ``horizon`` periods; the horizon is metadata, the whole impact is
-    booked at the emission period.
+    booked at the emission period.  Factors must be finite.
     """
 
     substance: str
@@ -51,6 +51,8 @@ class DCFTable:
         arr = np.ascontiguousarray(np.asarray(self.factors, dtype=np.float64).ravel())
         arr.flags.writeable = False
         object.__setattr__(self, "factors", arr)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{self.substance}/{self.category}: factors must be finite")
         if self.mode == ANNUAL_STEP:
             if arr.size < 1:
                 raise ShapeError(f"{self.substance}/{self.category}: empty factor list")

@@ -42,13 +42,14 @@ from . import kernels
 from .errors import InvalidModelError, MissingDataError, ShapeError, StaticModeError
 from .model import (
     DistributionAmount,
-    FlowDefinition,
     MatrixAmount,
     ProcessModel,
     ScalarAmount,
     ScenarioGrid,
     SubProcessDefinition,
+    ValidationReport,
     _draws_samples,
+    _resolved_columns,
     broadcast_exchange,
     validate_model,
 )
@@ -176,34 +177,6 @@ def main_aggregate(
     if not len(unit_sp_grids):
         raise ShapeError("main_aggregate: no sub-process grids")
     return _aggregate(unit_sp_grids, sp_exchange_grids, "main process")
-
-
-# ---------------------------------------------------------------------------
-# unit value resolution
-
-def _resolve_unit_impact(flow: FlowDefinition, category: str, db, n_timesteps: int):
-    """Unit impact of one flow for one category: scalar or per-period row."""
-    if flow.inline_unit_impact is not None and category in flow.inline_unit_impact:
-        return flow.inline_unit_impact[category]
-    row = db.rows.get(flow.background_ref) if db is not None else None
-    if row is not None:
-        override = row.impact_overrides.get(category)
-        if override is not None:
-            return np.asarray(override, dtype=np.float64)
-        if category in row.impacts:
-            return row.impacts[category]
-    raise MissingDataError(
-        f"flow {flow.name!r}: no unit impact for category {category!r}"
-    )
-
-
-def _resolve_unit_cost(flow: FlowDefinition, db) -> float:
-    if flow.inline_unit_cost is not None:
-        return float(flow.inline_unit_cost)
-    row = db.rows.get(flow.background_ref) if db is not None else None
-    if row is not None and row.unit_cost is not None:
-        return row.unit_cost
-    raise MissingDataError(f"flow {flow.name!r}: no unit cost resolvable")
 
 
 def _exchange_operand(amount, grid: ScenarioGrid, stream):
@@ -344,13 +317,14 @@ class _LazyGrids(Mapping):
 
 
 def _fold(model: ProcessModel, grid: ScenarioGrid, seed: int | None, kinds: tuple,
-          unit_values):
-    """The one accumulation path: each flow's exchange operand is resolved
-    once and feeds a unit accumulator per ``(kind, unit value)`` pair of
-    ``unit_values(flow)``; each unit accumulator is folded into its kind's
-    total times the sub-process exchange.  Every sub-process has ``kinds``;
-    other kinds join in first-seen order.  A flow with no pairs draws
-    nothing; all sampling happens here, in document order.
+          flow_pairs):
+    """The one accumulation path: ``flow_pairs`` yields each flow's
+    ``(kind, unit value)`` pairs, one iterable per flow in document order.
+    Each flow's exchange operand is resolved once and feeds a unit
+    accumulator per pair; each unit accumulator is folded into its kind's
+    total times the sub-process exchange.  Every sub-process has
+    ``kinds``; other kinds join in first-seen order.  A flow with no pairs
+    draws nothing; all sampling happens here, in document order.
     """
     if seed is None and model.has_distributions():
         raise ValueError("model has distribution amounts; pass seed=")
@@ -362,12 +336,11 @@ def _fold(model: ProcessModel, grid: ScenarioGrid, seed: int | None, kinds: tupl
         units = {kind: _Accumulator(shape) for kind in kinds}
         sp_units[sp.name] = units
         for flow in sp.flows:
-            pairs = unit_values(flow)
-            if not pairs:
-                continue
-            stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
-            x = _exchange_operand(flow.amount, grid, stream)
-            for kind, unit in pairs:
+            x = None
+            for kind, unit in next(flow_pairs):
+                if x is None:  # the flow's first unit value: draw its exchange
+                    stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
+                    x = _exchange_operand(flow.amount, grid, stream)
                 acc = units.get(kind)
                 if acc is None:
                     acc = units[kind] = _Accumulator(shape)
@@ -388,18 +361,15 @@ def _fold(model: ProcessModel, grid: ScenarioGrid, seed: int | None, kinds: tupl
 
 def _evaluate(
     model: ProcessModel,
-    db,
+    report: ValidationReport,
     grid: ScenarioGrid,
     seed: int | None,
     categories: tuple[str, ...],
 ) -> UnitResult:
-    def unit_values(flow):  # per category, then cost (kind None)
-        pairs = [(cat, _resolve_unit_impact(flow, cat, db, grid.n_timesteps))
-                 for cat in categories]
-        pairs.append((None, _resolve_unit_cost(flow, db)))
-        return pairs
-
-    totals, sp_units, sp_exchange = _fold(model, grid, seed, (*categories, None), unit_values)
+    kinds = (*categories, None)  # per category, then cost (kind None)
+    *columns, _ = _resolved_columns(model, report, categories)
+    flow_pairs = (zip(kinds, values) for values in zip(*columns))
+    totals, sp_units, sp_exchange = _fold(model, grid, seed, kinds, flow_pairs)
     # Only the totals are summed here; each sub-process unit grid is
     # computed per row block inside them, and whole only when first read.
     return UnitResult(
@@ -425,12 +395,13 @@ def _select_categories(model: ProcessModel, categories) -> tuple[str, ...]:
     return tuple(categories)
 
 
-def _require_valid(model: ProcessModel, db, grid=None, require_cost=True) -> None:
+def _require_valid(model: ProcessModel, db, grid=None, require_cost=True) -> ValidationReport:
     report = validate_model(model, db, grid=grid, require_cost=require_cost)
     if not report.is_valid:
         raise InvalidModelError(
             f"model {model.name!r} fails validation:\n{report}", report=report
         )
+    return report
 
 
 def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
@@ -455,8 +426,8 @@ def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
                     f"{model.grid.n_scenarios}x{model.grid.n_timesteps} grid; "
                     "use run_matrix"
                 )
-    _require_valid(model, db, grid=one if model.grid.shape != (1, 1) else None)
-    return _evaluate(model, db, one, None, cats)
+    report = _require_valid(model, db, grid=one if model.grid.shape != (1, 1) else None)
+    return _evaluate(model, report, one, None, cats)
 
 
 def run_matrix(
@@ -475,8 +446,7 @@ def run_matrix(
     compatibility and has no effect.
     """
     cats = _select_categories(model, categories)
-    _require_valid(model, db)
-    return _evaluate(model, db, model.grid, seed, cats)
+    return _evaluate(model, _require_valid(model, db), model.grid, seed, cats)
 
 
 def run_monte_carlo(
@@ -502,13 +472,13 @@ def run_monte_carlo(
     cats = _select_categories(model, categories)
     mc_grid = ScenarioGrid(n_runs, model.grid.n_timesteps,
                            model.grid.step_label, model.grid.step_origin)
-    _require_valid(model, db, grid=mc_grid)
+    report = _require_valid(model, db, grid=mc_grid)
     if not model.has_distributions():
         warnings.warn(
             "model has no distribution amounts; Monte Carlo is degenerate",
             stacklevel=2,
         )
-    unit = _evaluate(model, db, mc_grid, seed, cats)
+    unit = _evaluate(model, report, mc_grid, seed, cats)
     impact_stats = {cat: _summary_stats(unit.impacts[cat]) for cat in cats}
     return MonteCarloResult(
         n_runs=n_runs,
@@ -549,17 +519,10 @@ def compute_inventory(
     terms gets a read-only constant view.
     """
     grid = grid or model.grid
-    _require_valid(model, db, grid=grid if grid is not model.grid else None,
-                   require_cost=False)
-
-    def per_unit_emissions(flow):
-        row = db.rows.get(flow.background_ref) if db is not None else None
-        per_unit = dict(row.inventory) if row is not None else {}
-        if flow.substance is not None:
-            per_unit[flow.substance] = per_unit.get(flow.substance, 0.0) + 1.0
-        return per_unit.items()
-
-    totals, _, _ = _fold(model, grid, seed, (), per_unit_emissions)
+    report = _require_valid(model, db, grid=grid if grid is not model.grid else None,
+                            require_cost=False)
+    emissions = _resolved_columns(model, report, ())[-1]
+    totals, _, _ = _fold(model, grid, seed, (), (per_unit.items() for per_unit in emissions))
     return InventoryResult(
         grid=grid, emissions={substance: acc.grid() for substance, acc in totals.items()}
     )

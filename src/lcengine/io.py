@@ -33,6 +33,7 @@ import hashlib
 import io as _io
 import itertools
 import json
+import math
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,6 +119,14 @@ def _parse_number(text: str, where: str, path, line: int | None = None) -> float
     return value
 
 
+def _parse_finite(text: str, where: str, path, line: int) -> float:
+    value = _parse_number(text, where, path, line)
+    if not math.isfinite(value):
+        raise LoadError(f"{where}: expected a finite number, got {text.strip()!r}",
+                        path=path, line=line)
+    return value
+
+
 def _parse_integer(text: str, where: str, path, line: int) -> int:
     value = _parse_number(text, where, path, line)
     if not value.is_integer():  # also rejects nan and inf
@@ -164,7 +173,10 @@ def _get(mapping: dict, key: str, where: str, path, default=_MISSING):
 def _as_number(value, where: str, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise LoadError(f"{where}: expected a number, got {value!r}", path=path)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise LoadError(f"{where}: integer out of the float range", path=path) from None
 
 
 def _as_int(value, where: str, path) -> int:
@@ -253,7 +265,7 @@ def _parse_amount(obj, where: str, path, base_dir: Path, matrix_files: dict) -> 
     if isinstance(obj, bool):
         raise LoadError(f"{where}: expected an amount, got a boolean", path=path)
     if isinstance(obj, (int, float)):
-        return ScalarAmount(float(obj))
+        return ScalarAmount(_as_number(obj, where, path))
     if isinstance(obj, dict):
         if "dist" in obj:
             return _parse_distribution(obj, where, path)
@@ -333,6 +345,8 @@ def load_model(path) -> ProcessModel:
     text = _read_text(path)
     try:
         doc = yaml.safe_load(text)
+    except ValueError as exc:  # an integer past int's digit limit
+        raise LoadError(f"YAML parse error: {exc}", path=path) from exc
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)
@@ -384,7 +398,8 @@ def load_model(path) -> ProcessModel:
     production = proc.get("production")
     if production is not None:
         if isinstance(production, (int, float)) and not isinstance(production, bool):
-            production = np.full(grid.n_timesteps, float(production))
+            production = np.full(grid.n_timesteps,
+                                 _as_number(production, "process: production", path))
         elif isinstance(production, list):
             production = np.asarray(
                 [_as_number(v, "process: production entry", path) for v in production]
@@ -563,7 +578,7 @@ def load_dcf_tables(path) -> list[DCFTable]:
                 raise LoadError(
                     f"{substance}/{category}: duplicate tau {tau_val}", path=path, line=lineno
                 )
-            taus[tau_val] = _parse_number(factor, f"{substance}: factor", path, lineno)
+            taus[tau_val] = _parse_finite(factor, f"{substance}: factor", path, lineno)
         elif mode == FIXED_HORIZON:
             if tau:
                 raise LoadError(
@@ -588,7 +603,7 @@ def load_dcf_tables(path) -> list[DCFTable]:
                     path=path,
                     line=lineno,
                 )
-            fixed[key] = (_parse_number(factor, f"{substance}: factor", path, lineno), h)
+            fixed[key] = (_parse_finite(factor, f"{substance}: factor", path, lineno), h)
             order.append((substance, category, FIXED_HORIZON))
         else:
             raise LoadError(

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import MissingDataError, ShapeError
 from .sampler import DistributionSpec, SamplerStream, sample
 
 if TYPE_CHECKING:
@@ -206,6 +206,8 @@ class ValidationFinding:
 @dataclass
 class ValidationReport:
     findings: list[ValidationFinding] = field(default_factory=list)
+    # the flows' resolved unit values, end to end (see _check_flow_resolution)
+    _resolved: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def errors(self) -> list[ValidationFinding]:
@@ -253,6 +255,9 @@ def _check_amount(
             report.add_warning(location, "negative exchange amount (avoided flow?)")
 
 
+_EMPTY: Mapping = {}  # the unit values of a flow without them; never mutated
+
+
 def _check_flow_resolution(
     report: ValidationReport,
     location: str,
@@ -262,43 +267,91 @@ def _check_flow_resolution(
     n_timesteps: int,
     require_cost: bool,
 ) -> None:
+    """Resolve the flow's unit values, report each that is missing, defined
+    twice or not finite, and append them to ``report._resolved``: a unit
+    impact per category (inline, else the row's per-period override, else
+    its value), the unit cost (inline, else the row's, else None) and the
+    per-unit emissions (the row's inventory plus one unit of ``substance``).
+    All None when no database row resolves."""
     row = None
     if flow.background_ref != FOREGROUND:
-        if db is None:
-            return  # structural pass only, resolvability checked with a db
-        row = db.rows.get(flow.background_ref)
+        row = db.rows.get(flow.background_ref) if db is not None else None
         if row is None:
-            report.add_error(
-                location,
-                f"background key {flow.background_ref!r} not found in database",
-            )
+            if db is not None:  # else a structural pass, resolvability checked with a db
+                report.add_error(
+                    location,
+                    f"background key {flow.background_ref!r} not found in database",
+                )
+            report._resolved.extend((None,) * (len(categories) + 2))
             return
+    resolved = report._resolved
     for cat in categories:
         in_db = row is not None and row.resolves_impact(cat)
-        inline = flow.inline_unit_impact is not None and cat in flow.inline_unit_impact
-        if in_db and inline:
+        value = (flow.inline_unit_impact or _EMPTY).get(cat)
+        if in_db and value is not None:
             report.add_error(
                 location,
                 f"unit impact for category {cat!r} is defined both inline and "
                 f"in database row {flow.background_ref!r}",
             )
-        elif not in_db and not inline:
+        elif not in_db and value is None:
             report.add_error(location, f"no unit impact resolvable for category {cat!r}")
-        if row is not None:
-            override = row.impact_overrides.get(cat)
-            if override is not None and len(override) != n_timesteps:
+        override = row.impact_overrides.get(cat) if row is not None else None
+        if override is not None and len(override) != n_timesteps:
+            report.add_error(
+                location,
+                f"per-period unit impacts for {cat!r} have length "
+                f"{len(override)}, expected {n_timesteps}",
+            )
+        elif value is None and override is not None:
+            value = np.asarray(override, dtype=np.float64)
+        elif value is None and in_db:
+            value = row.impacts[cat]
+        if isinstance(value, np.ndarray):
+            bad = np.flatnonzero(~np.isfinite(value))
+            if bad.size:
                 report.add_error(
                     location,
-                    f"per-period unit impacts for {cat!r} have length "
-                    f"{len(override)}, expected {n_timesteps}",
+                    f"per-period unit impact {value[bad[0]]} for category {cat!r} "
+                    f"at period {bad[0]} is not finite",
                 )
+        elif value is not None and not math.isfinite(value):
+            report.add_error(location, f"unit impact {value} for category {cat!r} is not finite")
+        resolved.append(value)
+
+    cost_in_db = row is not None and row.unit_cost is not None
+    cost = flow.inline_unit_cost
     if require_cost:
-        cost_in_db = row is not None and row.unit_cost is not None
-        cost_inline = flow.inline_unit_cost is not None
-        if cost_in_db and cost_inline:
+        if cost_in_db and cost is not None:
             report.add_error(location, "unit cost is defined both inline and in database")
-        elif not cost_in_db and not cost_inline:
+        elif not cost_in_db and cost is None:
             report.add_error(location, "no unit cost resolvable")
+    if cost is None and cost_in_db:
+        cost = row.unit_cost
+    if cost is not None and not math.isfinite(cost):
+        report.add_error(location, f"unit cost {cost} is not finite")
+
+    emissions = row.inventory if row is not None else _EMPTY
+    if flow.substance is not None:
+        emissions = {**emissions, flow.substance: emissions.get(flow.substance, 0.0) + 1.0}
+    for substance, value in emissions.items():
+        if not math.isfinite(value):
+            report.add_error(
+                location, f"emission {value} of substance {substance!r} per unit is not finite"
+            )
+    resolved.extend((cost, emissions))
+
+
+def _resolved_columns(model: ProcessModel, report: ValidationReport, categories) -> list[list]:
+    """The unit values ``report`` resolved, one value per flow in document order: a
+    column per one of ``categories``, then the unit costs and the per-unit emissions."""
+    width = len(model.categories) + 2
+    emissions = report._resolved[width - 1::width]
+    if None in emissions:  # a background flow, validated without a database
+        flow = [flow for sp in model.subprocesses for flow in sp.flows][emissions.index(None)]
+        raise MissingDataError(f"flow {flow.name!r}: no database to resolve it from")
+    columns = [*map(model.categories.index, categories), width - 2]
+    return [report._resolved[column::width] for column in columns] + [emissions]
 
 
 def _production_problem(production: np.ndarray) -> str | None:

@@ -43,6 +43,49 @@ def _heatplant_copy(tmp_path, old, new):
     return model
 
 
+# (input, text in it, replacement, diagnostic): non-finite unit values, which
+# fail validation in every command; "model" stands for both sample models
+NON_FINITE_UNIT_VALUES = [
+    pytest.param("background.csv", "truck_km,1.1,", "truck_km,nan,",
+                 "flow 'gas_transport': unit cost nan is not finite", id="db_unit_cost"),
+    pytest.param("background.csv", "truck_km,1.1,0.12,", "truck_km,1.1,inf,",
+                 "flow 'gas_transport': unit impact inf for category 'GWP100' is not finite",
+                 id="db_unit_impact"),
+    pytest.param("background.csv", "truck_km,1.1,0.12,", "truck_km,1.1,0.12;0.12;inf;0.12;0.12,",
+                 "flow 'gas_transport': per-period unit impact inf for category 'GWP100' "
+                 "at period 2 is not finite", id="db_per_period_unit_impact"),
+    pytest.param("background.csv", "natural_gas,28.0,0.23,0.0004,36.0,",
+                 "natural_gas,28.0,0.23,0.0004,nan,",
+                 "flow 'natural_gas': emission nan of substance 'CO2' per unit is not finite",
+                 id="db_inventory"),
+    pytest.param("model", "unit_impact: {GWP100: 1.0, AP: 0.0}",
+                 "unit_impact: {GWP100: .nan, AP: 0.0}",
+                 "flow 'co2_stack': unit impact nan for category 'GWP100' is not finite",
+                 id="inline_unit_impact"),
+]
+
+# each command on the sample inputs, as (arguments, model file)
+COMMANDS = [
+    pytest.param(("validate",), "heatplant.model", id="validate"),
+    pytest.param(("run", "--mode", "static"), "heatplant.model", id="static"),
+    pytest.param(("run", "--mode", "montecarlo", "--n-runs", "20"), "heatplant_uncertain.model",
+                 id="montecarlo"),
+    pytest.param(("run", "--mode", "dynamic", "--dcf", DCF), "heatplant.model", id="dynamic"),
+]
+
+
+def _inputs_copy(tmp_path, target, old, new):
+    """The sample inputs in ``tmp_path``, with one text replacement in
+    ``target`` or, for "model", in both models."""
+    for path in SAMPLES.iterdir():
+        text = path.read_text()
+        if target in (path.name, "model" if path.suffix == ".model" else None):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        (tmp_path / path.name).write_text(text)
+    return tmp_path
+
+
 class TestValidateCommand:
     def test_valid_fixture(self, capsys):
         assert run_cli("validate", "--model", MODEL, "--db", DB) == 0
@@ -235,6 +278,13 @@ subprocesses:
         assert capsys.readouterr().err.startswith("error: model 'heatplant': production series")
         assert not out.exists()
 
+    def test_rate_past_the_float_range_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static", "--rate", "1e308",
+                     "--output", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: economic indicators: ")
+
     def test_negative_threads_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
@@ -276,6 +326,61 @@ subprocesses:
         assert capsys.readouterr().err.startswith(f"error: {dcf}:3: CO2: tau: expected an integer")
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("CO2,GWP100,annual_step,,1,0.86", "CO2,GWP100,annual_step,,1,nan", 3),
+        ("CO2,GWP100,annual_step,,1,0.86", "CO2,GWP100,annual_step,,1,inf", 3),
+        ("CH4,GWP100,fixed_horizon,100,,28.0", "CH4,GWP100,fixed_horizon,100,,-inf", 12),
+    ], ids=["annual_nan", "annual_inf", "fixed_horizon_-inf"])
+    def test_non_finite_dcf_factor_exits_2(self, tmp_path, capsys, old, new, line):
+        dcf = tmp_path / "dcf.csv"
+        dcf.write_text(Path(DCF).read_text().replace(old, new))
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--dcf", str(dcf),
+                     "--mode", "dynamic", "--output", str(out))
+        assert rc == 2
+        substance = old.split(",")[0]
+        assert capsys.readouterr().err.startswith(
+            f"error: {dcf}:{line}: {substance}: factor: expected a finite number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, model", COMMANDS)
+    @pytest.mark.parametrize("target, old, new, problem", NON_FINITE_UNIT_VALUES)
+    def test_non_finite_unit_value_exits_1_before_writing(self, tmp_path, capsys, command,
+                                                           model, target, old, new, problem):
+        inputs = _inputs_copy(tmp_path, target, old, new)
+        out = tmp_path / "r.json"
+        extra = ("--output", str(out)) if command[0] == "run" else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(command[0], "--model", str(inputs / model),
+                         "--db", str(inputs / "background.csv"), *command[1:], *extra)
+        assert rc == 1
+        out_text, err = capsys.readouterr()
+        assert problem in err and "OK" not in out_text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, old, new, code, diagnostic", [
+        ("co2_stack.csv", "81000,81000,81000,81000,81000", "1e308,81000,81000,81000,81000", 3,
+         "numerical failure: cumulative[GWP100] at scenario=0, timestep=1 is inf"),
+        # the cost grid of the indicators overflows
+        ("model", "unit_cost: 0.0", "unit_cost: 1.0e+308", 1,
+         "error: economic indicators: cash flow values must be finite"),
+        # its cells are finite, their present value is not
+        ("model", "amount: 180.0", "amount: 1.0e+308", 3,
+         "numerical failure: present cost mean is inf"),
+    ], ids=["emissions", "cost", "present_cost"])
+    def test_overflowing_dynamic_run_prints_no_numpy_warning(self, tmp_path, capsys, target,
+                                                             old, new, code, diagnostic):
+        inputs = _inputs_copy(tmp_path, target, old, new)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumPy's overflow warning fails the test
+            rc = run_cli("run", "--model", str(inputs / "heatplant.model"), "--db", DB,
+                         "--mode", "dynamic", "--dcf", DCF, "--output", str(out))
+        assert rc == code and not out.exists()
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err == diagnostic + "\n"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("run", "--frobnicate") == 1
 
@@ -303,11 +408,12 @@ def _mc_result_with(tmp_path, fmt, cells) -> Path:
 
 
 def _csv_result_with(tmp_path, mode, cells) -> Path:
-    """A CSV result of the heatplant model (static) or of a 20-run Monte
-    Carlo run, with ``cells`` replaced, {(section, name, category, scenario,
-    timestep): value}."""
+    """A CSV result of the heatplant model (static or dynamic) or of a
+    20-run Monte Carlo run, with ``cells`` replaced, {(section, name,
+    category, scenario, timestep): value}."""
     path = tmp_path / f"{mode}.csv"
-    model, extra = (MODEL, ()) if mode == "static" else (MODEL_MC, ("--n-runs", "20"))
+    model, extra = {"static": (MODEL, ()), "dynamic": (MODEL, ("--dcf", DCF)),
+                    "montecarlo": (MODEL_MC, ("--n-runs", "20"))}[mode]
     assert run_cli("run", "--model", model, "--db", DB, "--mode", mode, *extra,
                    "--format", "csv", "--output", str(path)) == 0
     cells = {(*key[:3], str(key[3]), str(key[4])): value for key, value in cells.items()}
@@ -445,6 +551,29 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err == ("numerical failure: contribution of sub-process 'fuel_supply' "
                        "to impact[GWP100] is inf\n")
+        assert not plots.exists()
+
+    # a non-finite cell in a grid the summary does not read
+    @pytest.mark.parametrize("mode, cell, value, problem", [
+        ("dynamic", ("dynamic_contribution", "CO2", "GWP100", 0, 3), float("inf"),
+         "section 'dynamic_contribution', name 'CO2', category 'GWP100' "
+         "at scenario=0, timestep=3 is inf"),
+        ("montecarlo", ("stat", "p50", "GWP100", "", 3), float("nan"),
+         "section 'stat', name 'p50', category 'GWP100' at timestep=3 is nan"),
+        ("static", ("sp_exchange", "boiler_operation", "", 1, 4), float("-inf"),
+         "section 'sp_exchange', name 'boiler_operation', category '' "
+         "at scenario=1, timestep=4 is -inf"),
+    ], ids=["dynamic_contribution", "stat", "sp_exchange"])
+    def test_nonfinite_cell_of_any_grid_exits_3_without_plot_data(self, tmp_path, capsys, mode,
+                                                                  cell, value, problem):
+        path = _csv_result_with(tmp_path, mode, {cell: value})
+        plots = tmp_path / "plots"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("report", str(path), "--plot-data", str(plots)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"numerical failure: {problem}\n"
         assert not plots.exists()
 
     def test_nonfinite_dynamic_cumulative_exits_3(self, tmp_path, capsys, sample_results):

@@ -134,6 +134,15 @@ class TestStaticAndFixedHorizon:
         with pytest.raises(ShapeError):
             DCFTable("CO2", "GWP100", "sliding", [1.0])
 
+    @pytest.mark.parametrize("mode, factors, horizon", [
+        ("annual_step", [1.0, float("nan")], None),
+        ("annual_step", [float("inf")], None),
+        ("fixed_horizon", [-float("inf")], 100),
+    ])
+    def test_table_rejects_non_finite_factors(self, mode, factors, horizon):
+        with pytest.raises(ValueError, match="CO2/GWP100: factors must be finite"):
+            DCFTable("CO2", "GWP100", mode, factors, horizon=horizon)
+
 
 def co2_model(amounts, n_t, substance="CO2"):
     """One flow emitting `substance` 1:1, per-period amounts via matrix."""

@@ -13,6 +13,7 @@ from lcengine import (
     FlowDefinition,
     InvalidModelError,
     MatrixAmount,
+    MissingDataError,
     ProcessModel,
     ScalarAmount,
     ScenarioGrid,
@@ -24,14 +25,14 @@ from lcengine import (
     run_monte_carlo,
     run_static,
     subprocess_aggregate,
+    validate_model,
 )
 from lcengine.engine import (
     _cache_blocks,
     _exchange_operand,
-    _resolve_unit_cost,
-    _resolve_unit_impact,
     _unit_operand,
 )
+from lcengine.model import _resolved_columns
 
 from conftest import db_with, empty_db, simple_model
 from modelgen import random_model
@@ -340,6 +341,21 @@ class TestRunMatrix:
             run_matrix(model, empty_db(), categories=("zzz",))
 
 
+class TestWithoutDatabase:
+    def test_inline_flows_need_no_database(self):
+        model = simple_model(unit_impact=2.0, unit_cost=3.0, flow_amount=4.0)
+        unit = run_matrix(model, None)
+        assert unit.impacts["GWP100"][0, 0] == 8.0 and unit.cost[0, 0] == 12.0
+
+    def test_background_flow_is_named(self):
+        flow = FlowDefinition("gas", "inflow", ScalarAmount(1.0), background_ref="natural_gas")
+        sp = SubProcessDefinition("s", ScalarAmount(1.0), flows=(flow,))
+        model = ProcessModel("m", (sp,), ScenarioGrid(1, 1), ("GWP100",))
+        for calculate in (run_static, run_matrix, compute_inventory):
+            with pytest.raises(MissingDataError, match="flow 'gas': no database"):
+                calculate(model, None)
+
+
 class TestBreakdownsOnFirstRead:
     """Sub-process breakdowns are summed when first read, with the bits of
     the public aggregators, and not before."""
@@ -347,13 +363,12 @@ class TestBreakdownsOnFirstRead:
     @staticmethod
     def _sp_operands(model, db, sp, cat):
         shape = model.grid.shape
+        report = validate_model(model, db)
+        resolved = _resolved_columns(model, report, [] if cat is None else [cat])[0]
+        first = sum(len(s.flows) for s in model.subprocesses[:model.subprocesses.index(sp)])
         units, exchanges = [], []
-        for flow in sp.flows:
-            if cat is None:
-                unit = _resolve_unit_cost(flow, db)
-            else:
-                unit = _resolve_unit_impact(flow, cat, db, model.grid.n_timesteps)
-            units.append(_unit_operand(unit, shape))
+        for i, flow in enumerate(sp.flows, start=first):
+            units.append(_unit_operand(resolved[i], shape))
             exchanges.append(_exchange_operand(flow.amount, model.grid, None))
         return units, exchanges
 

@@ -71,6 +71,16 @@ subprocesses:
         with pytest.raises(LoadError, match="twice"):
             load_model(path)
 
+    @pytest.mark.parametrize("digits", [400, 5000])  # past float's range; past int's digit limit
+    @pytest.mark.parametrize("key", ["amount", "production"])
+    def test_huge_integer_is_a_load_error(self, tmp_path, samples_dir, digits, key):
+        old = {"amount": "amount: 180.0", "production": "production: [450, 450, 450, 450, 450]"}[key]
+        text = (samples_dir / "heatplant.model").read_text()
+        path = tmp_path / "heatplant.model"
+        path.write_text(text.replace(old, f"{key}: {'1' * digits}"))
+        with pytest.raises(LoadError):
+            load_model(path)
+
     def test_yaml_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("schema_version: 1\nprocess: [unclosed\n")
@@ -240,6 +250,17 @@ class TestLoadDcfTables:
         with pytest.raises(LoadError, match="horizon: expected an integer") as exc_info:
             load_dcf_tables(path)
         assert exc_info.value.line == 2
+
+    @pytest.mark.parametrize("line", ["CO2,GWP100,annual_step,,1,nan",
+                                      "CH4,GWP100,fixed_horizon,100,,inf"])
+    def test_non_finite_factor_names_its_line(self, tmp_path, line):
+        path = tmp_path / "dcf.csv"
+        path.write_text("substance,category,mode,horizon,tau,factor\n"
+                        "CO2,GWP100,annual_step,,0,1.0\n"
+                        f"{line}\n")
+        with pytest.raises(LoadError, match="factor: expected a finite number") as exc_info:
+            load_dcf_tables(path)
+        assert exc_info.value.line == 3
 
     def test_integral_float_tau_and_horizon_accepted(self, tmp_path):
         path = tmp_path / "dcf.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,12 +10,19 @@ from lcengine import (
     DistributionAmount,
     DistributionSpec,
     FlowDefinition,
+    InvalidModelError,
     MatrixAmount,
+    ProcessModel,
     ScalarAmount,
     ScenarioGrid,
     ShapeError,
     SubProcessDefinition,
     broadcast_exchange,
+    compute_inventory,
+    run_dynamic,
+    run_matrix,
+    run_monte_carlo,
+    run_static,
     validate_model,
 )
 from lcengine.sampler import SamplerStream, sample
@@ -188,3 +197,57 @@ class TestValidation:
         model = simple_model(discount_rate=-1.0, flow_amount=-5.0)
         report = validate_model(model, None)
         assert report.errors and report.warnings
+
+
+def _truck_model(**row):
+    """One background flow on a 1x1 grid, and a database with its row:
+    ``row`` replaces the row's default unit cost, impacts or inventory."""
+    row = BackgroundRow(flow="truck_km", **{"unit_cost": 1.1, "impacts": {"GWP100": 0.12}, **row})
+    flow = FlowDefinition("gas_transport", "inflow", ScalarAmount(180.0),
+                          background_ref="truck_km")
+    sp = SubProcessDefinition("fuel_supply", ScalarAmount(1.0), flows=(flow,))
+    return ProcessModel("m", (sp,), ScenarioGrid(1, 1), ("GWP100",)), db_with({"truck_km": row})
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (model and database, the one finding's location and message)
+NON_FINITE_UNIT_VALUES = [
+    pytest.param(lambda: _truck_model(unit_cost=NAN), "flow 'gas_transport'",
+                 "unit cost nan is not finite", id="db_unit_cost"),
+    pytest.param(lambda: _truck_model(impacts={"GWP100": INF}), "flow 'gas_transport'",
+                 "unit impact inf for category 'GWP100' is not finite", id="db_unit_impact"),
+    pytest.param(lambda: _truck_model(impacts={}, impact_overrides={"GWP100": (-INF,)}),
+                 "flow 'gas_transport'",
+                 "per-period unit impact -inf for category 'GWP100' at period 0 is not finite",
+                 id="db_per_period_unit_impact"),
+    pytest.param(lambda: _truck_model(inventory={"CO2": 2.0, "CH4": NAN}), "flow 'gas_transport'",
+                 "emission nan of substance 'CH4' per unit is not finite", id="db_inventory"),
+    pytest.param(lambda: (simple_model(unit_impact=NAN), empty_db()), "flow 'only_flow'",
+                 "unit impact nan for category 'GWP100' is not finite", id="inline_unit_impact"),
+    pytest.param(lambda: (simple_model(unit_cost=-INF), empty_db()), "flow 'only_flow'",
+                 "unit cost -inf is not finite", id="inline_unit_cost"),
+]
+
+
+class TestNonFiniteUnitValues:
+    @pytest.mark.parametrize("make, location, message", NON_FINITE_UNIT_VALUES)
+    def test_validation_names_the_flow_and_the_value(self, make, location, message):
+        model, db = make()
+        report = validate_model(model, db)
+        assert [(location in f.location, f.message) for f in report.findings] == [
+            (True, message)]
+
+    @pytest.mark.parametrize("make, location, message", NON_FINITE_UNIT_VALUES)
+    def test_every_calculation_refuses_the_model(self, make, location, message):
+        model, db = make()
+        calculations = [
+            lambda: run_static(model, db),
+            lambda: run_matrix(model, db),
+            lambda: run_monte_carlo(model, db, n_runs=4, seed=1),
+            lambda: compute_inventory(model, db),
+            lambda: run_dynamic(model, db, []),
+        ]
+        for calculate in calculations:
+            with pytest.raises(InvalidModelError, match=re.escape(message)):
+                calculate()
