@@ -21,9 +21,12 @@ ops in ``kernels``), so they agree to the bit.
 Grids are float64, scenario rows by time columns.  Operands stay as
 cheap as their amounts allow: a per-period unit row or a per-scenario
 draw is a read-only broadcast view, not a copy.  An evaluation sums only
-the main-process totals, one cache-sized row block at a time; each
-sub-process unit grid is summed per block into scratch space and folded
-straight into its total.  The per-sub-process breakdowns
+the main-process totals, once per distinct value: a total whose terms
+all repeat along an axis (draw columns along time, per-period rows across
+scenarios) is summed over one column or one row, one cache-sized row
+block at a time, and then written out in full.  Each sub-process unit
+grid is summed per block into scratch space and folded straight into its
+total.  The per-sub-process breakdowns
 (``sp_unit_impacts``/``sp_unit_costs``) are computed, with the same
 steps, the first time they are read.  Evaluation runs on one thread; the
 ``threads`` argument is accepted and has no effect.
@@ -39,6 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import kernels
+from .kernels import _cache_blocks
 from .errors import InvalidModelError, MissingDataError, ShapeError, StaticModeError
 from .model import (
     DistributionAmount,
@@ -198,19 +202,6 @@ def _unit_operand(value, shape: tuple[int, int]):
 # ---------------------------------------------------------------------------
 # evaluation driver
 
-# Target bytes of one grid's row block.  Blocks keep the working set
-# cache-resident so every operand streams from memory once per evaluation
-# instead of once per accumulation step; cell values are unaffected because
-# each cell still sees the same operation sequence.
-_CACHE_BLOCK_BYTES = 256 * 1024
-
-
-def _cache_blocks(n_rows: int, n_timesteps: int) -> list[slice]:
-    """Consecutive row slices covering ``n_rows``, each about one cache block."""
-    block = max(1, _CACHE_BLOCK_BYTES // (n_timesteps * 8))
-    return [slice(start, min(start + block, n_rows)) for start in range(0, n_rows, block)]
-
-
 class _Accumulator:
     """One output grid as a sum of terms, with scalar terms folded.
 
@@ -220,15 +211,22 @@ class _Accumulator:
     main-process total), which is summed block by block into scratch
     space and never stored whole.  The constant is applied first, then
     the grid terms, so the per-cell operation sequence is fixed and
-    identical across block sizes.  An accumulator that never receives a
+    identical across block sizes.
+
+    ``compact_shape`` is the extent of the distinct values: per axis, 1
+    when every term repeats along it (a scalar, a length-1 axis or a
+    stride-0 axis, as in a draw column or a per-period row), else the axis
+    length.  The grid is summed over that shape only, so each distinct
+    cell value is computed once.  An accumulator that never receives a
     grid term stays virtual: its grid is a constant broadcast view and
     costs no memory or passes.
     """
 
-    __slots__ = ("shape", "const", "has_scalar_terms", "grid_terms")
+    __slots__ = ("shape", "compact_shape", "const", "has_scalar_terms", "grid_terms")
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = shape
+        self.compact_shape = (1, 1)
         self.const = 0.0
         self.has_scalar_terms = False
         self.grid_terms: list[tuple[object, object]] = []
@@ -236,6 +234,21 @@ class _Accumulator:
     def add(self, unit, exch) -> None:
         if isinstance(unit, _GRID_OPERANDS) or isinstance(exch, _GRID_OPERANDS):
             self.grid_terms.append((unit, exch))
+            rows, cols = self.compact_shape
+            for operand in (unit, exch):
+                if isinstance(operand, _Accumulator):
+                    op_rows, op_cols = operand.compact_shape
+                elif isinstance(operand, np.ndarray):  # of self.shape
+                    row_step, col_step = operand.strides
+                    op_rows = self.shape[0] if row_step else 1
+                    op_cols = self.shape[1] if col_step else 1
+                else:
+                    continue
+                if op_rows > rows:
+                    rows = op_rows
+                if op_cols > cols:
+                    cols = op_cols
+            self.compact_shape = (rows, cols)
         else:
             self.const += float(unit) * float(exch)
             self.has_scalar_terms = True
@@ -245,17 +258,19 @@ class _Accumulator:
         return not self.grid_terms
 
     def fill(self, out: Grid, rows: slice, scratch: Grid | None) -> None:
-        """Add this grid's ``rows`` into ``out``, a zeroed block of that height.
+        """Add this grid's ``rows`` into ``out``, a zeroed block of that
+        height whose width is at least this grid's compact width.
 
-        An accumulator operand is first summed into ``scratch``, which holds
-        at least as many rows.  Such operands nest one level deep (a unit
-        value inside a total), so they get no scratch of their own.
+        An accumulator operand is first summed into ``scratch``, a flat
+        buffer at least as large as ``out``.  Such operands nest one level
+        deep (a unit value inside a total), so they get no scratch of their
+        own.
         """
         if self.has_scalar_terms:
             kernels.add_const(out, self.const)
         for unit, exch in self.grid_terms:
-            unit = _operand_rows(unit, rows, scratch)
-            exch = _operand_rows(exch, rows, scratch)
+            unit = _operand_rows(unit, rows, out.shape, scratch)
+            exch = _operand_rows(exch, rows, out.shape, scratch)
             if isinstance(unit, np.ndarray) and isinstance(exch, np.ndarray):
                 kernels.add_product(out, unit, exch)
             elif isinstance(unit, np.ndarray):
@@ -263,30 +278,49 @@ class _Accumulator:
             else:
                 kernels.add_scaled(out, float(unit), exch)
 
-    def grid(self) -> Grid:
-        """The whole grid: a new array summed one row block at a time, or a
-        constant view when virtual."""
+    def compact(self) -> Grid:
+        """The distinct values: a new ``compact_shape`` array summed one row
+        block at a time, or a constant 1 x 1 view when virtual."""
         if self.is_virtual:
-            return np.broadcast_to(np.float64(self.const), self.shape)
-        out = np.zeros(self.shape, dtype=np.float64)
-        blocks = _cache_blocks(*self.shape)
-        scratch = np.empty((blocks[0].stop, self.shape[1]), dtype=np.float64)
+            return np.broadcast_to(np.float64(self.const), (1, 1))
+        out = np.zeros(self.compact_shape, dtype=np.float64)
+        blocks = _cache_blocks(*self.compact_shape)
+        scratch = np.empty(blocks[0].stop * self.compact_shape[1], dtype=np.float64)
         for rows in blocks:
             self.fill(out[rows], rows, scratch)
         return out
+
+    def spread(self, compact: Grid) -> Grid:
+        """``compact`` written out over the whole shape: a new writable
+        C-contiguous grid, or a constant view when virtual."""
+        if self.is_virtual:
+            return np.broadcast_to(compact, self.shape)
+        if compact.shape == self.shape:
+            return compact
+        out = np.empty(self.shape, dtype=np.float64)
+        out[...] = compact
+        return out
+
+    def grid(self) -> Grid:
+        """The whole grid, summed once per distinct value."""
+        return self.spread(self.compact())
 
 
 _GRID_OPERANDS = (np.ndarray, _Accumulator)
 
 
-def _operand_rows(operand, rows: slice, scratch: Grid):
+def _operand_rows(operand, rows: slice, shape: tuple[int, int], scratch: Grid):
+    """The operand's ``rows`` of a compact grid, as a ``shape`` block or a scalar."""
     if isinstance(operand, _Accumulator):
-        block = scratch[: rows.stop - rows.start]
+        n_rows, n_cols = operand.compact_shape
+        if n_rows == 1:
+            rows = slice(0, 1)
+        block = scratch[: (rows.stop - rows.start) * n_cols].reshape(-1, n_cols)
         block.fill(0.0)
         operand.fill(block, rows, None)
-        return block
+        return block if block.shape == shape else np.broadcast_to(block, shape)
     if isinstance(operand, np.ndarray):
-        return operand[rows]
+        return operand[rows, : shape[1]]
     return operand
 
 
@@ -365,18 +399,21 @@ def _evaluate(
     grid: ScenarioGrid,
     seed: int | None,
     categories: tuple[str, ...],
-) -> UnitResult:
+) -> tuple[UnitResult, dict]:
+    """The unit result, and each total's compact grid keyed by kind
+    (a category, or None for cost)."""
     kinds = (*categories, None)  # per category, then cost (kind None)
     *columns, _ = _resolved_columns(model, report, categories)
     flow_pairs = (zip(kinds, values) for values in zip(*columns))
     totals, sp_units, sp_exchange = _fold(model, grid, seed, kinds, flow_pairs)
     # Only the totals are summed here; each sub-process unit grid is
     # computed per row block inside them, and whole only when first read.
-    return UnitResult(
+    compact = {kind: totals[kind].compact() for kind in kinds}
+    unit = UnitResult(
         grid=grid,
         categories=categories,
-        impacts={cat: totals[cat].grid() for cat in categories},
-        cost=totals[None].grid(),
+        impacts={cat: totals[cat].spread(compact[cat]) for cat in categories},
+        cost=totals[None].spread(compact[None]),
         sp_unit_impacts=_LazyGrids({
             name: _LazyGrids({cat: units[cat] for cat in categories})
             for name, units in sp_units.items()
@@ -384,6 +421,7 @@ def _evaluate(
         sp_unit_costs=_LazyGrids({name: units[None] for name, units in sp_units.items()}),
         sp_exchange=sp_exchange,
     )
+    return unit, compact
 
 
 def _select_categories(model: ProcessModel, categories) -> tuple[str, ...]:
@@ -427,7 +465,7 @@ def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
                     "use run_matrix"
                 )
     report = _require_valid(model, db, grid=one if model.grid.shape != (1, 1) else None)
-    return _evaluate(model, report, one, None, cats)
+    return _evaluate(model, report, one, None, cats)[0]
 
 
 def run_matrix(
@@ -446,7 +484,7 @@ def run_matrix(
     compatibility and has no effect.
     """
     cats = _select_categories(model, categories)
-    return _evaluate(model, _require_valid(model, db), model.grid, seed, cats)
+    return _evaluate(model, _require_valid(model, db), model.grid, seed, cats)[0]
 
 
 def run_monte_carlo(
@@ -478,19 +516,28 @@ def run_monte_carlo(
             "model has no distribution amounts; Monte Carlo is degenerate",
             stacklevel=2,
         )
-    unit = _evaluate(model, report, mc_grid, seed, cats)
-    impact_stats = {cat: _summary_stats(unit.impacts[cat]) for cat in cats}
+    unit, compact = _evaluate(model, report, mc_grid, seed, cats)
+    impact_stats = {cat: _summary_stats(unit.impacts[cat], compact[cat]) for cat in cats}
     return MonteCarloResult(
         n_runs=n_runs,
         seed=seed,
         samples=unit,
         impact_stats=impact_stats,
-        cost_stats=_summary_stats(unit.cost),
+        cost_stats=_summary_stats(unit.cost, compact[None]),
     )
 
 
-def _summary_stats(samples: Grid) -> SummaryStats:
-    pcts = np.percentile(samples, [2.5, 50.0, 97.5], axis=0, method="linear")
+def _summary_stats(samples: Grid, compact: Grid) -> SummaryStats:
+    """Statistics over the runs (rows) of ``samples``, per time step.
+
+    A total that repeats along time has the same order statistics in
+    every column, so the percentiles come from ``compact``'s columns
+    over all runs.  Mean and sd are taken from ``samples``: NumPy sums a
+    whole grid's columns sequentially, a single column pairwise.
+    """
+    runs = np.broadcast_to(compact, (samples.shape[0], compact.shape[1]))
+    pcts = np.empty((3, samples.shape[1]), dtype=np.float64)
+    pcts[...] = np.percentile(runs, [2.5, 50.0, 97.5], axis=0, method="linear")
     return SummaryStats(
         mean=samples.mean(axis=0),
         sd=samples.std(axis=0, ddof=1),

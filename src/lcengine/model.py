@@ -237,19 +237,24 @@ def _check_amount(
     report: ValidationReport, location: str, amount: ExchangeAmount, grid: ScenarioGrid
 ) -> None:
     if isinstance(amount, MatrixAmount):
-        if amount.values.shape != grid.shape:
+        values = amount.values
+        # Two reductions, as in _production_problem: NaN propagates through
+        # min and max, so the element-wise scans run only when one is not finite.
+        lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
+        finite = math.isfinite(lo) and math.isfinite(hi)
+        if values.shape != grid.shape:
             report.add_error(
                 location,
-                f"matrix shape {amount.values.shape[0]}x{amount.values.shape[1]} "
+                f"matrix shape {values.shape[0]}x{values.shape[1]} "
                 f"does not match grid, expected "
                 f"{grid.n_scenarios}x{grid.n_timesteps}",
             )
-        elif np.any(amount.values < 0):
+        elif lo < 0 if finite else np.any(values < 0):
             report.add_warning(location, "negative exchange amounts (avoided flow?)")
-        if not np.all(np.isfinite(amount.values)):
+        if not finite:
             report.add_error(location, "matrix contains non-finite values")
     elif isinstance(amount, ScalarAmount):
-        if not np.isfinite(amount.value):
+        if not math.isfinite(amount.value):
             report.add_error(location, f"amount {amount.value} is not finite")
         elif amount.value < 0:
             report.add_warning(location, "negative exchange amount (avoided flow?)")
@@ -428,7 +433,24 @@ def validate_model(
             _check_flow_resolution(
                 report, loc, flow, model.categories, db, grid.n_timesteps, require_cost
             )
+    if db is not None:
+        width = len(model.categories) + 2  # per flow: the unit impacts, cost, emissions
+        _check_static_factors(report, db, report._resolved[width - 1::width])
     return report
+
+
+def _check_static_factors(report: ValidationReport, db: "UnitValueTable", emissions) -> None:
+    """Report each non-finite static factor: an impact in the database row
+    named after a substance that some flow emits (``emissions`` holds each
+    flow's per-unit emissions, None for an unresolved flow)."""
+    substances = dict.fromkeys(s for per_unit in emissions if per_unit for s in per_unit)
+    for substance in substances:
+        for cat, factor in db.static_factors(substance).items():
+            if not math.isfinite(factor):
+                report.add_error(
+                    f"substance {substance!r}",
+                    f"static factor {factor} for category {cat!r} is not finite",
+                )
 
 
 # ---------------------------------------------------------------------------

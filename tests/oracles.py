@@ -91,6 +91,16 @@ def oracle_convolve(row, taps) -> list[float]:
     return out
 
 
+def oracle_convolve_rows_into(out, em, kern) -> None:
+    """The whole-grid tap loop that ``kernels.convolve_rows_into`` replaced,
+    frozen as its bit reference: per tap k, in ascending order,
+    ``out[:, k:k+T] += kern[k] * em``."""
+    n_t = em.shape[1]
+    for k in range(kern.shape[0]):
+        target = out[:, k : k + n_t]
+        np.add(target, kern[k] * em, out=target)
+
+
 def oracle_npv(values, rate: float) -> float:
     total = 0.0
     for t, v in enumerate(values):

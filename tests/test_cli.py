@@ -62,6 +62,9 @@ NON_FINITE_UNIT_VALUES = [
                  "unit_impact: {GWP100: .nan, AP: 0.0}",
                  "flow 'co2_stack': unit impact nan for category 'GWP100' is not finite",
                  id="inline_unit_impact"),
+    pytest.param("background.csv", "NOx,,,0.9,,,", "NOx,,,nan,,,",
+                 "substance 'NOx': static factor nan for category 'AP' is not finite",
+                 id="db_static_factor"),
 ]
 
 # each command on the sample inputs, as (arguments, model file)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -29,10 +30,12 @@ from lcengine import (
 )
 from lcengine.engine import (
     _cache_blocks,
+    _evaluate,
     _exchange_operand,
     _unit_operand,
 )
 from lcengine.model import _resolved_columns
+from lcengine.sampler import stream_for_flow, stream_for_subprocess
 
 from conftest import db_with, empty_db, simple_model
 from modelgen import random_model
@@ -423,19 +426,25 @@ class TestBreakdownsOnFirstRead:
             sps.append(SubProcessDefinition(f"sp{i}", ScalarAmount(1.5), flows=flows))
         model = ProcessModel("many", tuple(sps), ScenarioGrid(n_s, n_t), ("a", "b", "c"))
         db = empty_db()
+
+        def live_grids():
+            """Live traced blocks that can hold a grid."""
+            return sum(t.size >= grid_bytes for t in tracemalloc.take_snapshot().traces)
+
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             unit = run_matrix(model, db)
-            after, peak = tracemalloc.get_traced_memory()
+            peak = tracemalloc.get_traced_memory()[1]
+            after = live_grids()
             unit.sp_unit_impacts["sp7"]["b"]
-            after_read = tracemalloc.get_traced_memory()[0]
+            after_read = live_grids()
         finally:
             tracemalloc.stop()
         # the four totals plus block-sized scratch, not 160 breakdown grids
         assert peak - before < 8 * grid_bytes
-        assert after - before < 5 * grid_bytes
-        assert after_read - after >= grid_bytes
+        assert after == 4
+        assert after_read == 5
 
 
 class TestRowBlocks:
@@ -445,6 +454,143 @@ class TestRowBlocks:
                 blocks = _cache_blocks(n_rows, n_timesteps)
                 covered = [i for b in blocks for i in range(b.start, b.stop)]
                 assert covered == list(range(n_rows))
+
+
+UNIFORM = DistributionAmount(DistributionSpec("uniform", (0.5, 2.0)))
+
+
+def _with_draws(model, every_flow):
+    """The model with a uniform amount on every flow, or on every other one."""
+    sps = tuple(
+        dataclasses.replace(sp, flows=tuple(
+            dataclasses.replace(f, amount=UNIFORM) if every_flow or i % 2 else f
+            for i, f in enumerate(sp.flows)))
+        for sp in model.subprocesses)
+    return dataclasses.replace(model, subprocesses=sps)
+
+
+def _materialised_total(model, db, kind, seed):
+    """A total from ``subprocess_aggregate``/``main_aggregate`` on C-contiguous
+    copies of every grid operand, so summed over the whole grid.  An
+    all-scalar sub-process enters as the scalar its fold gives."""
+    grid = model.grid
+    report = validate_model(model, db)
+    values = iter(_resolved_columns(model, report, [] if kind is None else [kind])[0])
+
+    def stream(make, *names):
+        return None if seed is None else make(seed, *names)
+
+    def whole(v):
+        return np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v
+
+    sp_terms, sp_exchanges = [], []
+    for sp in model.subprocesses:
+        units, exchanges = [], []
+        for flow in sp.flows:
+            units.append(whole(_unit_operand(next(values), grid.shape)))
+            exchanges.append(whole(_exchange_operand(
+                flow.amount, grid, stream(stream_for_flow, sp.name, flow.name))))
+        if any(isinstance(v, np.ndarray) for v in (*units, *exchanges)):
+            sp_terms.append(subprocess_aggregate(sp, units, exchanges))
+        else:
+            const = 0.0
+            for u, x in zip(units, exchanges):
+                const += float(u) * float(x)
+            sp_terms.append(const)
+        sp_exchanges.append(whole(_exchange_operand(
+            sp.amount, grid, stream(stream_for_subprocess, sp.name))))
+    if not any(isinstance(v, np.ndarray) for v in (*sp_terms, *sp_exchanges)):
+        return None  # a virtual total
+    return main_aggregate(sp_terms, sp_exchanges)
+
+
+class TestCompactShape:
+    """A total is summed once per distinct value, over its compact shape,
+    with the bits of the aggregators summed over the whole grid."""
+
+    @staticmethod
+    def _check(model, db, seed):
+        """Each total's compact shape, after checking the total's bits."""
+        cats = model.categories
+        unit, compact = _evaluate(model, validate_model(model, db), model.grid, seed, cats)
+        shapes = {}
+        for kind in (*cats, None):
+            total = unit.cost if kind is None else unit.impacts[kind]
+            expected = _materialised_total(model, db, kind, seed)
+            if expected is None:
+                assert total.strides == (0, 0) and compact[kind].shape == (1, 1)
+                continue
+            assert total.tobytes() == expected.tobytes()
+            assert total.flags.writeable and total.flags.c_contiguous
+            assert total.shape == model.grid.shape
+            shapes[kind] = compact[kind].shape
+        return shapes
+
+    def test_draw_columns_compact_to_runs(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            model, db, _ = random_model(rng, max_s=300, max_t=12, p_matrix=0.0,
+                                        with_overrides=False)
+            model = _with_draws(model, every_flow=True)
+            shapes = self._check(model, db, seed=5)
+            assert set(shapes.values()) == {(model.grid.n_scenarios, 1)}
+
+    def test_per_period_rows_compact_to_one_row(self):
+        rng = random.Random(12)
+        rows = 0
+        for _ in range(12):
+            model, db, _ = random_model(rng, max_s=300, max_t=12, p_matrix=0.0)
+            for shape in self._check(model, db, seed=None).values():
+                assert shape in {(1, 1), (1, model.grid.n_timesteps)}
+                rows += shape[1] > 1
+        assert rows > 3
+
+    def test_mixed_operands_use_the_full_shape(self):
+        rng = random.Random(13)
+        full = 0
+        for _ in range(12):
+            # up to 600 x 120 cells: several cache blocks per grid
+            model, db, _ = random_model(rng, max_s=600, max_t=120, p_matrix=0.3)
+            model = _with_draws(model, every_flow=False)
+            shapes = self._check(model, db, seed=9)
+            full += list(shapes.values()).count(model.grid.shape)
+        assert full > 5
+
+    def test_monte_carlo_stats_have_the_bits_of_the_whole_totals(self):
+        rng = random.Random(14)
+        for _ in range(6):
+            model, db, _ = random_model(rng, max_s=1, max_t=12, p_matrix=0.0)
+            model = _with_draws(model, every_flow=True)
+            mc = run_monte_carlo(model, db, n_runs=257, seed=3)
+            for stats, total in [*((mc.impact_stats[c], mc.samples.impacts[c])
+                                   for c in model.categories),
+                                 (mc.cost_stats, mc.samples.cost)]:
+                runs = np.ascontiguousarray(total)
+                pcts = np.percentile(runs, [2.5, 50.0, 97.5], axis=0, method="linear")
+                for got, want in [(stats.mean, runs.mean(axis=0)),
+                                  (stats.sd, runs.std(axis=0, ddof=1)),
+                                  (stats.p2_5, pcts[0]), (stats.p50, pcts[1]),
+                                  (stats.p97_5, pcts[2])]:
+                    assert got.shape == (model.grid.n_timesteps,)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_totals_are_writable_unless_virtual(self):
+        model, db, _ = random_model(random.Random(15), max_s=6, max_t=5, p_matrix=0.0,
+                                    with_overrides=False)
+        drawn = _with_draws(model, every_flow=True)
+        mc = run_monte_carlo(drawn, db, n_runs=8, seed=1)
+        emitting = dataclasses.replace(drawn, subprocesses=tuple(
+            dataclasses.replace(sp, flows=(dataclasses.replace(sp.flows[0], substance="CO2"),
+                                           *sp.flows[1:]))
+            for sp in drawn.subprocesses))
+        inventory = compute_inventory(emitting, db, seed=1)
+        assert list(inventory.emissions) == ["CO2"]
+        for total in (*mc.samples.impacts.values(), mc.samples.cost,
+                      *inventory.emissions.values()):
+            assert total.flags.writeable and total.flags.owndata
+            total[0, 0] = 1.0
+        unit = run_matrix(model, db)  # all scalar: constant views
+        assert all(not g.flags.writeable for g in (*unit.impacts.values(), unit.cost))
 
 
 class TestMonteCarlo:

@@ -29,6 +29,8 @@ from lcengine.sampler import SamplerStream, sample
 
 from conftest import db_with, empty_db, simple_model
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestScenarioGrid:
     def test_shape(self):
@@ -193,6 +195,27 @@ class TestValidation:
         assert any("length 2" in f.message and "expected 3" in f.message
                    for f in report.errors)
 
+    @pytest.mark.parametrize("values, findings", [
+        ([[1.0, -2.0]], [("warning", "negative exchange amounts (avoided flow?)")]),
+        ([[NAN, 2.0]], [("error", "matrix contains non-finite values")]),
+        ([[1.0, INF]], [("error", "matrix contains non-finite values")]),
+        ([[NAN, -2.0]], [("warning", "negative exchange amounts (avoided flow?)"),
+                         ("error", "matrix contains non-finite values")]),
+        ([[-INF, 2.0]], [("warning", "negative exchange amounts (avoided flow?)"),
+                         ("error", "matrix contains non-finite values")]),
+        ([[NAN], [-2.0]], [("error", "matrix shape 2x1 does not match grid, expected 1x2"),
+                           ("error", "matrix contains non-finite values")]),
+    ], ids=["negative", "nan", "inf", "nan_and_negative", "minus_inf", "shape_and_nan"])
+    def test_matrix_amount_findings(self, values, findings):
+        model = simple_model(n_timesteps=2, flow_amount=MatrixAmount(values))
+        report = validate_model(model, empty_db())
+        assert [(f.severity, f.message) for f in report.findings] == findings
+
+    def test_unused_static_factors_are_not_checked(self):
+        model, db = _truck_model()  # emits nothing
+        db = db_with({**db.rows, "CO2": BackgroundRow(flow="CO2", impacts={"GWP100": NAN})})
+        assert not validate_model(model, db).findings
+
     def test_validation_never_raises(self):
         model = simple_model(discount_rate=-1.0, flow_amount=-5.0)
         report = validate_model(model, None)
@@ -209,7 +232,13 @@ def _truck_model(**row):
     return ProcessModel("m", (sp,), ScenarioGrid(1, 1), ("GWP100",)), db_with({"truck_km": row})
 
 
-NAN, INF = float("nan"), float("inf")
+def _emitting_model(factor):
+    """_truck_model whose flow emits CO2, with a CO2 row holding ``factor``
+    as its static factor for GWP100."""
+    model, db = _truck_model(inventory={"CO2": 2.0})
+    co2 = BackgroundRow(flow="CO2", impacts={"GWP100": factor})
+    return model, db_with({**db.rows, "CO2": co2})
+
 
 # (model and database, the one finding's location and message)
 NON_FINITE_UNIT_VALUES = [
@@ -227,6 +256,8 @@ NON_FINITE_UNIT_VALUES = [
                  "unit impact nan for category 'GWP100' is not finite", id="inline_unit_impact"),
     pytest.param(lambda: (simple_model(unit_cost=-INF), empty_db()), "flow 'only_flow'",
                  "unit cost -inf is not finite", id="inline_unit_cost"),
+    pytest.param(lambda: _emitting_model(NAN), "substance 'CO2'",
+                 "static factor nan for category 'GWP100' is not finite", id="static_factor"),
 ]
 
 
