@@ -12,10 +12,10 @@ import argparse
 import csv
 import dataclasses
 import logging
+import math
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +30,7 @@ from .io import (
     _STATS,
     _grid_where,
     _payload_grids,
+    _write_files,
     export_results,
     import_results,
     load_background_db,
@@ -80,6 +81,8 @@ class RunConfig:
                 return f"--n-runs must be >= 2, got {self.n_runs}"
         if self.format not in ("json", "csv"):
             return f"--format must be json or csv, got {self.format!r}"
+        if self.rate is not None and not math.isfinite(self.rate):
+            return f"--rate must be finite, got {self.rate}"
         if self.rate is not None and self.rate < 0:
             return f"--rate must be >= 0, got {self.rate}"
         return None
@@ -232,27 +235,26 @@ def _summary_lines(payload) -> list[str]:
         if bad.size:
             s, t = bad[0]
             raise _NumericalFailure(f"{what} at scenario={s}, timestep={t} is {grid[s, t]}")
-    with np.errstate(all="ignore"):
-        if isinstance(payload, DynamicImpactResult):
-            return [f"  horizon: {payload.t_out} periods (model window + factor tail)"] + [
-                f"  {cat:<20} cumulative (scenario mean): " + _number(
-                    payload.cumulative[cat][:, -1].mean(), f"cumulative[{cat}] scenario mean")
-                for cat in payload.categories]
-        totals = [(what, name, _run_totals(what, grid)) for what, name, grid in sections]
-        if isinstance(payload, UnitResult):
-            label = "total" if unit.grid.n_scenarios == 1 else "total (scenario mean)"
-            return [f"  {name:<20} {label}: " + _number(runs.mean(), f"{what} {label}")
-                    for what, name, runs in totals]
-        lines = [f"  runs: {payload.n_runs}, seed: {payload.seed}"]
-        for what, name, runs in totals:
-            lo, mid, hi = np.percentile(runs, [2.5, 50.0, 97.5])
-            mean, sd, lo, mid, hi = (
-                _number(value, f"{what} run totals: {stat}") for stat, value in (
-                    ("mean", runs.mean()), ("sd", runs.std(ddof=1)),
-                    ("p2.5", lo), ("p50", mid), ("p97.5", hi)))
-            lines.append(f"  {name:<20} mean: {mean}  sd: {sd}  "
-                         f"[p2.5 {lo}, p50 {mid}, p97.5 {hi}]")
-        return lines
+    if isinstance(payload, DynamicImpactResult):
+        return [f"  horizon: {payload.t_out} periods (model window + factor tail)"] + [
+            f"  {cat:<20} cumulative (scenario mean): " + _number(
+                payload.cumulative[cat][:, -1].mean(), f"cumulative[{cat}] scenario mean")
+            for cat in payload.categories]
+    totals = [(what, name, _run_totals(what, grid)) for what, name, grid in sections]
+    if isinstance(payload, UnitResult):
+        label = "total" if unit.grid.n_scenarios == 1 else "total (scenario mean)"
+        return [f"  {name:<20} {label}: " + _number(runs.mean(), f"{what} {label}")
+                for what, name, runs in totals]
+    lines = [f"  runs: {payload.n_runs}, seed: {payload.seed}"]
+    for what, name, runs in totals:
+        lo, mid, hi = np.percentile(runs, [2.5, 50.0, 97.5])
+        mean, sd, lo, mid, hi = (
+            _number(value, f"{what} run totals: {stat}") for stat, value in (
+                ("mean", runs.mean()), ("sd", runs.std(ddof=1)),
+                ("p2.5", lo), ("p50", mid), ("p97.5", hi)))
+        lines.append(f"  {name:<20} mean: {mean}  sd: {sd}  "
+                     f"[p2.5 {lo}, p50 {mid}, p97.5 {hi}]")
+    return lines
 
 
 def _indicator_lines(indicators, rate: float) -> list[str]:
@@ -405,102 +407,76 @@ def _input_hashes(config: RunConfig, model: ProcessModel) -> dict:
 # ---------------------------------------------------------------------------
 # report
 
-@contextmanager
-def _csv_file(path: Path, header: list[str]):
-    """A plot-data CSV, open for writing after its header row; its directory
-    is made with the first file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        yield fh
+def _csv_table(header: str, grids):
+    """A plot-data writer: the header line, then each (lead, grid) of ``grids`` in CSV lines."""
+    def write(fh) -> None:
+        fh.write(header + "\n")
+        for lead, grid in grids:
+            write_csv_grid(fh, lead, grid)
+    return write
 
 
 def _contributions(unit: UnitResult, mean_over_runs: bool):
-    """Each sub-process's term of each category and of cost, or its mean
-    over runs, as (row key, term); computed on demand."""
+    """Each sub-process's term of each category and of cost, or its mean over
+    runs, as (row key, term); a non-finite term (a finite breakdown times a
+    finite exchange can overflow) is a numerical failure."""
     for sp in unit.sp_unit_costs:
         for kind, cat, _ in _sections(unit):
             term = (unit.contribution_impact(sp, cat) if kind == "impact"
                     else unit.contribution_cost(sp))
-            yield (kind, cat, sp), term.mean(axis=0) if mean_over_runs else term
-
-
-def _check_contributions(unit: UnitResult, mean_over_runs: bool) -> None:
-    """A finite breakdown times a finite exchange can overflow, so every
-    term is checked before any plot file is written."""
-    with np.errstate(all="ignore"):
-        for (kind, cat, sp), term in _contributions(unit, mean_over_runs):
+            if mean_over_runs:
+                term = term.mean(axis=0)
             bad = term[~np.isfinite(term)]
             if bad.size:
                 raise _NumericalFailure(
                     f"contribution of sub-process {sp!r} to {_label(kind, cat)} is {bad[0]}")
+            yield (kind, cat, sp), term
 
 
-def _plot_data_unit(unit: UnitResult, out_dir: Path) -> list[Path]:
-    _check_contributions(unit, False)
-    impact_path = out_dir / "impact_over_time.csv"
-    with _csv_file(impact_path, ["kind", "category", "scenario", "timestep", "value"]) as fh:
-        for kind, cat, grid in _sections(unit):
-            write_csv_grid(fh, (kind, cat), grid)
-
-    contrib_path = out_dir / "contributions.csv"
-    with _csv_file(contrib_path,
-                   ["kind", "category", "subprocess", "scenario", "timestep", "value"]) as fh:
-        for key, term in _contributions(unit, False):
-            write_csv_grid(fh, key, term)
-    return [impact_path, contrib_path]
-
-
-def _histogram_rows(mc: MonteCarloResult) -> list[list]:
+def _write_histograms(unit: UnitResult, fh) -> None:
     """50-bin histograms of the per-run totals of each category and of cost."""
-    rows = []
-    for kind, cat, grid in _sections(mc.samples):
+    fh.write("kind,category,bin_left,bin_right,count\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    for kind, cat, grid in _sections(unit):
         try:
-            with np.errstate(all="ignore"):
-                counts, edges = np.histogram(grid.sum(axis=1), bins=50)
+            counts, edges = np.histogram(grid.sum(axis=1), bins=50)
         except ValueError as exc:  # a range too narrow or too wide for 50 float bins
             raise _NumericalFailure(
                 f"histogram of {_label(kind, cat)} run totals: {exc}") from None
-        for i, count in enumerate(counts):
-            rows.append([kind, cat, repr(float(edges[i])), repr(float(edges[i + 1])), int(count)])
-    return rows
+        writer.writerows([kind, cat, repr(float(edges[i])), repr(float(edges[i + 1])), int(count)]
+                         for i, count in enumerate(counts))
 
 
-def _plot_data_mc(mc: MonteCarloResult, out_dir: Path) -> list[Path]:
-    hist_rows = _histogram_rows(mc)  # before any file, so a failure writes none
-    _check_contributions(mc.samples, True)
-    impact_path = out_dir / "impact_over_time.csv"
-    with _csv_file(impact_path, ["kind", "category", "stat", "timestep", "value"]) as fh:
-        for kind, cat, _ in _sections(mc.samples):
-            stats = mc.impact_stats[cat] if kind == "impact" else mc.cost_stats
-            for label, attr in _STATS:
-                write_csv_grid(fh, (kind, cat, label), getattr(stats, attr))
-
-    hist_path = out_dir / "histograms.csv"
-    with _csv_file(hist_path, ["kind", "category", "bin_left", "bin_right", "count"]) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(hist_rows)
-
-    contrib_path = out_dir / "contributions.csv"
-    with _csv_file(contrib_path, ["kind", "category", "subprocess", "timestep", "value"]) as fh:
-        for key, term in _contributions(mc.samples, True):
-            write_csv_grid(fh, key, term)
-    return [impact_path, hist_path, contrib_path]
-
-
-def _plot_data_dynamic(dyn: DynamicImpactResult, out_dir: Path) -> list[Path]:
-    impact_path = out_dir / "impact_over_time.csv"
-    cum_path = out_dir / "cumulative.csv"
-    for path, grids in ((impact_path, dyn.impacts), (cum_path, dyn.cumulative)):
-        with _csv_file(path, ["category", "scenario", "timestep", "value"]) as fh:
-            for cat, grid in grids.items():
-                write_csv_grid(fh, (cat,), grid)
-
-    contrib_path = out_dir / "contributions.csv"
-    with _csv_file(contrib_path, ["substance", "category", "scenario", "timestep", "value"]) as fh:
-        for sub, per_cat in dyn.contributions.items():
-            for cat, grid in per_cat.items():
-                write_csv_grid(fh, (sub, cat), grid)
-    return [impact_path, cum_path, contrib_path]
+def _plot_files(payload) -> dict:
+    """The --plot-data files of a result, name -> writer, in the order written:
+    so a failing histogram is reported before a failing contribution."""
+    if isinstance(payload, DynamicImpactResult):
+        return {
+            "impact_over_time.csv": _csv_table("category,scenario,timestep,value", (
+                ((cat,), grid) for cat, grid in payload.impacts.items())),
+            "cumulative.csv": _csv_table("category,scenario,timestep,value", (
+                ((cat,), grid) for cat, grid in payload.cumulative.items())),
+            "contributions.csv": _csv_table("substance,category,scenario,timestep,value", (
+                ((sub, cat), grid) for sub, per_cat in payload.contributions.items()
+                for cat, grid in per_cat.items())),
+        }
+    if isinstance(payload, MonteCarloResult):
+        unit = payload.samples
+        stats = {"impact": payload.impact_stats, "cost": {"": payload.cost_stats}}
+        return {
+            "impact_over_time.csv": _csv_table("kind,category,stat,timestep,value", (
+                ((kind, cat, label), getattr(stats[kind][cat], attr))
+                for kind, cat, _ in _sections(unit) for label, attr in _STATS)),
+            "histograms.csv": lambda fh: _write_histograms(unit, fh),
+            "contributions.csv": _csv_table("kind,category,subprocess,timestep,value",
+                                            _contributions(unit, True)),
+        }
+    return {
+        "impact_over_time.csv": _csv_table("kind,category,scenario,timestep,value", (
+            ((kind, cat), grid) for kind, cat, grid in _sections(payload))),
+        "contributions.csv": _csv_table("kind,category,subprocess,scenario,timestep,value",
+                                        _contributions(payload, False)),
+    }
 
 
 def _check_grids(rs) -> None:
@@ -515,6 +491,8 @@ def _check_grids(rs) -> None:
                 f"{_grid_where(section, name, category)} at {cell} is {grid[at]}")
 
 
+# like run, report checks each number it prints or writes (see cmd_run)
+@np.errstate(all="ignore")
 def cmd_report(result_path: str, plot_data: str | None = None) -> int:
     try:
         rs = import_results(result_path)
@@ -536,21 +514,17 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
 
     if plot_data:
         out_dir = Path(plot_data)
+        files = _plot_files(rs.payload)
         try:
-            if isinstance(rs.payload, MonteCarloResult):
-                written = _plot_data_mc(rs.payload, out_dir)
-            elif isinstance(rs.payload, UnitResult):
-                written = _plot_data_unit(rs.payload, out_dir)
-            else:
-                written = _plot_data_dynamic(rs.payload, out_dir)
+            _write_files(out_dir, files)
         except _NumericalFailure as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         except OSError as exc:
             print(f"error: cannot write plot data to {out_dir}: {exc}", file=sys.stderr)
             return EXIT_IO
-        for path in written:
-            print(f"plot data written to: {path}")
+        for name in files:
+            print(f"plot data written to: {out_dir / name}")
     return EXIT_OK
 
 

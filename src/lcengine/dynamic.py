@@ -167,7 +167,8 @@ def run_dynamic(
     Per substance and category the richest available data wins:
     annual-step factors first, then fixed-horizon factors, then a static
     factor looked up from the background database row named after the
-    substance.  A substance with none of the three is an error.
+    substance.  A substance with none of the three is an error, and so is
+    a requested category that no emitted substance has a factor for.
     """
     inventory = compute_inventory(model, db, seed=seed)
 
@@ -194,6 +195,11 @@ def run_dynamic(
         jobs += [(substance, cat, mode, data) for cat, (mode, data) in sources.items()]
 
     if categories is not None:
+        found = {cat for _, cat, _, _ in jobs}
+        missing = [c for c in categories if c not in found]
+        if missing:
+            raise MissingDataError(
+                f"categories with no factor for any emitted substance: {missing}")
         wanted = set(categories)
         jobs = [j for j in jobs if j[1] in wanted]
 

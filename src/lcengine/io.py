@@ -34,10 +34,13 @@ import io as _io
 import itertools
 import json
 import math
+import os
+import shutil
+import tempfile
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -1112,27 +1115,53 @@ def _import_csv(path: str, lines) -> ResultSet:
     return ResultSet(meta=meta, payload_type=payload_type, payload=payload)
 
 
+def _export_json(rs: ResultSet, fh) -> None:
+    _write_json(fh, {"schema_version": RESULT_SCHEMA_VERSION, "meta": rs.meta,
+                     "payload_type": rs.payload_type,
+                     "payload": _json_payload(rs.payload_type, rs.payload)})
+    fh.write("\n")
+
+
 def export_results(rs: ResultSet, format: str, path) -> None:
     """Write a result set as JSON (full fidelity) or long-format CSV.
 
     Both formats re-import bit-exactly; exporting the imported set again
-    produces a byte-identical file.
+    produces a byte-identical file.  It appears whole or not at all, in
+    missing directories too; a symlink at ``path`` is written through.
     """
-    if format == "json":
-        doc = {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "meta": rs.meta,
-            "payload_type": rs.payload_type,
-            "payload": _json_payload(rs.payload_type, rs.payload),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_json(fh, doc)
-            fh.write("\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _export_csv(rs, fh)
-    else:
+    exporters = {"json": _export_json, "csv": _export_csv}
+    if format not in exporters:
         raise ValueError(f"unknown format {format!r}; use 'json' or 'csv'")
+    path = Path(path).resolve()
+    _write_files(path.parent, {path.name: lambda fh: exporters[format](rs, fh)})
+
+
+def _write_files(directory, writers: Mapping[str, Callable]) -> None:
+    """Write the files ``name -> writer(fh)`` into ``directory``, all or none.
+
+    The writers fill UTF-8 files, in table order, in a scratch directory
+    ``.lcengine-*`` on the same filesystem; only then are the files renamed
+    into place, or a missing ``directory`` (ancestors made first) with them.
+    """
+    directory = Path(directory).resolve()
+    new = not directory.is_dir()
+    if new:
+        directory.parent.mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix=".lcengine-",
+                                    dir=directory.parent if new else directory))
+    stage = scratch / "staged"  # mkdir gives the umask's mode; mkdtemp's own is 0700
+    try:
+        stage.mkdir()
+        for name, write in writers.items():
+            with open(stage / name, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        if new:
+            os.rename(stage, directory)
+        else:
+            for name in writers:
+                os.replace(stage / name, directory / name)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _grids_hook(obj: dict) -> dict:

@@ -397,7 +397,12 @@ def validate_model(
 
     if not model.subprocesses:
         report.add_error(f"model {model.name!r}", "model has no sub-processes")
-    if model.discount_rate < 0:
+    if not math.isfinite(model.discount_rate):
+        report.add_error(
+            f"model {model.name!r}",
+            f"discount_rate must be finite, got {model.discount_rate}",
+        )
+    elif model.discount_rate < 0:
         report.add_error(
             f"model {model.name!r}",
             f"discount_rate must be >= 0, got {model.discount_rate}",

@@ -82,7 +82,7 @@ class DistributionSpec:
         return self.parameters[_PARAM_NAMES[self.kind].index(name)]
 
     def mean(self) -> float:
-        """Analytic mean, used for summaries and degenerate checks."""
+        """Analytic mean of the distribution; the program itself never calls it."""
         p = self.parameters
         if self.kind == "point":
             return p[0]

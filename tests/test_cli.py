@@ -1,12 +1,17 @@
 import csv
+import errno
 import hashlib
+import itertools
 import json
+import os
+import stat
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lcengine import export_results
 from lcengine.cli import main
 
 SAMPLES = Path(__file__).parent.parent / "sample_models"
@@ -25,6 +30,10 @@ def run_cli(*argv):
 STRUCTURAL_ERRORS = [
     pytest.param("discount_rate: 0.05", "discount_rate: -0.05",
                  "discount_rate must be >= 0", id="negative_rate"),
+    pytest.param("discount_rate: 0.05", "discount_rate: .nan",
+                 "discount_rate must be finite, got nan", id="nan_rate"),
+    pytest.param("discount_rate: 0.05", "discount_rate: .inf",
+                 "discount_rate must be finite, got inf", id="infinite_rate"),
     pytest.param("name: boiler_operation", "name: fuel_supply",
                  "duplicate sub-process name", id="duplicate_subprocess"),
     pytest.param("production: [450, 450, 450, 450, 450]", "production: [450, 450]",
@@ -287,6 +296,26 @@ subprocesses:
                      "--output", str(out))
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err.startswith("error: economic indicators: ")
+
+    @pytest.mark.parametrize("rate, problem", [
+        ("nan", "--rate must be finite, got nan"),
+        ("inf", "--rate must be finite, got inf"),
+        ("-0.5", "--rate must be >= 0, got -0.5"),
+    ])
+    def test_bad_rate_is_usage_error_before_writing(self, tmp_path, capsys, rate, problem):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static", "--rate", rate,
+                     "--output", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == f"usage error: {problem}\n"
+
+    def test_dynamic_category_without_factors_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "dynamic", "--dcf", DCF,
+                     "--categories", "NOPE", "--output", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: categories with no factor for any emitted substance: ['NOPE']\n")
 
     def test_negative_threads_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -614,3 +643,160 @@ class TestReportCommand:
         assert run_cli("report", str(out), "--plot-data", str(blocker)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write plot data") and "Traceback" not in err
+
+
+def _scratch_entries(*dirs):
+    return [p for d in dirs for p in Path(d).rglob(".lcengine-*")]
+
+
+@pytest.fixture
+def enospc(monkeypatch):
+    """``enospc(n)``: the n-th grid written from now on (counting from 0)
+    fails with ENOSPC after earlier grids have reached the file."""
+    import lcengine.io
+
+    def fail_at(n):
+        real = lcengine.io._grid_blocks
+        calls = itertools.count()
+
+        def blocks(*args, **kwargs):
+            if next(calls) == n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            yield from real(*args, **kwargs)
+
+        monkeypatch.setattr(lcengine.io, "_grid_blocks", blocks)
+    return fail_at
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+class TestOutputFiles:
+    """Result and plot files appear complete or not at all."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_write_error_keeps_the_previous_result(self, tmp_path, capsys, enospc, fmt):
+        out = tmp_path / f"r.{fmt}"
+        out.write_bytes(b"the previous result\n")
+        enospc(2)
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
+                     "--format", fmt, "--output", str(out))
+        assert rc == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"error: cannot write {out}: [Errno {errno.ENOSPC}] ")
+        assert out.read_bytes() == b"the previous result\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name]
+
+    @pytest.mark.parametrize("kind, fail_at", [("unit", 4), ("monte_carlo", 16), ("dynamic", 5)])
+    def test_write_error_leaves_no_plot_directory(self, tmp_path, capsys, sample_results,
+                                                  enospc, kind, fail_at):
+        path = tmp_path / "r.json"
+        export_results(sample_results[kind], "json", path)
+        plots = tmp_path / "plots"
+        enospc(fail_at)
+        assert run_cli("report", str(path), "--plot-data", str(plots)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write plot data to {plots}: [Errno {errno.ENOSPC}]")
+        assert not plots.exists()
+        assert not _scratch_entries(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["unit", "monte_carlo", "dynamic"])
+    def test_write_error_keeps_an_existing_plot_directory(self, tmp_path, capsys,
+                                                          sample_results, enospc, kind):
+        path = tmp_path / "r.json"
+        export_results(sample_results[kind], "json", path)
+        plots = tmp_path / "plots"
+        plots.mkdir()
+        (plots / "impact_over_time.csv").write_text("an earlier plot\n")
+        (plots / "notes.txt").write_text("kept\n")
+        enospc(3)
+        assert run_cli("report", str(path), "--plot-data", str(plots)) == 2
+        assert {p.name: p.read_text() for p in plots.iterdir()} == {
+            "impact_over_time.csv": "an earlier plot\n", "notes.txt": "kept\n"}
+        assert not _scratch_entries(tmp_path)
+
+    def test_existing_plot_directory_gets_new_files_beside_its_own(self, tmp_path,
+                                                                   sample_results):
+        path = tmp_path / "r.json"
+        export_results(sample_results["unit"], "json", path)
+        plots = tmp_path / "plots"
+        assert run_cli("report", str(path), "--plot-data", str(plots)) == 0
+        fresh = {p.name: p.read_bytes() for p in plots.iterdir()}
+        (plots / "impact_over_time.csv").write_text("an earlier plot\n")
+        (plots / "notes.txt").write_text("kept\n")
+        assert run_cli("report", str(path), "--plot-data", str(plots)) == 0
+        assert {p.name: p.read_bytes() for p in plots.iterdir()} == {**fresh, "notes.txt": b"kept\n"}
+        assert not _scratch_entries(tmp_path)
+
+    def test_numerical_failure_keeps_an_existing_plot_directory(self, tmp_path, capsys):
+        path = _csv_result_with(tmp_path, "montecarlo", {
+            ("sp_unit_impact", "fuel_supply", "GWP100", 0, 2): 1e308,
+            ("sp_exchange", "fuel_supply", "", 0, 2): 2.0,
+        })
+        plots = tmp_path / "plots"
+        plots.mkdir()
+        (plots / "histograms.csv").write_text("an earlier plot\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("report", str(path), "--plot-data", str(plots)) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: contribution of ")
+        assert [(p.name, p.read_text()) for p in plots.iterdir()] == [
+            ("histograms.csv", "an earlier plot\n")]
+        assert not _scratch_entries(tmp_path)
+
+    def test_missing_directories_are_created_with_umask_modes(self, tmp_path, umask_022):
+        out = tmp_path / "new" / "deeper" / "r.json"
+        assert run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
+                       "--output", str(out)) == 0
+        plots = tmp_path / "more" / "plots"
+        assert run_cli("report", str(out), "--plot-data", str(plots)) == 0
+        modes = {p.relative_to(tmp_path).as_posix(): stat.S_IMODE(p.stat().st_mode)
+                 for p in tmp_path.rglob("*")}
+        assert modes == {
+            "new": 0o755, "new/deeper": 0o755, "new/deeper/r.json": 0o644,
+            "more": 0o755, "more/plots": 0o755,
+            "more/plots/impact_over_time.csv": 0o644, "more/plots/contributions.csv": 0o644,
+        }
+
+    def test_replaced_result_is_a_new_file_with_umask_mode(self, tmp_path, umask_022):
+        out = tmp_path / "r.json"
+        out.write_text("old")
+        out.chmod(0o600)
+        assert run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
+                       "--output", str(out)) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert out.read_text().startswith("{")
+
+    def test_symlinked_result_is_written_through(self, tmp_path):
+        target = tmp_path / "store" / "r.json"
+        target.parent.mkdir()
+        target.write_text("old")
+        link = tmp_path / "r.json"
+        link.symlink_to(target)
+        assert run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
+                       "--output", str(link)) == 0
+        assert link.is_symlink() and target.read_text().startswith("{")
+        assert not _scratch_entries(tmp_path)
+
+    def test_output_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
+                     "--output", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert list(out.iterdir()) == [] and not _scratch_entries(tmp_path)
+
+    def test_plot_directory_under_a_file_exits_2_and_creates_nothing(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static",
+                       "--output", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("report", str(out), "--plot-data", str(out / "plots")) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write plot data to ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]

@@ -209,6 +209,14 @@ class TestRunDynamic:
         with pytest.raises(MissingDataError, match="SF6"):
             run_dynamic(model, db_with({}), [])
 
+    def test_requested_category_without_factors_is_error(self, heatplant, background_db,
+                                                         dcf_tables):
+        with pytest.raises(MissingDataError, match=r"\['NOPE', 'ALSO_NOT'\]"):
+            run_dynamic(heatplant, background_db, dcf_tables,
+                        categories=("NOPE", "GWP100", "ALSO_NOT"))
+        result = run_dynamic(heatplant, background_db, dcf_tables, categories=("AP",))
+        assert result.categories == ("AP",)
+
     def test_cumulative_is_prefix_sum_and_nondecreasing(self, heatplant, background_db,
                                                         dcf_tables):
         result = run_dynamic(heatplant, background_db, dcf_tables)

@@ -641,6 +641,34 @@ class TestMonteCarlo:
         # f2 has zero unit values, so any change would come from draw coupling
         assert np.array_equal(a.samples.impacts["c"], b.samples.impacts["c"])
 
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_first_runs_have_the_bits_of_a_shorter_call(self, seed):
+        def flow(name, kind, params, impact):
+            return FlowDefinition(name, "inflow", DistributionAmount(DistributionSpec(kind, params)),
+                                  inline_unit_impact={"GWP100": impact, "AP": impact / 7},
+                                  inline_unit_cost=impact + 1.0)
+
+        sp = SubProcessDefinition(
+            "plant", DistributionAmount(DistributionSpec("uniform", (0.5, 1.5))), flows=(
+                flow("a", "uniform", (1.0, 2.0), 0.3),
+                flow("b", "normal", (5.0, 0.5), 1.7),
+                flow("c", "triangular", (0.0, 1.0, 3.0), 2.2),
+                flow("d", "lognormal", (0.0, 0.4), 0.9),
+            ))
+        model = ProcessModel("m", (sp,), ScenarioGrid(1, 3), ("GWP100", "AP"))
+
+        def grids(mc):
+            unit = mc.samples
+            return [*unit.impacts.values(), unit.cost, unit.sp_exchange["plant"],
+                    *unit.sp_unit_impacts["plant"].values(), unit.sp_unit_costs["plant"]]
+
+        whole = grids(run_monte_carlo(model, empty_db(), n_runs=5000, seed=seed))
+        prefix = grids(run_monte_carlo(model, empty_db(), n_runs=100, seed=seed))
+        assert len(whole) == len(prefix) == 7
+        for long, short in zip(whole, prefix):
+            assert long[:100].tobytes() == short[:100].tobytes()
+            assert short.shape[0] in (1, 100)
+
     def test_n_runs_validation(self):
         model = simple_model()
         with pytest.raises(ValueError):

@@ -146,6 +146,16 @@ class TestValidation:
         report = validate_model(model, empty_db())
         assert not report.is_valid
 
+    @pytest.mark.parametrize("rate, problem", [
+        (float("nan"), "must be finite, got nan"),
+        (float("inf"), "must be finite, got inf"),
+        (float("-inf"), "must be finite, got -inf"),
+        (-0.1, "must be >= 0, got -0.1"),
+    ])
+    def test_discount_rate_must_be_finite_and_not_negative(self, rate, problem):
+        report = validate_model(simple_model(discount_rate=rate), empty_db())
+        assert [f.message for f in report.errors] == [f"discount_rate {problem}"]
+
     def test_duplicate_names_rejected(self):
         flow = FlowDefinition(name="f", direction="inflow", amount=ScalarAmount(1.0),
                               inline_unit_impact={"GWP100": 1.0}, inline_unit_cost=0.0)
