@@ -222,10 +222,13 @@ def run_dynamic(
         else:
             term = characterize_static_at_emission(em, data)
         term = _pad_to(term, t_out)
-        if cat not in impacts:
+        if cat in impacts:
+            impacts[cat] += term
+        else:
+            # a zeroed grid plus the term, in one pass and a new array:
+            # term + 0.0 turns -0.0 into 0.0 as 0.0 + term does
             cats.append(cat)
-            impacts[cat] = np.zeros((inventory.grid.n_scenarios, t_out), dtype=np.float64)
-        impacts[cat] += term
+            impacts[cat] = term + 0.0
         contributions.setdefault(substance, {})[cat] = term
 
     cumulative = {cat: np.cumsum(grid, axis=1) for cat, grid in impacts.items()}

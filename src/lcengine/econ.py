@@ -17,6 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
+from .model import _read_only_float64
+
+
+def _frozen_series(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 1-D array, raveled."""
+    arr = _read_only_float64(values)
+    return arr if arr.ndim == 1 else arr.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,14 +34,26 @@ class CashFlowSeries:
     rate: float = 0.0
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64).ravel())
-        arr.flags.writeable = False
+        arr = _frozen_series(self.values)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "rate", float(self.rate))
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("cash flow values must be finite")
         if not math.isfinite(self.rate) or self.rate <= -1.0:
             raise ValueError(f"discount rate must be finite and > -1, got {self.rate}")
+
+
+def _production_values(values) -> np.ndarray:
+    """``values`` as a frozen series, after checking that every value is
+    finite and non-negative."""
+    arr = _frozen_series(values)
+    # two reductions: NaN propagates through min and max
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("production values must be finite")
+    if lo < 0:
+        raise ValueError("production values must be non-negative")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +63,7 @@ class ProductionSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64).ravel())
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("production values must be finite")
-        if np.any(arr < 0):
-            raise ValueError("production values must be non-negative")
+        object.__setattr__(self, "values", _production_values(self.values))
 
 
 def _discounted_sum(values: np.ndarray, rate: float) -> float:
@@ -175,23 +188,23 @@ def discounted_cost_result(
     grid = np.asarray(unit_cost_grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ShapeError(f"cost grid must be 2-D, got ndim={grid.ndim}")
-    if not isinstance(production, ProductionSeries):
-        production = ProductionSeries(np.asarray(production, dtype=np.float64))
-    if production.values.shape[0] != grid.shape[1]:
+    quantity = (production.values if isinstance(production, ProductionSeries)
+                else _production_values(production))
+    if quantity.shape[0] != grid.shape[1]:
         raise ShapeError(
-            f"production has {production.values.shape[0]} periods, "
+            f"production has {quantity.shape[0]} periods, "
             f"cost grid has {grid.shape[1]} columns"
         )
     n_s = grid.shape[0]
     if n_s == 0:
         return ScenarioIndicators(npv=np.empty(0), msp=np.empty(0), lcoe=np.empty(0))
     # the checks CashFlowSeries and minimum_selling_price make on each row
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise ValueError("cash flow values must be finite")
     rate = float(rate)
     if not math.isfinite(rate) or rate <= -1.0:
         raise ValueError(f"discount rate must be finite and > -1, got {rate}")
-    denom = _discounted_sum(production.values, rate)
+    denom = _discounted_sum(quantity.tolist(), rate)  # Python floats: the same bits
     if denom <= 0.0:
         raise ZeroDivisionError(
             f"minimum_selling_price: discounted production is {denom}, must be > 0"

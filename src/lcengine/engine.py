@@ -199,6 +199,12 @@ def _unit_operand(value, shape: tuple[int, int]):
     return value
 
 
+def _constant_grid(value, shape: tuple[int, int]) -> Grid:
+    """A read-only grid whose every cell is ``value``: the zero-stride view
+    ``np.broadcast_to`` makes of a scalar, built without its overhead."""
+    return np.ndarray(shape, np.float64, np.float64(value), 0, (0, 0))
+
+
 # ---------------------------------------------------------------------------
 # evaluation driver
 
@@ -213,77 +219,78 @@ class _Accumulator:
     the grid terms, so the per-cell operation sequence is fixed and
     identical across block sizes.
 
+    Each grid term is kept as ``(scale, grid, other)``: ``scale`` times
+    ``grid`` when one operand is a scalar, else ``grid`` times ``other``
+    (``scale`` None), so summing it takes one dispatch.
+
     ``compact_shape`` is the extent of the distinct values: per axis, 1
     when every term repeats along it (a scalar, a length-1 axis or a
     stride-0 axis, as in a draw column or a per-period row), else the axis
     length.  The grid is summed over that shape only, so each distinct
     cell value is computed once.  An accumulator that never receives a
-    grid term stays virtual: its grid is a constant broadcast view and
+    grid term stays virtual: its grid is a constant view of ``const`` and
     costs no memory or passes.
     """
 
-    __slots__ = ("shape", "compact_shape", "const", "has_scalar_terms", "grid_terms")
+    __slots__ = ("shape", "compact_shape", "const", "grid_terms")
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = shape
         self.compact_shape = (1, 1)
         self.const = 0.0
-        self.has_scalar_terms = False
-        self.grid_terms: list[tuple[object, object]] = []
+        self.grid_terms: list[tuple[float | None, object, object]] = []
 
     def add(self, unit, exch) -> None:
-        if isinstance(unit, _GRID_OPERANDS) or isinstance(exch, _GRID_OPERANDS):
-            self.grid_terms.append((unit, exch))
-            rows, cols = self.compact_shape
-            for operand in (unit, exch):
-                if isinstance(operand, _Accumulator):
-                    op_rows, op_cols = operand.compact_shape
-                elif isinstance(operand, np.ndarray):  # of self.shape
-                    row_step, col_step = operand.strides
-                    op_rows = self.shape[0] if row_step else 1
-                    op_cols = self.shape[1] if col_step else 1
-                else:
-                    continue
-                if op_rows > rows:
-                    rows = op_rows
-                if op_cols > cols:
-                    cols = op_cols
-            self.compact_shape = (rows, cols)
+        if isinstance(unit, _GRID_OPERANDS):
+            term = ((None, unit, exch) if isinstance(exch, _GRID_OPERANDS)
+                    else (float(exch), unit, None))
+        elif isinstance(exch, _GRID_OPERANDS):
+            term = (float(unit), exch, None)
         else:
             self.const += float(unit) * float(exch)
-            self.has_scalar_terms = True
-
-    @property
-    def is_virtual(self) -> bool:
-        return not self.grid_terms
+            return
+        self.grid_terms.append(term)
+        rows, cols = self.compact_shape
+        for operand in term[1:]:
+            if isinstance(operand, _Accumulator):
+                op_rows, op_cols = operand.compact_shape
+            elif operand is None:
+                continue
+            else:  # an array of self.shape
+                row_step, col_step = operand.strides
+                op_rows = self.shape[0] if row_step else 1
+                op_cols = self.shape[1] if col_step else 1
+            if op_rows > rows:
+                rows = op_rows
+            if op_cols > cols:
+                cols = op_cols
+        self.compact_shape = (rows, cols)
 
     def fill(self, out: Grid, rows: slice, scratch: Grid | None) -> None:
-        """Add this grid's ``rows`` into ``out``, a zeroed block of that
-        height whose width is at least this grid's compact width.
+        """Write this grid's ``rows`` into ``out``, a block of that height
+        whose width is at least this grid's compact width.
 
         An accumulator operand is first summed into ``scratch``, a flat
         buffer at least as large as ``out``.  Such operands nest one level
         deep (a unit value inside a total), so they get no scratch of their
         own.
         """
-        if self.has_scalar_terms:
-            kernels.add_const(out, self.const)
-        for unit, exch in self.grid_terms:
-            unit = _operand_rows(unit, rows, out.shape, scratch)
-            exch = _operand_rows(exch, rows, out.shape, scratch)
-            if isinstance(unit, np.ndarray) and isinstance(exch, np.ndarray):
-                kernels.add_product(out, unit, exch)
-            elif isinstance(unit, np.ndarray):
-                kernels.add_scaled(out, float(exch), unit)
+        # The bits of a zeroed cell plus the constant: a sum started at 0.0
+        # is never -0.0, the one value that adding to 0.0 would change.
+        out.fill(self.const)
+        for scale, grid, other in self.grid_terms:
+            grid = _operand_rows(grid, rows, out.shape, scratch)
+            if scale is None:
+                kernels.add_product(out, grid, _operand_rows(other, rows, out.shape, scratch))
             else:
-                kernels.add_scaled(out, float(unit), exch)
+                kernels.add_scaled(out, scale, grid)
 
     def compact(self) -> Grid:
         """The distinct values: a new ``compact_shape`` array summed one row
         block at a time, or a constant 1 x 1 view when virtual."""
-        if self.is_virtual:
-            return np.broadcast_to(np.float64(self.const), (1, 1))
-        out = np.zeros(self.compact_shape, dtype=np.float64)
+        if not self.grid_terms:
+            return _constant_grid(self.const, (1, 1))
+        out = np.empty(self.compact_shape, dtype=np.float64)
         blocks = _cache_blocks(*self.compact_shape)
         scratch = np.empty(blocks[0].stop * self.compact_shape[1], dtype=np.float64)
         for rows in blocks:
@@ -293,8 +300,8 @@ class _Accumulator:
     def spread(self, compact: Grid) -> Grid:
         """``compact`` written out over the whole shape: a new writable
         C-contiguous grid, or a constant view when virtual."""
-        if self.is_virtual:
-            return np.broadcast_to(compact, self.shape)
+        if not self.grid_terms:
+            return _constant_grid(self.const, self.shape)
         if compact.shape == self.shape:
             return compact
         out = np.empty(self.shape, dtype=np.float64)
@@ -309,19 +316,16 @@ class _Accumulator:
 _GRID_OPERANDS = (np.ndarray, _Accumulator)
 
 
-def _operand_rows(operand, rows: slice, shape: tuple[int, int], scratch: Grid):
-    """The operand's ``rows`` of a compact grid, as a ``shape`` block or a scalar."""
+def _operand_rows(operand, rows: slice, shape: tuple[int, int], scratch: Grid) -> Grid:
+    """The grid operand's ``rows`` of a compact grid, as a ``shape`` block."""
     if isinstance(operand, _Accumulator):
         n_rows, n_cols = operand.compact_shape
         if n_rows == 1:
             rows = slice(0, 1)
         block = scratch[: (rows.stop - rows.start) * n_cols].reshape(-1, n_cols)
-        block.fill(0.0)
         operand.fill(block, rows, None)
         return block if block.shape == shape else np.broadcast_to(block, shape)
-    if isinstance(operand, np.ndarray):
-        return operand[rows, : shape[1]]
-    return operand
+    return operand if operand.shape == shape else operand[rows, : shape[1]]
 
 
 class _LazyGrids(Mapping):
@@ -350,8 +354,8 @@ class _LazyGrids(Mapping):
         return len(self._values)
 
 
-def _fold(model: ProcessModel, grid: ScenarioGrid, seed: int | None, kinds: tuple,
-          flow_pairs):
+def _fold(model: ProcessModel, report: ValidationReport, grid: ScenarioGrid,
+          seed: int | None, kinds: tuple, flow_pairs):
     """The one accumulation path: ``flow_pairs`` yields each flow's
     ``(kind, unit value)`` pairs, one iterable per flow in document order.
     Each flow's exchange operand is resolved once and feeds a unit
@@ -359,16 +363,16 @@ def _fold(model: ProcessModel, grid: ScenarioGrid, seed: int | None, kinds: tupl
     total times the sub-process exchange.  Every sub-process has
     ``kinds``; other kinds join in first-seen order.  A flow with no pairs
     draws nothing; all sampling happens here, in document order.
+    ``report`` is the model's validation report.
     """
-    if seed is None and model.has_distributions():
+    if seed is None and report._draws:
         raise ValueError("model has distribution amounts; pass seed=")
     shape = grid.shape
     totals = {kind: _Accumulator(shape) for kind in kinds}
     sp_units: dict[str, dict[object, _Accumulator]] = {}
     sp_exchange: dict[str, Grid] = {}
     for sp in model.subprocesses:
-        units = {kind: _Accumulator(shape) for kind in kinds}
-        sp_units[sp.name] = units
+        units = sp_units[sp.name] = {kind: _Accumulator(shape) for kind in kinds}
         for flow in sp.flows:
             x = None
             for kind, unit in next(flow_pairs):
@@ -382,14 +386,13 @@ def _fold(model: ProcessModel, grid: ScenarioGrid, seed: int | None, kinds: tupl
         sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
         sp_x = _exchange_operand(sp.amount, grid, sp_stream)
         sp_exchange[sp.name] = (
-            sp_x if isinstance(sp_x, np.ndarray)
-            else np.broadcast_to(np.float64(sp_x), shape)
+            sp_x if isinstance(sp_x, np.ndarray) else _constant_grid(sp_x, shape)
         )
         for kind, unit_acc in units.items():
             total = totals.get(kind)
             if total is None:
                 total = totals[kind] = _Accumulator(shape)
-            total.add(unit_acc.const if unit_acc.is_virtual else unit_acc, sp_x)
+            total.add(unit_acc if unit_acc.grid_terms else unit_acc.const, sp_x)
     return totals, sp_units, sp_exchange
 
 
@@ -405,7 +408,7 @@ def _evaluate(
     kinds = (*categories, None)  # per category, then cost (kind None)
     *columns, _ = _resolved_columns(model, report, categories)
     flow_pairs = (zip(kinds, values) for values in zip(*columns))
-    totals, sp_units, sp_exchange = _fold(model, grid, seed, kinds, flow_pairs)
+    totals, sp_units, sp_exchange = _fold(model, report, grid, seed, kinds, flow_pairs)
     # Only the totals are summed here; each sub-process unit grid is
     # computed per row block inside them, and whole only when first read.
     compact = {kind: totals[kind].compact() for kind in kinds}
@@ -511,7 +514,7 @@ def run_monte_carlo(
     mc_grid = ScenarioGrid(n_runs, model.grid.n_timesteps,
                            model.grid.step_label, model.grid.step_origin)
     report = _require_valid(model, db, grid=mc_grid)
-    if not model.has_distributions():
+    if not report._draws:
         warnings.warn(
             "model has no distribution amounts; Monte Carlo is degenerate",
             stacklevel=2,
@@ -569,7 +572,8 @@ def compute_inventory(
     report = _require_valid(model, db, grid=grid if grid is not model.grid else None,
                             require_cost=False)
     emissions = _resolved_columns(model, report, ())[-1]
-    totals, _, _ = _fold(model, grid, seed, (), (per_unit.items() for per_unit in emissions))
+    totals, _, _ = _fold(model, report, grid, seed, (),
+                         (per_unit.items() for per_unit in emissions))
     return InventoryResult(
         grid=grid, emissions={substance: acc.grid() for substance, acc in totals.items()}
     )

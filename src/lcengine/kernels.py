@@ -1,9 +1,10 @@
 """Hot aggregation kernels: in-place NumPy operations on scenario x time grids.
 
-The scenario x time calculations reduce to three fused accumulate
+The scenario x time calculations reduce to two fused accumulate
 operations plus a row-wise convolution.  Each operation multiplies first
 and then adds, and the convolution applies its taps in ascending k order,
-so every cell sees one fixed operation sequence.  Operands may be any
+so every cell sees one fixed operation sequence.  (An engine block starts
+from its folded constant, written with ``ndarray.fill``.)  Operands may be any
 float64 2-D arrays of the right shape, including row slices and read-only
 broadcast views.  The engine's folds and the convolution work one
 cache-sized row block at a time (``_cache_blocks``); a cell's operation
@@ -26,20 +27,19 @@ _CACHE_BLOCK_BYTES = 256 * 1024
 def _cache_blocks(n_rows: int, n_timesteps: int) -> list[slice]:
     """Consecutive row slices covering ``n_rows``, each about one cache block."""
     block = max(1, _CACHE_BLOCK_BYTES // (n_timesteps * 8))
+    if n_rows <= block:
+        return [slice(0, n_rows)]
     return [slice(start, min(start + block, n_rows)) for start in range(0, n_rows, block)]
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _check_grid(name: str, a: np.ndarray, shape: tuple[int, int]) -> None:
-    if a.dtype != np.float64 or a.ndim != 2:
+    if a.dtype != _F64 or a.ndim != 2:
         raise ShapeError(f"{name} must be a float64 2-D array")
     if a.shape != shape:
         raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
-
-
-def add_const(acc: np.ndarray, c: float) -> None:
-    """acc[i,j] += c, in place."""
-    _check_grid("acc", acc, acc.shape)
-    np.add(acc, float(c), out=acc)
 
 
 def add_scaled(acc: np.ndarray, c: float, x: np.ndarray) -> None:

@@ -165,16 +165,26 @@ class ProcessModel:
 
     def __post_init__(self):
         object.__setattr__(self, "subprocesses", tuple(self.subprocesses))
-        object.__setattr__(self, "categories", tuple(str(c) for c in self.categories))
+        object.__setattr__(self, "categories", tuple(map(str, self.categories)))
         if self.production is not None:
-            prod = np.ascontiguousarray(np.asarray(self.production, dtype=np.float64))
-            prod.flags.writeable = False
-            object.__setattr__(self, "production", prod)
+            object.__setattr__(self, "production", _read_only_float64(self.production))
 
     def has_distributions(self) -> bool:
         """True when some amount has a non-point distribution, so evaluation
         draws samples; point masses count as scalars."""
         return any(_draws_samples(a) for a in iter_amounts(self))
+
+
+def _read_only_float64(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 array.  Such an array
+    is kept as it is; anything else is copied, so the result never shares
+    memory with an array its caller can still write."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and not values.flags.writeable and values.flags.c_contiguous):
+        return values
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.flags.writeable = False
+    return arr
 
 
 def _draws_samples(amount: ExchangeAmount) -> bool:
@@ -208,6 +218,8 @@ class ValidationReport:
     findings: list[ValidationFinding] = field(default_factory=list)
     # the flows' resolved unit values, end to end (see _check_flow_resolution)
     _resolved: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # whether some amount draws samples (see _check_amount)
+    _draws: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def errors(self) -> list[ValidationFinding]:
@@ -233,10 +245,27 @@ class ValidationReport:
         return "\n".join(str(f) for f in self.findings)
 
 
+def _location(sp: SubProcessDefinition, flow: FlowDefinition | None = None) -> str:
+    """A finding's location: a sub-process, or one of its flows."""
+    where = f"subprocess {sp.name!r}"
+    return where if flow is None else f"{where}, flow {flow.name!r}"
+
+
 def _check_amount(
-    report: ValidationReport, location: str, amount: ExchangeAmount, grid: ScenarioGrid
+    report: ValidationReport,
+    amount: ExchangeAmount,
+    grid: ScenarioGrid,
+    sp: SubProcessDefinition,
+    flow: FlowDefinition | None = None,
 ) -> None:
-    if isinstance(amount, MatrixAmount):
+    """Check the amount of ``sp``, or of its ``flow``, and note in
+    ``report._draws`` whether it draws samples."""
+    if isinstance(amount, ScalarAmount):
+        if not math.isfinite(amount.value):
+            report.add_error(_location(sp, flow), f"amount {amount.value} is not finite")
+        elif amount.value < 0:
+            report.add_warning(_location(sp, flow), "negative exchange amount (avoided flow?)")
+    elif isinstance(amount, MatrixAmount):
         values = amount.values
         # Two reductions, as in _production_problem: NaN propagates through
         # min and max, so the element-wise scans run only when one is not finite.
@@ -244,20 +273,17 @@ def _check_amount(
         finite = math.isfinite(lo) and math.isfinite(hi)
         if values.shape != grid.shape:
             report.add_error(
-                location,
+                _location(sp, flow),
                 f"matrix shape {values.shape[0]}x{values.shape[1]} "
                 f"does not match grid, expected "
                 f"{grid.n_scenarios}x{grid.n_timesteps}",
             )
         elif lo < 0 if finite else np.any(values < 0):
-            report.add_warning(location, "negative exchange amounts (avoided flow?)")
+            report.add_warning(_location(sp, flow), "negative exchange amounts (avoided flow?)")
         if not finite:
-            report.add_error(location, "matrix contains non-finite values")
-    elif isinstance(amount, ScalarAmount):
-        if not math.isfinite(amount.value):
-            report.add_error(location, f"amount {amount.value} is not finite")
-        elif amount.value < 0:
-            report.add_warning(location, "negative exchange amount (avoided flow?)")
+            report.add_error(_location(sp, flow), "matrix contains non-finite values")
+    elif _draws_samples(amount):
+        report._draws = True
 
 
 _EMPTY: Mapping = {}  # the unit values of a flow without them; never mutated
@@ -265,46 +291,50 @@ _EMPTY: Mapping = {}  # the unit values of a flow without them; never mutated
 
 def _check_flow_resolution(
     report: ValidationReport,
-    location: str,
+    sp: SubProcessDefinition,
     flow: FlowDefinition,
     categories: Sequence[str],
     db: "UnitValueTable | None",
     n_timesteps: int,
     require_cost: bool,
 ) -> None:
-    """Resolve the flow's unit values, report each that is missing, defined
-    twice or not finite, and append them to ``report._resolved``: a unit
-    impact per category (inline, else the row's per-period override, else
-    its value), the unit cost (inline, else the row's, else None) and the
-    per-unit emissions (the row's inventory plus one unit of ``substance``).
-    All None when no database row resolves."""
+    """Resolve the unit values of ``sp``'s ``flow``, report each that is
+    missing, defined twice or not finite, and append them to
+    ``report._resolved``: a unit impact per category (inline, else the
+    row's per-period override, else its value), the unit cost (inline,
+    else the row's, else None) and the per-unit emissions (the row's
+    inventory plus one unit of ``substance``).  All None when no database
+    row resolves."""
     row = None
     if flow.background_ref != FOREGROUND:
         row = db.rows.get(flow.background_ref) if db is not None else None
         if row is None:
             if db is not None:  # else a structural pass, resolvability checked with a db
                 report.add_error(
-                    location,
+                    _location(sp, flow),
                     f"background key {flow.background_ref!r} not found in database",
                 )
             report._resolved.extend((None,) * (len(categories) + 2))
             return
     resolved = report._resolved
+    inline = flow.inline_unit_impact or _EMPTY
+    overrides = row.impact_overrides if row is not None else _EMPTY
     for cat in categories:
         in_db = row is not None and row.resolves_impact(cat)
-        value = (flow.inline_unit_impact or _EMPTY).get(cat)
+        value = inline.get(cat)
         if in_db and value is not None:
             report.add_error(
-                location,
+                _location(sp, flow),
                 f"unit impact for category {cat!r} is defined both inline and "
                 f"in database row {flow.background_ref!r}",
             )
         elif not in_db and value is None:
-            report.add_error(location, f"no unit impact resolvable for category {cat!r}")
-        override = row.impact_overrides.get(cat) if row is not None else None
+            report.add_error(_location(sp, flow),
+                             f"no unit impact resolvable for category {cat!r}")
+        override = overrides.get(cat)
         if override is not None and len(override) != n_timesteps:
             report.add_error(
-                location,
+                _location(sp, flow),
                 f"per-period unit impacts for {cat!r} have length "
                 f"{len(override)}, expected {n_timesteps}",
             )
@@ -316,25 +346,27 @@ def _check_flow_resolution(
             bad = np.flatnonzero(~np.isfinite(value))
             if bad.size:
                 report.add_error(
-                    location,
+                    _location(sp, flow),
                     f"per-period unit impact {value[bad[0]]} for category {cat!r} "
                     f"at period {bad[0]} is not finite",
                 )
         elif value is not None and not math.isfinite(value):
-            report.add_error(location, f"unit impact {value} for category {cat!r} is not finite")
+            report.add_error(_location(sp, flow),
+                             f"unit impact {value} for category {cat!r} is not finite")
         resolved.append(value)
 
     cost_in_db = row is not None and row.unit_cost is not None
     cost = flow.inline_unit_cost
     if require_cost:
         if cost_in_db and cost is not None:
-            report.add_error(location, "unit cost is defined both inline and in database")
+            report.add_error(_location(sp, flow),
+                             "unit cost is defined both inline and in database")
         elif not cost_in_db and cost is None:
-            report.add_error(location, "no unit cost resolvable")
+            report.add_error(_location(sp, flow), "no unit cost resolvable")
     if cost is None and cost_in_db:
         cost = row.unit_cost
     if cost is not None and not math.isfinite(cost):
-        report.add_error(location, f"unit cost {cost} is not finite")
+        report.add_error(_location(sp, flow), f"unit cost {cost} is not finite")
 
     emissions = row.inventory if row is not None else _EMPTY
     if flow.substance is not None:
@@ -342,7 +374,8 @@ def _check_flow_resolution(
     for substance, value in emissions.items():
         if not math.isfinite(value):
             report.add_error(
-                location, f"emission {value} of substance {substance!r} per unit is not finite"
+                _location(sp, flow),
+                f"emission {value} of substance {substance!r} per unit is not finite",
             )
     resolved.extend((cost, emissions))
 
@@ -421,22 +454,20 @@ def validate_model(
 
     seen_sp: set[str] = set()
     for sp in model.subprocesses:
-        sp_loc = f"subprocess {sp.name!r}"
         if sp.name in seen_sp:
-            report.add_error(sp_loc, "duplicate sub-process name")
+            report.add_error(_location(sp), "duplicate sub-process name")
         seen_sp.add(sp.name)
         if not sp.flows:
-            report.add_error(sp_loc, "sub-process has no flows")
-        _check_amount(report, sp_loc, sp.amount, grid)
+            report.add_error(_location(sp), "sub-process has no flows")
+        _check_amount(report, sp.amount, grid, sp)
         seen_flows: set[str] = set()
         for flow in sp.flows:
-            loc = f"{sp_loc}, flow {flow.name!r}"
             if flow.name in seen_flows:
-                report.add_error(loc, "duplicate flow name within sub-process")
+                report.add_error(_location(sp, flow), "duplicate flow name within sub-process")
             seen_flows.add(flow.name)
-            _check_amount(report, loc, flow.amount, grid)
+            _check_amount(report, flow.amount, grid, sp, flow)
             _check_flow_resolution(
-                report, loc, flow, model.categories, db, grid.n_timesteps, require_cost
+                report, sp, flow, model.categories, db, grid.n_timesteps, require_cost
             )
     if db is not None:
         width = len(model.categories) + 2  # per flow: the unit impacts, cost, emissions

@@ -190,6 +190,35 @@ class TestRunDynamic:
             result.contributions["CO2"]["GWP100"], [co2_part], rtol=1e-12
         )
 
+    def test_category_grid_has_the_bits_of_zeros_plus_its_terms(self):
+        """A category grid starts as its first term + 0.0, in a new array:
+        the bits of adding its terms to zeros, -0.0 cells turned to 0.0 and
+        denormal cells kept, and no term is changed by the later sums."""
+        from lcengine import MatrixAmount
+
+        tiny = float(np.nextafter(0.0, 1.0))  # the smallest denormal
+        rows = {"X": [0.0, tiny, 1e-310, 2.0], "Y": [3.0, 0.0, 1e-320, 0.5]}
+        flows = tuple(FlowDefinition(name.lower(), "outflow", MatrixAmount([row]),
+                                     inline_unit_impact={"GWP100": 0.0}, inline_unit_cost=0.0,
+                                     substance=name) for name, row in rows.items())
+        model = ProcessModel("m", (SubProcessDefinition("ops", ScalarAmount(1.0), flows),),
+                             ScenarioGrid(1, 4), ("GWP100",))
+        db = db_with({"X": BackgroundRow(flow="X", impacts={"GWP100": -1.0}),
+                      "Y": BackgroundRow(flow="Y", impacts={"GWP100": 1.0, "AP": -1.0})})
+        result = run_dynamic(model, db, [])
+        for cat in ("GWP100", "AP"):
+            expected = np.zeros((1, 4))
+            for substance in ("X", "Y"):
+                if cat in result.contributions[substance]:
+                    expected += result.contributions[substance][cat]
+            assert result.impacts[cat].tobytes() == expected.tobytes()
+        ap, x_gwp = result.contributions["Y"]["AP"], result.contributions["X"]["GWP100"]
+        assert np.signbit(ap[0, 1]) and not np.signbit(result.impacts["AP"][0, 1])
+        assert 0.0 < -ap[0, 2] < np.finfo(np.float64).tiny  # a denormal cell, kept
+        assert result.impacts["AP"][0, 2] == ap[0, 2]
+        assert x_gwp.tobytes() == (-1.0 * np.array([rows["X"]])).tobytes()
+        assert np.signbit(x_gwp[0, 0])
+
     def test_annual_preferred_over_fixed_and_static(self):
         model = co2_model([1.0], 1)
         db = db_with({"CO2": BackgroundRow(flow="CO2", impacts={"GWP100": 999.0})})

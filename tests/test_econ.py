@@ -215,3 +215,39 @@ class TestDiscountedCostResult:
         with pytest.raises(ZeroDivisionError) as grid:
             discounted_cost_result(np.ones((2, 3)), production, 0.1)
         assert str(grid.value) == str(scalar.value)
+
+    def test_every_production_form_gives_the_same_bits(self):
+        rng = np.random.default_rng(21)
+        grid = rng.uniform(-50.0, 50.0, size=(4, 6))
+        values = rng.uniform(0.5, 20.0, size=6)
+        writable = values.copy()
+        read_only = values.copy()
+        read_only.flags.writeable = False
+        forms = [values.tolist(), writable, read_only, ProductionSeries(values)]
+        results = [discounted_cost_result(grid, p, 0.07) for p in forms]
+        bits = [(r.npv.tobytes(), r.msp.tobytes(), r.lcoe.tobytes()) for r in results]
+        assert bits == [bits[0]] * len(forms)
+        writable[:] = 1.0  # the results do not alias the caller's array
+        assert [(r.npv.tobytes(), r.msp.tobytes(), r.lcoe.tobytes()) for r in results] == bits
+        assert writable.flags.writeable and not read_only.flags.writeable
+
+    def test_series_copies_a_writable_array_and_keeps_a_read_only_one(self):
+        writable = np.array([1.0, 2.0, 3.0])
+        series = ProductionSeries(writable)
+        writable[0] = 99.0
+        assert series.values.tolist() == [1.0, 2.0, 3.0]
+        assert writable.flags.writeable and not series.values.flags.writeable
+        assert ProductionSeries(series.values).values is series.values
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (-1.0, "non-negative"),
+    ])
+    def test_bad_production_rejected_in_every_form(self, bad, message):
+        values = np.array([1.0, 2.0, bad, 4.0])
+        read_only = values.copy()
+        read_only.flags.writeable = False
+        for production in (values.tolist(), values, read_only):
+            with pytest.raises(ValueError, match=f"production values must be {message}"):
+                discounted_cost_result(np.ones((2, 4)), production, 0.05)
+            with pytest.raises(ValueError, match=f"production values must be {message}"):
+                ProductionSeries(production)

@@ -9,12 +9,6 @@ from oracles import oracle_convolve_rows_into
 
 
 class TestContracts:
-    def test_add_const(self):
-        acc = np.zeros((2, 2))
-        kernels.add_const(acc, 1.5)
-        kernels.add_const(acc, 2.0)
-        assert np.all(acc == 3.5)
-
     def test_add_scaled(self):
         acc = np.ones((2, 2))
         kernels.add_scaled(acc, 2.0, np.full((2, 2), 3.0))
@@ -47,11 +41,11 @@ class TestContracts:
         with pytest.raises(ShapeError):
             kernels.convolve_rows_into(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
         with pytest.raises(ShapeError):
-            kernels.add_const(np.zeros((2, 2), dtype=np.float32), 1.0)
+            kernels.add_scaled(np.zeros((2, 2), dtype=np.float32), 1.0, np.zeros((2, 2)))
 
     def test_row_slices_are_valid_targets(self):
         acc = np.zeros((6, 4))
-        kernels.add_const(acc[2:5], 1.0)
+        kernels.add_scaled(acc[2:5], 1.0, np.ones((3, 4)))
         assert np.all(acc[2:5] == 1.0) and np.all(acc[:2] == 0.0) and np.all(acc[5:] == 0.0)
 
     def test_broadcast_and_strided_operands_accepted(self):
@@ -61,8 +55,7 @@ class TestContracts:
         acc = wide[:, 1:4]  # a non-contiguous target
         kernels.add_product(acc, per_period, per_run)
         kernels.add_scaled(acc, 0.5, per_run)
-        kernels.add_const(acc, 1.0)
-        assert wide.tolist() == [[0.0, 16.0, 26.0, 36.0, 0.0], [0.0, 31.0, 51.0, 71.0, 0.0]]
+        assert wide.tolist() == [[0.0, 15.0, 25.0, 35.0, 0.0], [0.0, 30.0, 50.0, 70.0, 0.0]]
         out = np.zeros((2, 4))
         kernels.convolve_rows_into(out, per_run, np.array([1.0, 0.5]))
         assert out.tolist() == [[10.0, 15.0, 15.0, 5.0], [20.0, 30.0, 30.0, 10.0]]

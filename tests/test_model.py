@@ -45,6 +45,17 @@ class TestScenarioGrid:
             ScenarioGrid(n_s, n_t)
 
 
+class TestProduction:
+    def test_copies_a_writable_array_and_keeps_a_read_only_one(self):
+        writable = np.array([1.0, 2.0, 3.0])
+        model = simple_model(n_timesteps=3, production=writable)
+        writable[0] = 99.0
+        assert model.production.tolist() == [1.0, 2.0, 3.0]
+        assert writable.flags.writeable and not model.production.flags.writeable
+        assert simple_model(n_timesteps=3, production=model.production).production \
+            is model.production
+
+
 class TestBroadcast:
     def test_scalar_fills_grid(self):
         out = broadcast_exchange(ScalarAmount(2.5), ScenarioGrid(2, 3))
