@@ -8,15 +8,18 @@ sys.path.insert(0, str(Path(__file__).parent))  # oracles / modelgen helpers
 from lcengine import (
     BackgroundRow,
     FlowDefinition,
+    LoadError,
     ProcessModel,
     ScenarioGrid,
     SubProcessDefinition,
     UnitValueTable,
     as_amount,
+    import_results,
     load_background_db,
     load_dcf_tables,
     load_model,
 )
+from lcengine import io as lc_io
 
 SAMPLES = Path(__file__).parent.parent / "sample_models"
 
@@ -103,3 +106,18 @@ def empty_db() -> UnitValueTable:
 
 def db_with(rows: dict[str, BackgroundRow]) -> UnitValueTable:
     return UnitValueTable(rows=rows)
+
+
+def import_outcome(path):
+    """What ``import_results`` makes of a file: the payload type, the meta, the
+    dimensions and every grid's bytes, or the error's text and line."""
+    try:
+        rs = import_results(path)
+    except LoadError as exc:
+        return "error", str(exc), exc.line
+    dims = [getattr(rs.payload, "samples", rs.payload).grid,
+            *(getattr(rs.payload, key, None) for key in ("n_runs", "seed", "t_out"))]
+    grids = [(section, name, category, grid.dtype.str, grid.shape, grid.tobytes())
+             for section, name, category, grid
+             in lc_io._payload_grids(rs.payload_type, rs.payload)]
+    return rs.payload_type, repr(rs.meta), repr(dims), grids

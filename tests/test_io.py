@@ -23,7 +23,9 @@ from lcengine import (
     validate_model,
 )
 
-from conftest import empty_db, simple_model
+from lcengine import io as lc_io
+
+from conftest import empty_db, import_outcome, simple_model
 from oracles import oracle_mean, oracle_percentile, oracle_sd
 
 
@@ -434,6 +436,7 @@ def _edit_csv_grid(path, source, target=None):
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+KINDS = ("unit", "monte_carlo", "dynamic")
 NOT_HELD = r"rows a \w+ result does not have"
 
 # (payload types, id, grid whose rows are copied, the copy's grid or None to
@@ -505,6 +508,32 @@ class TestStreamedCsvImport:
             import_results(path)
         assert exc_info.value.line == i + 1
 
+    @pytest.mark.parametrize("row", [b"cost,,7,3,,1_0.5\n", b"cost,,7,0_3,,1.0\n"])
+    def test_digit_group_underscores_are_bad_data_rows(self, mc_csv, tmp_path, row):
+        lines = mc_csv[0].read_bytes().splitlines(True)
+        i = _data_line(lines, b"cost,,7,3,,")
+        lines[i] = row
+        path = tmp_path / "underscore.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LoadError, match="bad data row: digit-group underscore") as exc_info:
+            import_results(path)
+        assert exc_info.value.line == i + 1
+
+    @pytest.mark.parametrize("scenario", ["7", "0", "-3", "99999"])
+    def test_stat_row_with_a_scenario_is_load_error_and_report_exit_2(
+            self, tmp_path, sample_results, capsys, scenario):
+        from lcengine.cli import main
+
+        path = tmp_path / "result.csv"
+        export_results(sample_results["monte_carlo"], "csv", path)
+        path.write_text(path.read_text().replace("stat,mean,,0,GWP100,",
+                                                 f"stat,mean,{scenario},0,GWP100,"))
+        where = "section 'stat', name 'mean', category 'GWP100': "
+        with pytest.raises(LoadError, match=re.escape(f"{where}scenario {scenario} on a stat")):
+            import_results(path)
+        assert main(["report", str(path)]) == 2
+        assert where in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra, message", [
         ("impact,,-1,0,GWP100,1.0\n", "empty or negative scenario"),
         ("impact,,0,-2,GWP100,1.0\n", "negative timestep"),
@@ -536,3 +565,125 @@ class TestStreamedCsvImport:
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
         assert not plots.exists()
+
+
+# ---------------------------------------------------------------------------
+# the block path gives the per-row path's grids and meta, or its error
+
+
+def _rearranged(data: bytes, arrange) -> bytes:
+    """A result CSV with the lines after its header in the order
+    ``arrange(meta lines, data lines)`` gives."""
+    header, *lines = data.splitlines(True)
+    meta = [line for line in lines if line.startswith(b"meta,")]
+    rows = [line for line in lines if not line.startswith(b"meta,")]
+    return b"".join([header, *arrange(meta, rows)])
+
+
+def _split_grid(meta: list[bytes], rows: list[bytes]) -> list[bytes]:
+    """The GWP100 impact grid's rows after its tenth moved to the end."""
+    moved = [line for line in rows if line.startswith(b"impact,,")][10:]
+    return meta + [line for line in rows if line not in moved] + moved
+
+
+def _shifted_commas(data: bytes) -> bytes:
+    """``data`` with pairs of GWP100 impact rows in which the first row is a
+    comma short and the second one over: five commas to a line on average."""
+    for scenario in (3, 4, 5):
+        for t in (0, 2):
+            short, over = (b"\nimpact,,%d,%d,GWP100," % (scenario, t + k) for k in (0, 1))
+            data = data.replace(short, short[:-8] + b"GWP100,", 1)
+            data = data.replace(over, over[:-7] + b",GWP100,", 1)
+    return data
+
+
+def _sample_csv(sample_results, tmp_path, kind: str, edit=None) -> bytes:
+    path = tmp_path / f"{kind}.csv"
+    export_results(sample_results[kind], "csv", path)
+    if edit is not None:
+        _edit_csv_grid(path, *edit)
+    return path.read_bytes()
+
+
+def _names_csv(tmp_path, kind: str) -> bytes:
+    """A result whose names hold commas, quotes and newlines."""
+    from test_result_text import random_result
+
+    path = tmp_path / f"names_{kind}.csv"
+    export_results(random_result(kind, 3), "csv", path)
+    return path.read_bytes()
+
+
+def _unit_csv(tmp_path, extra: bytes) -> bytes:
+    path = tmp_path / "unit.csv"
+    export_results(result_set(run_static(simple_model(), empty_db()), {}), "csv", path)
+    return path.read_bytes() + extra
+
+
+def _mc_lines(mc_csv) -> list[bytes]:
+    return mc_csv[0].read_bytes().splitlines(True)
+
+
+# each case: its id, and a function of (sample results, the 2000-run
+# Monte Carlo CSV, a scratch directory) that gives the file's bytes
+BLOCK_CASES = {
+    **{kind: lambda sr, mc, tmp, kind=kind: _sample_csv(sr, tmp, kind) for kind in KINDS},
+    "crlf": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(b"\n", b"\r\n"),
+    **{f"names-{kind}": lambda sr, mc, tmp, kind=kind: _names_csv(tmp, kind) for kind in KINDS},
+    **{case: lambda sr, mc, tmp, arrange=arrange: _rearranged(
+        _sample_csv(sr, tmp, "monte_carlo"), arrange) for case, arrange in (
+        ("reversed", lambda meta, rows: meta + rows[::-1]),
+        ("interleaved", lambda meta, rows: meta + sorted(
+            rows, key=lambda line: line.split(b",")[2:4])),
+        ("split", _split_grid),
+        ("meta_after_data", lambda meta, rows: rows + meta))},
+    "no_final_newline": lambda sr, mc, tmp: _sample_csv(sr, tmp, "dynamic")[:-1],
+    "bare_cr_line_end": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b"\nsp_exchange,", b"\rsp_exchange,", 1),
+    "shifted_commas": lambda sr, mc, tmp: _shifted_commas(_sample_csv(sr, tmp, "monte_carlo")),
+    "joined_lines": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b"\nimpact,,3,2,GWP100,", b",impact,,3,2,GWP100,", 1),
+    "cr_in_field": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b"\nsp_exchange,", b"\nsp_ex\rchange,", 1),
+    "bad_meta_after_data": lambda sr, mc, tmp: (_sample_csv(sr, tmp, "monte_carlo")
+                                                + b"meta,note,,,,x\n"),
+    # a line longer than csv.field_size_limit(), its fields at and past it
+    **{f"long_line-{extra}": lambda sr, mc, tmp, extra=extra: _sample_csv(sr, tmp, "unit").replace(
+        b"\ncost,,", b"\ncost,%s," % (b"x" * (csv.field_size_limit() + extra)), 1)
+       for extra in (0, 1)},
+    "mc_2000": lambda sr, mc, tmp: mc[0].read_bytes(),
+    **{f"mc_2000-{case}": lambda sr, mc, tmp, case=case: b"".join(_corrupt(_mc_lines(mc), case))
+       for case in ("utf8_deep", "broken_quote", "truncated_last_row", "missing_cell",
+                    "duplicate_cell", "empty_scenario", "shape_mismatch")},
+    **{f"mc_2000-row-{i}": lambda sr, mc, tmp, row=row: b"".join(
+        row if line.startswith(b"cost,,7,3,,") else line for line in _mc_lines(mc))
+       for i, row in enumerate((b"cost,,7,x,,1.0\n", b"cost,,7,3,,1_0.5\n",
+                                b"cost,,7,0_3,,1.0\n"))},
+    **{f"unit-foreign-{i}": lambda sr, mc, tmp, extra=extra: _unit_csv(tmp, extra)
+       for i, extra in enumerate((b"impact,,-1,0,GWP100,1.0\n", b"impact,,0,-2,GWP100,1.0\n",
+                                  b"stat,mean,,0,GWP100,1.0\n"))},
+    "stat_scenario": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b"stat,mean,,0,GWP100,", b"stat,mean,7,0,GWP100,"),
+    **{f"{kind}-{case_id}": lambda sr, mc, tmp, kind=kind, edit=(source, target):
+       _sample_csv(sr, tmp, kind, edit)
+       for kinds, case_id, source, target, *_ in CSV_CONTRACT for kind in kinds},
+}
+
+
+@pytest.mark.parametrize("block_chars", [None, 300], ids=["default blocks", "300-char blocks"])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_path_agrees_with_row_path(case, block_chars, sample_results, mc_csv, tmp_path,
+                                         monkeypatch):
+    path = tmp_path / "result.csv"
+    path.write_bytes(BLOCK_CASES[case](sample_results, mc_csv, tmp_path))
+    if block_chars:
+        monkeypatch.setattr(lc_io, "_IMPORT_BLOCK_CHARS", block_chars)
+    plain = []
+    plain_fields = lc_io._plain_fields
+    monkeypatch.setattr(lc_io, "_plain_fields",
+                        lambda lines: plain.append(plain_fields(lines)) or plain[-1])
+    fast = import_outcome(path)
+    if case in KINDS + ("crlf", "mc_2000", "split", "stat_scenario") and block_chars:
+        assert any(columns is not None for columns in plain)
+    monkeypatch.setattr(lc_io, "_plain_fields", lambda lines: None)
+    assert fast == import_outcome(path)

@@ -1,7 +1,8 @@
 """Mutation fuzz of the files lcengine reads.
 
 ``lcengine report --plot-data`` on a result with one mutation never raises,
-exits 0, 2 or 3, and leaves no plot directory behind when it fails.
+exits 0, 2 or 3, and leaves no plot directory behind when it fails; a CSV
+result imports as it does through the per-row path alone.
 ``lcengine validate`` and ``lcengine run`` in each mode, on the sample
 inputs with one mutation in the model, the database, the factor table or
 the matrix CSV, never raise or warn, exit 0, 1, 2 or 3, and leave no
@@ -14,13 +15,17 @@ import shutil
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcengine import export_results
+from lcengine import io as lc_io
 from lcengine.cli import main
+
+from conftest import import_outcome
 
 FORMATS = ("json", "csv")
 KINDS = ("unit", "monte_carlo", "dynamic")
@@ -96,6 +101,12 @@ def test_report_on_a_mutated_result(result_files, kind, fmt, mutation, rnd, toke
         code = main(["report", str(path), "--plot-data", str(plots)])
         assert code in (0, 2, 3)
         assert code == 0 or not plots.exists()
+        if fmt == "csv":
+            # blocks small enough that the sample results span several
+            with mock.patch.object(lc_io, "_IMPORT_BLOCK_CHARS", 256):
+                outcome = import_outcome(path)
+                with mock.patch.object(lc_io, "_plain_fields", lambda lines: None):
+                    assert import_outcome(path) == outcome
 
 
 SAMPLE_INPUTS = ("heatplant.model", "heatplant_uncertain.model", "background.csv", "dcf.csv",
