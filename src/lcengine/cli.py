@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dynamic import DynamicImpactResult, run_dynamic
 from .econ import ProductionSeries, discounted_cost_result
-from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
+from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo
 from .errors import LcengineError, LoadError
 from .io import (
     _STATS,
@@ -374,8 +374,6 @@ def _run_deterministic(model: ProcessModel, db, categories, seed: int):
     error here."""
     if model.has_distributions():
         raise ValueError("model contains distribution amounts; use --mode montecarlo")
-    if model.grid.shape == (1, 1):
-        return run_static(model, db, categories=categories)
     return run_matrix(model, db, seed=seed, categories=categories)
 
 

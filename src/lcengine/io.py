@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from .dynamic import ANNUAL_STEP, FIXED_HORIZON, DCFTable, DynamicImpactResult
 from .engine import MonteCarloResult, SummaryStats, UnitResult
@@ -344,6 +343,8 @@ def load_model(path) -> ProcessModel:
     Resolvability against a background database is checked separately by
     ``validate_model(model, db)``.
     """
+    import yaml  # here, so that reading a result never loads it
+
     path = str(path)
     text = _read_text(path)
     try:
@@ -1060,77 +1061,8 @@ def _grid_from_cells(
 _IMPORT_BLOCK_CHARS = 1 << 16
 
 
-class _WriterOrder:
-    """The cells of a grid of ``shape`` in the order ``write_csv_grid``
-    writes them, scenario-major and timestep-minor; the cells of a series
-    (a 1-D shape) have scenario -1, an empty field.  Their scenario and
-    timestep fields are built as far as a file's rows need them."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape, self.size, n_t = shape, math.prod(shape), shape[-1]
-        if len(shape) == 1:
-            scenarios = itertools.repeat("", n_t)
-        else:
-            scenarios = itertools.chain.from_iterable(
-                map(itertools.repeat, map(str, range(shape[0])), itertools.repeat(n_t)))
-        timesteps = itertools.islice(itertools.cycle(map(str, range(n_t))), self.size)
-        self._fields = scenarios, timesteps
-        self.scenarios: list[str] = []
-        self.timesteps: list[str] = []
-
-    def fields(self, start: int, stop: int) -> tuple[list[str], list[str]]:
-        """The scenario and timestep fields of cells ``start`` to ``stop``."""
-        if stop > len(self.timesteps):
-            more = max(stop, 2 * len(self.timesteps)) - len(self.timesteps)
-            self.scenarios += itertools.islice(self._fields[0], more)
-            self.timesteps += itertools.islice(self._fields[1], more)
-        return self.scenarios[start:stop], self.timesteps[start:stop]
-
-    def cells(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The scenario and timestep columns of the first ``count`` cells."""
-        position = np.arange(count, dtype=np.int64)
-        if len(self.shape) == 1:
-            return np.full(count, -1, dtype=np.int64), position
-        return np.divmod(position, self.shape[1])
-
-
-class _GridRows:
-    """The rows of one result grid read so far.  While they are the first
-    cells of ``order``, only their values are kept; otherwise each row
-    keeps its scenario, timestep and value."""
-
-    __slots__ = ("order", "values", "scenarios", "timesteps")
-
-    def __init__(self, order: _WriterOrder | None):
-        self.order = order
-        self.values = array("d")
-        self.scenarios = self.timesteps = None
-        if order is None:
-            self.scenarios, self.timesteps = array("q"), array("q")
-
-    def add(self, cell: tuple[int, int], value: float) -> None:
-        """One row: its (scenario, timestep) ``cell`` and value."""
-        order = self.order
-        if order is not None:
-            position = len(self.values)
-            if position < order.size and cell == (divmod(position, order.shape[1])
-                                                  if len(order.shape) == 2 else (-1, position)):
-                self.values.append(value)
-                return
-            s, t = order.cells(position)
-            self.scenarios, self.timesteps = array("q", s.tobytes()), array("q", t.tobytes())
-            self.order = None
-        self.scenarios.append(cell[0])
-        self.timesteps.append(cell[1])
-        self.values.append(value)
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The scenario, timestep and value columns of the rows."""
-        v = np.frombuffer(self.values, dtype=np.float64)
-        if self.order is not None:
-            return (*self.order.cells(v.size), v)
-        return (np.frombuffer(self.scenarios, dtype=np.int64),
-                np.frombuffer(self.timesteps, dtype=np.int64), v)
+class _NotWriterLayout(Exception):
+    """A result CSV that is not in the exact layout ``_export_csv`` writes."""
 
 
 def _plain_fields(lines: list[str]) -> list[list[str]] | None:
@@ -1157,145 +1089,149 @@ def _plain_fields(lines: list[str]) -> list[list[str]] | None:
     return [*(cells[k:-1:6] for k in range(5)), values.split("\n")[:-1]]
 
 
-class _CsvRows:
-    """What a result CSV's rows give: its meta, and the rows of each grid by
-    ``(section, name, category)``."""
+def _writer_fields(meta: dict, file_bytes: int) -> dict[str, tuple[list[str], list[str]]]:
+    """The scenario and timestep fields ``write_csv_grid`` writes for each
+    section's cells, by a result's meta; one shape's lists share strings."""
+    payload_type, grid = meta.get("payload_type"), meta.get("payload_grid")
+    if not (isinstance(payload_type, str) and payload_type in _JSON_KEYS
+            and isinstance(grid, dict)):
+        raise _NotWriterLayout
+    n_s = grid.get("scenarios")
+    n_t = meta.get("payload_t_out") if payload_type == "dynamic" else grid.get("timesteps")
+    # each cell is a row of five commas, so a file too small for a grid
+    # gets no lists of its size
+    if not all(type(n) is int and n > 0 for n in (n_s, n_t)) or 5 * n_s * n_t > file_bytes:
+        raise _NotWriterLayout
+    timesteps = list(map(str, range(n_t)))
+    grid_fields = [s for s in map(str, range(n_s)) for _ in timesteps], timesteps * n_s
+    # a stat series runs over the time steps and leaves the scenario empty
+    series_fields = [""] * n_t, timesteps
+    return {section: series_fields if section in ("stat", "stat_cost") else grid_fields
+            for section in _JSON_KEYS[payload_type]}
 
-    def __init__(self, path: str):
-        self.path = path
-        self.meta: dict = {}
-        self.grids: dict[tuple[str, str, str], _GridRows] = {}
-        self._orders: dict[tuple[int, ...], _WriterOrder] = {}
 
-    def _grid(self, key: tuple[str, str, str]) -> _GridRows:
-        """The rows of ``key``'s grid, new ones in the writer's order when the
-        meta read so far gives the grid a shape."""
-        rows = self.grids.get(key)
-        if rows is None:
-            shape = self._shape(key[0])
-            order = None if shape is None else self._orders.setdefault(shape, _WriterOrder(shape))
-            rows = self.grids[key] = _GridRows(order)
-        return rows
+def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
+    """The meta and each grid's values of the rest of the open result CSV
+    ``fh``, in the exact layout ``_export_csv`` writes: the meta rows, one to
+    a line, then ``_plain_fields`` blocks in which each grid is contiguous
+    and complete, in the writer's cell order.  Each run of a grid's rows in
+    a block is checked and converted at once.  Any deviation raises
+    ``_NotWriterLayout``."""
+    try:
+        meta: dict = {}
+        line = fh.readline()
+        while line.startswith("meta,"):
+            # strict: a quoted field that runs past the line is an error
+            record = next(csv.reader([line], strict=True))
+            if len(record) != 6:
+                raise _NotWriterLayout
+            meta[record[1]] = json.loads(record[5])
+            line = fh.readline()
+        fields = _writer_fields(meta, os.fstat(fh.fileno()).st_size)
+        grids: dict[tuple[str, str, str], array] = {}
+        values, size = array("d"), 0
+        block = [line, *fh.readlines(_IMPORT_BLOCK_CHARS)] if line else []
+        while block:
+            columns = _plain_fields(block)
+            if columns is None:
+                raise _NotWriterLayout
+            sections, names, scenarios, timesteps, categories, texts = columns
+            i = 0
+            while i < len(sections):
+                if len(values) == size:  # the grid is complete; the next one starts here
+                    key = sections[i], names[i], categories[i]
+                    if key in grids or key[0] not in fields:
+                        raise _NotWriterLayout
+                    cell_scenarios, cell_timesteps = fields[key[0]]
+                    values = grids[key] = array("d")
+                    size = len(cell_timesteps)
+                start = len(values)
+                end = min(len(sections), i + size - start)
+                count, run = end - i, texts[i:end]
+                # float() takes digit-group underscores; CSV numbers do not
+                if (sections[i:end].count(key[0]) != count
+                        or names[i:end].count(key[1]) != count
+                        or categories[i:end].count(key[2]) != count
+                        or scenarios[i:end] != cell_scenarios[start:start + count]
+                        or timesteps[i:end] != cell_timesteps[start:start + count]
+                        or "_" in "".join(run)):
+                    raise _NotWriterLayout
+                values.extend(map(float, run))
+                i = end
+            block = fh.readlines(_IMPORT_BLOCK_CHARS)
+        if len(values) != size:
+            raise _NotWriterLayout
+    # a UnicodeDecodeError is a ValueError; a RecursionError is JSON nested too deeply
+    except (ValueError, RecursionError, csv.Error) as exc:
+        raise _NotWriterLayout from exc
+    return meta, grids
 
-    def _shape(self, section: str) -> tuple[int, ...] | None:
-        payload_type, grid = self.meta.get("payload_type"), self.meta.get("payload_grid")
-        if (not isinstance(payload_type, str) or section not in _JSON_KEYS.get(payload_type, ())
-                or not isinstance(grid, dict)):
-            return None
-        n_s, n_t = grid.get("scenarios"), grid.get("timesteps")
-        if payload_type == "dynamic":
-            n_t = self.meta.get("payload_t_out")
-        # a stat series runs over the time steps
-        shape = (n_t,) if section in ("stat", "stat_cost") else (n_s, n_t)
-        return shape if all(type(n) is int and n > 0 for n in shape) else None
 
-    def add(self, record: Sequence[str], line: int) -> None:
-        """One row's six fields; diagnostics name its ``line``."""
-        if len(record) != 6:
-            raise LoadError(f"row has {len(record)} cells, expected 6", path=self.path, line=line)
-        section, name, scenario, timestep, category, value = record
-        if section == "meta":
-            try:
-                self.meta[name] = json.loads(value)
-            except ValueError as exc:  # also an integer past int's digit limit
-                raise LoadError(f"bad meta value for {name!r}: {exc}",
-                                path=self.path, line=line) from exc
-            return
-        key = section, name, category
-        rows = self.grids.get(key) or self._grid(key)
-        try:
-            # int() and float() take digit-group underscores
-            if "_" in scenario + timestep + value:
-                raise ValueError("digit-group underscore")
-            # an empty scenario (the stat rows) is stored as -1
-            rows.add((int(scenario) if scenario else -1, int(timestep)), float(value))
-        except (ValueError, OverflowError) as exc:
-            raise LoadError(f"bad data row: {exc}", path=self.path, line=line) from exc
-
-    def add_plain(self, columns: list[list[str]], first_line: int) -> None:
-        """The rows of a block of ``_plain_fields`` columns from line
-        ``first_line``: each run of rows that continues its grid in the
-        writer's order is converted at once, the other rows go to ``add``."""
-        n, i = len(columns[0]), 0
-        while i < n:
-            if columns[0][i] == "meta":
-                self.add([column[i] for column in columns], first_line + i)
-                i += 1
+def _row_grids(path: str, lines) -> tuple[dict, dict[tuple[str, str, str], tuple]]:
+    """The meta and each grid's rows of a result CSV, ``lines`` from its
+    checked header on, read one row at a time: the one source of the CSV
+    import's diagnostics.  Each grid keeps three typed columns, scenario,
+    timestep and value, so memory is about the size of the grids."""
+    reader = csv.reader(lines)
+    meta: dict = {}
+    columns: dict[tuple[str, str, str], tuple[array, array, array]] = {}
+    try:
+        next(reader)  # the header
+        for rec in reader:
+            if len(rec) != 6:
+                raise LoadError(f"row has {len(rec)} cells, expected 6",
+                                path=path, line=reader.line_num)
+            section, name, scenario, timestep, category, value = rec
+            if section == "meta":
+                try:
+                    meta[name] = json.loads(value)
+                # also an integer past int's digit limit, or nesting too deep
+                except (ValueError, RecursionError) as exc:
+                    raise LoadError(f"bad meta value for {name!r}: {exc}",
+                                    path=path, line=reader.line_num) from exc
                 continue
-            end = self._add_run(columns, i)
-            if end == i:
-                break
-            i = end
-        for k in range(i, n):
-            self.add([column[k] for column in columns], first_line + k)
-
-    def _add_run(self, columns: list[list[str]], i: int) -> int:
-        """Add the rows from ``i`` that continue row ``i``'s grid in the
-        writer's order, up to its last cell or the block's end, and return
-        where they end; ``i`` when they do not all continue it."""
-        sections, names, scenarios, timesteps, categories, values = columns
-        key = sections[i], names[i], categories[i]
-        rows = self._grid(key)
-        if rows.order is None:
-            return i
-        start = len(rows.values)
-        end = min(len(sections), i + rows.order.size - start)
-        count = end - i
-        values = values[i:end]
-        # float() takes digit-group underscores, which add() reports
-        if (count == 0 or sections[i:end].count(key[0]) != count
-                or names[i:end].count(key[1]) != count
-                or categories[i:end].count(key[2]) != count
-                or rows.order.fields(start, start + count) != (scenarios[i:end],
-                                                                timesteps[i:end])
-                or "_" in "".join(values)):
-            return i
-        try:
-            rows.values.extend(map(float, values))
-        except ValueError:
-            del rows.values[start:]
-            return i
-        return end
+            cells = columns.get((section, name, category))
+            if cells is None:
+                cells = columns[section, name, category] = (array("q"), array("q"), array("d"))
+            try:
+                # int() and float() take digit-group underscores
+                if "_" in scenario + timestep + value:
+                    raise ValueError("digit-group underscore")
+                # an empty scenario (the stat rows) is stored as -1
+                cells[0].append(int(scenario) if scenario else -1)
+                cells[1].append(int(timestep))
+                cells[2].append(float(value))
+            except (ValueError, OverflowError) as exc:
+                raise LoadError(f"bad data row: {exc}", path=path, line=reader.line_num) from exc
+    except csv.Error as exc:
+        raise LoadError(f"CSV parse error: {exc}", path=path, line=reader.line_num) from exc
+    return meta, columns
 
 
 def _import_csv(path: str, first: str, fh) -> ResultSet:
-    """Stream a long-format result CSV into a ResultSet: its first line
+    """Read a long-format result CSV into a ResultSet: its first line
     ``first``, then the rest of the open file ``fh``.
 
-    The file is read a block of lines at a time.  A block of plain lines
-    (``_plain_fields``) is split on its commas, and each run of rows that
-    continues its grid in the writer's order keeps only its values.  Any
-    other block goes through ``csv.reader``, and any other row through
-    ``_CsvRows.add``, the one source of diagnostics, which keeps each row's
-    scenario and timestep once its grid leaves that order.  Memory follows
-    the grids, not the file.
+    A file in the exact layout ``_export_csv`` writes is read by
+    ``_writer_layout_grids``.  Any other file is read again from its header,
+    wholly by ``_row_grids``; no row goes through both.  Memory follows the
+    grids, not the file.
     """
-    rows = _CsvRows(path)
-    lines_read = 0
     reader = csv.reader(itertools.chain([first], fh))
     try:
         if next(reader, None) != _CSV_HEADER:
             raise LoadError("not a result CSV (bad header)", path=path)
-        lines_read = reader.line_num
-        while block := fh.readlines(_IMPORT_BLOCK_CHARS):
-            columns = _plain_fields(block)
-            if columns is not None:
-                rows.add_plain(columns, lines_read + 1)
-                lines_read += len(block)
-                continue
-            # csv alone decides where a record ends; the reader stops at the
-            # first that ends at or past the block's end
-            reader = csv.reader(itertools.chain(block, fh))
-            for record in reader:
-                rows.add(record, lines_read + reader.line_num)
-                if reader.line_num >= len(block):
-                    break
-            lines_read += reader.line_num
     except csv.Error as exc:
-        raise LoadError(f"CSV parse error: {exc}", path=path,
-                        line=lines_read + reader.line_num) from exc
+        raise LoadError(f"CSV parse error: {exc}", path=path, line=reader.line_num) from exc
+    body = fh.tell()
+    try:
+        meta, grids = _writer_layout_grids(fh)
+    except _NotWriterLayout:
+        meta = None
+    if meta is None:  # read outside the handler, which holds the partial grids
+        fh.seek(body)
+        meta, grids = _row_grids(path, itertools.chain([first], fh))
 
-    meta = rows.meta
     for required in ("result_schema", "payload_type", "payload_grid"):
         if required not in meta:
             raise LoadError(f"missing meta row {required!r}", path=path)
@@ -1306,11 +1242,10 @@ def _import_csv(path: str, first: str, fh) -> ResultSet:
     # the payload_* rows are the payload's dimensions; the other rows are meta
     dims = {key: meta.pop(f"payload_{key}", None) for key in ("grid", "n_runs", "seed", "t_out")}
 
-    def to_grid(grid: _GridRows, shape, where: str) -> np.ndarray:
-        if (grid.order is not None and grid.order.shape == shape
-                and len(grid.values) == grid.order.size):
-            return np.frombuffer(grid.values, dtype=np.float64).reshape(shape)
-        s, t, v = grid.columns()
+    def to_grid(cells, shape, where: str) -> np.ndarray:
+        if isinstance(cells, array):  # a grid's values, in the writer's order
+            return np.frombuffer(cells, dtype=np.float64).reshape(shape)
+        s, t, v = (np.frombuffer(c, dtype=c.typecode) for c in cells)
         if len(shape) == 1:  # a stat series; its rows leave the scenario empty
             if (s != -1).any():
                 raise LoadError(f"{where}: scenario {s[s != -1][0]} on a stat row, "
@@ -1318,7 +1253,7 @@ def _import_csv(path: str, first: str, fh) -> ResultSet:
             return _grid_from_cells(np.zeros_like(s), t, v, (1, *shape), where, path)[0]
         return _grid_from_cells(s, t, v, shape, where, path)
 
-    payload = _build_payload(payload_type, dims, "meta payload_", rows.grids, to_grid, path)
+    payload = _build_payload(payload_type, dims, "meta payload_", grids, to_grid, path)
     return ResultSet(meta=meta, payload_type=payload_type, payload=payload)
 
 

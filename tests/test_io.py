@@ -624,6 +624,16 @@ def _mc_lines(mc_csv) -> list[bytes]:
     return mc_csv[0].read_bytes().splitlines(True)
 
 
+def _bad_row_then_bad_utf8(lines: list[bytes]) -> list[bytes]:
+    """A bad value in the 100th data row, and an invalid UTF-8 byte in the
+    800th: about 30 KB apart, in the first 64 KiB block of data lines."""
+    lines = list(lines)
+    first = _data_line(lines, b"impact,")
+    lines[first + 100] = lines[first + 100].rsplit(b",", 1)[0] + b",x\n"
+    lines[first + 800] = lines[first + 800].replace(b",", b",\xff", 1)
+    return lines
+
+
 # each case: its id, and a function of (sample results, the 2000-run
 # Monte Carlo CSV, a scratch directory) that gives the file's bytes
 BLOCK_CASES = {
@@ -655,6 +665,13 @@ BLOCK_CASES = {
     **{f"mc_2000-{case}": lambda sr, mc, tmp, case=case: b"".join(_corrupt(_mc_lines(mc), case))
        for case in ("utf8_deep", "broken_quote", "truncated_last_row", "missing_cell",
                     "duplicate_cell", "empty_scenario", "shape_mismatch")},
+    # a late deviation: the whole file in the writer's layout but its end
+    "mc_2000-swapped_last_rows": lambda sr, mc, tmp: _rearranged(
+        mc[0].read_bytes(), lambda meta, rows: meta + rows[:-2] + rows[:-3:-1]),
+    "mc_2000-bad_row_then_bad_utf8": lambda sr, mc, tmp: b"".join(
+        _bad_row_then_bad_utf8(_mc_lines(mc))),
+    **{f"blank_before_header-{i}": lambda sr, mc, tmp, lead=lead: lead + _sample_csv(
+        sr, tmp, "unit") for i, lead in enumerate((b"\n\n", b" \n", b"   ", b"\r\n\t"))},
     **{f"mc_2000-row-{i}": lambda sr, mc, tmp, row=row: b"".join(
         row if line.startswith(b"cost,,7,3,,") else line for line in _mc_lines(mc))
        for i, row in enumerate((b"cost,,7,x,,1.0\n", b"cost,,7,3,,1_0.5\n",
@@ -662,6 +679,12 @@ BLOCK_CASES = {
     **{f"unit-foreign-{i}": lambda sr, mc, tmp, extra=extra: _unit_csv(tmp, extra)
        for i, extra in enumerate((b"impact,,-1,0,GWP100,1.0\n", b"impact,,0,-2,GWP100,1.0\n",
                                   b"stat,mean,,0,GWP100,1.0\n"))},
+    # a meta value nested deeper than json parses
+    "deep_meta": lambda sr, mc, tmp: _sample_csv(sr, tmp, "unit").replace(
+        b"\nmeta,", b"\nmeta,deep,,,,%s%s\nmeta," % (b"[" * 60000, b"]" * 60000), 1),
+    # dimensions that the file is far too small to hold
+    "huge_payload_grid": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b'""scenarios"": 6,', b'""scenarios"": 1000000000,', 1),
     "stat_scenario": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
         b"stat,mean,,0,GWP100,", b"stat,mean,7,0,GWP100,"),
     **{f"{kind}-{case_id}": lambda sr, mc, tmp, kind=kind, edit=(source, target):
@@ -687,3 +710,12 @@ def test_block_path_agrees_with_row_path(case, block_chars, sample_results, mc_c
         assert any(columns is not None for columns in plain)
     monkeypatch.setattr(lc_io, "_plain_fields", lambda lines: None)
     assert fast == import_outcome(path)
+
+
+def test_a_bad_row_wins_over_a_later_bad_byte_in_its_block(mc_csv, tmp_path):
+    lines = _bad_row_then_bad_utf8(_mc_lines(mc_csv))
+    path = tmp_path / "result.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(LoadError, match="bad data row") as exc_info:
+        import_results(path)
+    assert exc_info.value.line == _data_line(lines, b"impact,") + 101
