@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .dynamic import DynamicImpactResult, run_dynamic
 from .econ import ProductionSeries, discounted_cost_result
-from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo
+# run_static is not called here; the tracer in e2ebench/tracing.py wraps cli.run_static
+from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
 from .errors import LcengineError, LoadError
 from .io import (
     _STATS,

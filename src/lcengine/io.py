@@ -1066,18 +1066,23 @@ class _NotWriterLayout(Exception):
 
 
 def _plain_fields(lines: list[str]) -> list[list[str]] | None:
-    """The six columns of a block of lines that ``csv.reader`` would split on
-    their commas alone, or None where it must read them.  Such lines hold no
-    quote or NUL, each ends in a newline (``\\n`` or ``\\r\\n``, and no
-    other carriage return), has five commas and fits
-    ``csv.field_size_limit()``."""
+    """The six columns of the rows in a block of lines, or None where a row
+    has another number of fields.  Lines that hold no quote or NUL, each end
+    in a newline (``\\n`` or ``\\r\\n``, and no other carriage return)
+    and fit ``csv.field_size_limit()`` are split on their commas alone.  A
+    strict ``csv.reader`` reads any other block, such as one with a name or
+    category that ``csv.writer`` quoted for a comma or newline in it, and
+    raises ``csv.Error`` where the block ends inside a quoted field."""
     text = "".join(lines)
     if "\r" in text:  # a replace() that finds nothing costs more than this test
         text = text.replace("\r\n", "\n")
-    if ('"' in text or "\r" in text or "\0" in text or not text.endswith("\n")
-            or text.count(",") != 5 * len(lines)):
-        return None
-    if len(text) > csv.field_size_limit() and max(map(len, lines)) > csv.field_size_limit():
+    long = len(text) > csv.field_size_limit() and max(map(len, lines)) > csv.field_size_limit()
+    if '"' in text or "\r" in text or "\0" in text or not text.endswith("\n") or long:
+        records = list(csv.reader(lines, strict=True))
+        if {len(record) for record in records} != {6}:
+            return None
+        return [list(column) for column in zip(*records)]
+    if text.count(",") != 5 * len(lines):
         return None
     # each cell ends at a comma or after a newline; with five commas to a
     # line on average, every newline ends a sixth cell only when every line
@@ -1113,7 +1118,7 @@ def _writer_fields(meta: dict, file_bytes: int) -> dict[str, tuple[list[str], li
 def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
     """The meta and each grid's values of the rest of the open result CSV
     ``fh``, in the exact layout ``_export_csv`` writes: the meta rows, one to
-    a line, then ``_plain_fields`` blocks in which each grid is contiguous
+    a line, then blocks of one row to a line in which each grid is contiguous
     and complete, in the writer's cell order.  Each run of a grid's rows in
     a block is checked and converted at once.  Any deviation raises
     ``_NotWriterLayout``."""
@@ -1213,9 +1218,8 @@ def _import_csv(path: str, first: str, fh) -> ResultSet:
     ``first``, then the rest of the open file ``fh``.
 
     A file in the exact layout ``_export_csv`` writes is read by
-    ``_writer_layout_grids``.  Any other file is read again from its header,
-    wholly by ``_row_grids``; no row goes through both.  Memory follows the
-    grids, not the file.
+    ``_writer_layout_grids``; any other file, or a pipe, which cannot be
+    read twice, wholly by ``_row_grids``.  Memory follows the grids.
     """
     reader = csv.reader(itertools.chain([first], fh))
     try:
@@ -1223,13 +1227,14 @@ def _import_csv(path: str, first: str, fh) -> ResultSet:
             raise LoadError("not a result CSV (bad header)", path=path)
     except csv.Error as exc:
         raise LoadError(f"CSV parse error: {exc}", path=path, line=reader.line_num) from exc
-    body = fh.tell()
-    try:
-        meta, grids = _writer_layout_grids(fh)
-    except _NotWriterLayout:
-        meta = None
+    meta = None
+    if fh.seekable():  # a pipe is read once, by the row reader
+        body = fh.tell()
+        try:
+            meta, grids = _writer_layout_grids(fh)
+        except _NotWriterLayout:
+            fh.seek(body)
     if meta is None:  # read outside the handler, which holds the partial grids
-        fh.seek(body)
         meta, grids = _row_grids(path, itertools.chain([first], fh))
 
     for required in ("result_schema", "payload_type", "payload_grid"):

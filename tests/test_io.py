@@ -1,5 +1,7 @@
 import csv
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -624,6 +626,12 @@ def _mc_lines(mc_csv) -> list[bytes]:
     return mc_csv[0].read_bytes().splitlines(True)
 
 
+def _comma_name(mc_csv) -> bytes:
+    """The Monte Carlo CSV as the writer gives it for a subprocess whose
+    name holds a comma: quoted, on about 40k rows."""
+    return mc_csv[0].read_bytes().replace(b",fuel_supply,", b',"fuel_supply, gas",')
+
+
 def _bad_row_then_bad_utf8(lines: list[bytes]) -> list[bytes]:
     """A bad value in the 100th data row, and an invalid UTF-8 byte in the
     800th: about 30 KB apart, in the first 64 KiB block of data lines."""
@@ -670,6 +678,9 @@ BLOCK_CASES = {
         mc[0].read_bytes(), lambda meta, rows: meta + rows[:-2] + rows[:-3:-1]),
     "mc_2000-bad_row_then_bad_utf8": lambda sr, mc, tmp: b"".join(
         _bad_row_then_bad_utf8(_mc_lines(mc))),
+    "mc_2000-comma_name": lambda sr, mc, tmp: _comma_name(mc),
+    "mc_2000-comma_name-extra_cell": lambda sr, mc, tmp: re.sub(
+        rb'(\nsp_exchange,"fuel_supply, gas",0,3,,[^\n]*)', rb"\1,0", _comma_name(mc), count=1),
     **{f"blank_before_header-{i}": lambda sr, mc, tmp, lead=lead: lead + _sample_csv(
         sr, tmp, "unit") for i, lead in enumerate((b"\n\n", b" \n", b"   ", b"\r\n\t"))},
     **{f"mc_2000-row-{i}": lambda sr, mc, tmp, row=row: b"".join(
@@ -719,3 +730,37 @@ def test_a_bad_row_wins_over_a_later_bad_byte_in_its_block(mc_csv, tmp_path):
     with pytest.raises(LoadError, match="bad data row") as exc_info:
         import_results(path)
     assert exc_info.value.line == _data_line(lines, b"impact,") + 101
+
+
+def test_a_quoted_name_keeps_the_writer_layout(mc_csv, tmp_path, monkeypatch):
+    path = tmp_path / "result.csv"
+    path.write_bytes(_comma_name(mc_csv))
+    monkeypatch.setattr(lc_io, "_row_grids", None)  # the row reader must not be called
+    rs = import_results(path)
+    assert "fuel_supply, gas" in rs.payload.samples.sp_exchange
+    export_results(rs, "csv", tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["mc_2000", "mc_2000-bad_row_then_bad_utf8", "reversed"])
+def test_a_result_csv_imports_from_a_pipe(case, sample_results, mc_csv, tmp_path):
+    """A pipe cannot be read twice; the row reader reads it all."""
+    data = BLOCK_CASES[case](sample_results, mc_csv, tmp_path)
+    path = tmp_path / "result.csv"
+    path.write_bytes(data)
+    expected = import_outcome(path)
+    path.unlink()
+    os.mkfifo(path)
+
+    def write():
+        try:
+            path.write_bytes(data)
+        except BrokenPipeError:  # the import stopped at an error
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert import_outcome(path) == expected
+    finally:
+        writer.join()
