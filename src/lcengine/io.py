@@ -39,6 +39,7 @@ import shutil
 import tempfile
 from array import array
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -930,9 +931,16 @@ def _grid_blocks(grid: np.ndarray, row_fmt: str, scenarios: bool = False,
     block_fmt = row_fmt * rows
     for start in range(0, n_s, rows):
         block = grid[start:start + rows]
-        cells = block.ravel().tolist()
-        if cell is not None:
-            cells = list(map(cell, cells))
+        bits = block.view(np.int64) if block.dtype == np.float64 and n_t > 1 else None
+        if bits is not None and (bits == bits[:, :1]).all():
+            # each row holds one value, bit for bit (so -0.0 and each NaN
+            # keep their text): one text a row, repeated along it
+            texts = list(map(cell or repr, block[:, 0].tolist()))
+            cells = [text for text in texts for _ in range(n_t)]
+        else:
+            cells = block.ravel().tolist()
+            if cell is not None:
+                cells = list(map(cell, cells))
         if scenarios:
             values, cells = cells, [0] * (2 * len(cells))
             cells[0::2] = [s for s in range(start, start + len(block)) for _ in range(n_t)]
@@ -1056,13 +1064,13 @@ def _grid_from_cells(
     return grid.reshape(n_s, n_t)
 
 
-# A result CSV is read a block of about this many characters of whole lines
-# at a time.
+# A result file in the writer's layout is read a block of about this many
+# characters of whole lines at a time.
 _IMPORT_BLOCK_CHARS = 1 << 16
 
 
 class _NotWriterLayout(Exception):
-    """A result CSV that is not in the exact layout ``_export_csv`` writes."""
+    """A result file that is not in the exact layout ``export_results`` writes."""
 
 
 def _plain_fields(lines: list[str]) -> list[list[str]] | None:
@@ -1172,11 +1180,12 @@ def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
     return meta, grids
 
 
-def _row_grids(path: str, lines) -> tuple[dict, dict[tuple[str, str, str], tuple]]:
+def _row_grids(path: str, lines, skipped: int) -> tuple[dict, dict[tuple[str, str, str], tuple]]:
     """The meta and each grid's rows of a result CSV, ``lines`` from its
-    checked header on, read one row at a time: the one source of the CSV
-    import's diagnostics.  Each grid keeps three typed columns, scenario,
-    timestep and value, so memory is about the size of the grids."""
+    checked header on, which ``skipped`` blank lines precede, read one row
+    at a time: the one source of the CSV import's diagnostics.  Each grid
+    keeps three typed columns, scenario, timestep and value, so memory is
+    about the size of the grids."""
     reader = csv.reader(lines)
     meta: dict = {}
     columns: dict[tuple[str, str, str], tuple[array, array, array]] = {}
@@ -1185,7 +1194,7 @@ def _row_grids(path: str, lines) -> tuple[dict, dict[tuple[str, str, str], tuple
         for rec in reader:
             if len(rec) != 6:
                 raise LoadError(f"row has {len(rec)} cells, expected 6",
-                                path=path, line=reader.line_num)
+                                path=path, line=skipped + reader.line_num)
             section, name, scenario, timestep, category, value = rec
             if section == "meta":
                 try:
@@ -1193,7 +1202,7 @@ def _row_grids(path: str, lines) -> tuple[dict, dict[tuple[str, str, str], tuple
                 # also an integer past int's digit limit, or nesting too deep
                 except (ValueError, RecursionError) as exc:
                     raise LoadError(f"bad meta value for {name!r}: {exc}",
-                                    path=path, line=reader.line_num) from exc
+                                    path=path, line=skipped + reader.line_num) from exc
                 continue
             cells = columns.get((section, name, category))
             if cells is None:
@@ -1207,15 +1216,18 @@ def _row_grids(path: str, lines) -> tuple[dict, dict[tuple[str, str, str], tuple
                 cells[1].append(int(timestep))
                 cells[2].append(float(value))
             except (ValueError, OverflowError) as exc:
-                raise LoadError(f"bad data row: {exc}", path=path, line=reader.line_num) from exc
+                raise LoadError(f"bad data row: {exc}", path=path,
+                                line=skipped + reader.line_num) from exc
     except csv.Error as exc:
-        raise LoadError(f"CSV parse error: {exc}", path=path, line=reader.line_num) from exc
+        raise LoadError(f"CSV parse error: {exc}", path=path,
+                        line=skipped + reader.line_num) from exc
     return meta, columns
 
 
-def _import_csv(path: str, first: str, fh) -> ResultSet:
-    """Read a long-format result CSV into a ResultSet: its first line
-    ``first``, then the rest of the open file ``fh``.
+def _import_csv(path: str, first: str, fh, skipped: int) -> ResultSet:
+    """Read a long-format result CSV into a ResultSet: its header line
+    ``first``, then the rest of the open file ``fh``.  The ``skipped``
+    blank lines before the header count in the line numbers of diagnostics.
 
     A file in the exact layout ``_export_csv`` writes is read by
     ``_writer_layout_grids``; any other file, or a pipe, which cannot be
@@ -1226,7 +1238,8 @@ def _import_csv(path: str, first: str, fh) -> ResultSet:
         if next(reader, None) != _CSV_HEADER:
             raise LoadError("not a result CSV (bad header)", path=path)
     except csv.Error as exc:
-        raise LoadError(f"CSV parse error: {exc}", path=path, line=reader.line_num) from exc
+        raise LoadError(f"CSV parse error: {exc}", path=path,
+                        line=skipped + reader.line_num) from exc
     meta = None
     if fh.seekable():  # a pipe is read once, by the row reader
         body = fh.tell()
@@ -1235,7 +1248,7 @@ def _import_csv(path: str, first: str, fh) -> ResultSet:
         except _NotWriterLayout:
             fh.seek(body)
     if meta is None:  # read outside the handler, which holds the partial grids
-        meta, grids = _row_grids(path, itertools.chain([first], fh))
+        meta, grids = _row_grids(path, itertools.chain([first], fh), skipped)
 
     for required in ("result_schema", "payload_type", "payload_grid"):
         if required not in meta:
@@ -1336,6 +1349,129 @@ def _json_lists(value):
     return value
 
 
+def _not_a_float(text: str):
+    raise _NotWriterLayout
+
+
+# decodes a block of grid rows; an integer, NaN or Infinity in it is not the
+# writer's layout, whose cells are all finite floats
+_GRID_ROWS = json.JSONDecoder(parse_int=_not_a_float, parse_constant=_not_a_float)
+
+
+def _writer_layout_doc(fh, head: str) -> dict:
+    """The JSON result in the rest of the open file ``fh``, after its first
+    characters ``head``, as ``json.loads`` with ``_grids_hook`` gives it,
+    when the file is in the layout ``_export_json`` writes: two spaces a
+    level, and each grid the value of a key that ends its line, one row
+    opening on each next line two spaces deeper, one cell to a line two
+    deeper again.  Any deviation raises ``_NotWriterLayout``.
+
+    The file is read a block of whole lines at a time.  Each grid's rows go
+    to the ``json`` decoder a block of whole rows at a time, and their cells
+    into float64 storage.  The rest of the text, meta, dimensions, name
+    lists and stat series, is one ``json.loads`` with ``NaN`` in each
+    grid's place.  The outcome is that of the whole text: the text taken
+    for a grid decodes, a block at a time, only as rows of floats, with no
+    string in them, so its brackets balance and it is the grid's value; the
+    key before it is a whole string that starts its line, so that value
+    stands where a value belongs.
+    """
+    def lines() -> str:  # a block of whole lines; '' at the end of the file
+        block = fh.read(_IMPORT_BLOCK_CHARS)
+        return block + fh.readline() if block and not block.endswith("\n") else block
+
+    text = head + lines()
+    if not text.startswith('\n  "', len(head)):  # another indentation, or none
+        raise _NotWriterLayout
+    skeleton: list[str] = []  # the text between grids
+    parts: list[str] = []  # the text since the last grid, a block at a time
+    grids: list[np.ndarray] = []
+    pos = search = 0  # where the text since the last grid starts; where to look for one
+    try:
+        while True:
+            at = text.find('": [\n', search)  # a key's list value opens
+            if at < 0:
+                parts.append(text[pos:])
+                text = lines()
+                if not text:
+                    break
+                pos = search = 0
+                continue
+            line = text[text.rfind("\n", 0, at) + 1:at + 1]
+            k = len(line) - len(line.lstrip(" "))  # the key's indentation
+            first_row = "\n" + " " * (k + 2) + "[\n" + " " * (k + 4)
+            first_cell = at + 4 + len(first_row)
+            if first_cell >= len(text):  # the grid's first cell is in the next block
+                block = lines()
+                if not block:
+                    raise _NotWriterLayout
+                text += block
+                continue
+            if (not text.startswith(first_row, at + 4) or text[first_cell] not in "-0123456789"
+                    or line[k:k + 1] != '"' or scanstring(line, k + 1)[1] != len(line)):
+                search = at + 5  # a list of names, a stat series or part of meta
+                continue
+            parts.append(text[pos:at + 3])
+            skeleton.append("".join(parts))
+            parts = []
+            end, between = "\n" + " " * k + "]", "],\n" + " " * (k + 2) + "["
+            start = at + k + 7  # the first row's "["
+            values, width = array("d"), None
+            while True:
+                stop = text.find(end, start)
+                # up to the grid's end, or else to the end of the block's last whole row
+                cut = stop if stop >= 0 else text.rfind(between, start) + 1
+                if cut > 0:
+                    rows = text[start:cut]
+                    if "t" in rows or "f" in rows:  # true or false, which array("d") takes
+                        raise _NotWriterLayout
+                    rows = _GRID_ROWS.decode(f"[{rows}]")
+                    width = width or len(rows[0])
+                    if set(map(len, rows)) != {width}:
+                        raise _NotWriterLayout
+                    # a TypeError on any other cell that is not a float
+                    values.extend(itertools.chain.from_iterable(rows))
+                    if stop >= 0:
+                        break
+                    start = cut + len(between) - 2  # the next row's "["
+                block = lines()
+                if not block:
+                    raise _NotWriterLayout
+                text, start = text[start:] + block, 0
+            grids.append(np.frombuffer(values, dtype=np.float64).reshape(-1, width))
+            pos = search = stop + len(end)
+        if any("NaN" in part or "Infinity" in part for part in skeleton + parts):
+            raise _NotWriterLayout  # a non-finite number, or a name that spells one
+        grid = iter(grids)
+        return json.loads("NaN".join([*skeleton, "".join(parts)]), object_hook=_grids_hook,
+                          parse_constant=lambda _: next(grid))
+    # a UnicodeDecodeError is a ValueError; a RecursionError is JSON nested too deeply
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise _NotWriterLayout from exc
+
+
+class _CountingReader(_io.BufferedReader):
+    """A buffered binary file that counts the bytes it has handed out since
+    it was last positioned, for the byte offset of a decoding error in a
+    file that cannot tell its position, such as a pipe."""
+
+    handed_out = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.handed_out += len(data)
+        return data
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.handed_out += len(data)
+        return data
+
+    def seek(self, offset, whence=0):
+        self.handed_out = super().seek(offset, whence)
+        return self.handed_out
+
+
 def _read_through_blank(fh) -> str:
     """Read up to and including the first non-blank character ('' at end of file)."""
     head = ""
@@ -1349,33 +1485,51 @@ def _read_through_blank(fh) -> str:
 def import_results(path) -> ResultSet:
     """Read a result set previously written by ``export_results``.
 
-    A file whose first non-blank character is ``{`` is read as JSON; any
-    other is streamed as a result CSV.
+    A file whose first non-blank character is ``{`` is read as JSON, any
+    other as a result CSV; blank lines before the CSV header are skipped.
+    Each format has two readers, never mixed.  A regular file in the exact
+    layout ``export_results`` writes is read a block at a time, into memory
+    about the size of its grids.  Any other file, or a pipe, which cannot be
+    read twice, is read by the general reader of its format: a CSV one row
+    at a time, a JSON text whole.  The general reader gives every
+    diagnostic.
     """
     path = str(path)
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with _io.TextIOWrapper(_CountingReader(_io.FileIO(path)), encoding="utf-8",
+                               newline="") as fh:
             try:
                 head = _read_through_blank(fh)
                 if not head.endswith("{"):
-                    return _import_csv(path, head + fh.readline(), fh)
-                text = head + fh.read()
+                    blank = head[:max(head.rfind("\n"), head.rfind("\r")) + 1]
+                    skipped = blank.count("\n") + blank.count("\r") - blank.count("\r\n")
+                    return _import_csv(path, head[len(blank):] + fh.readline(), fh, skipped)
+                doc = None
+                if fh.seekable():  # a pipe is read once, whole
+                    try:
+                        doc = _writer_layout_doc(fh, head)
+                    except _NotWriterLayout:
+                        fh.seek(0)
+                        head = ""
+                if doc is None:  # read outside the handler, which holds the partial grids
+                    text = head + fh.read()
             except UnicodeDecodeError as exc:
                 # exc.object is the undecoded tail of what was read so far
-                offset = fh.buffer.tell() - len(exc.object) + exc.start
+                offset = fh.buffer.handed_out - len(exc.object) + exc.start
                 raise LoadError(
                     f"file is not valid UTF-8: {exc.reason} at byte {offset}", path=path
                 ) from exc
     except OSError as exc:
         raise LoadError(f"cannot read file: {exc}", path=path) from exc
-    try:
-        doc = json.loads(text, object_hook=_grids_hook)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"JSON parse error: {exc}", path=path, line=exc.lineno) from exc
-    except ValueError as exc:  # an integer past int's digit limit
-        raise LoadError(f"JSON parse error: {exc}", path=path) from exc
-    except RecursionError as exc:
-        raise LoadError("JSON parse error: nested too deeply", path=path) from exc
+    if doc is None:
+        try:
+            doc = json.loads(text, object_hook=_grids_hook)
+        except json.JSONDecodeError as exc:
+            raise LoadError(f"JSON parse error: {exc}", path=path, line=exc.lineno) from exc
+        except ValueError as exc:  # an integer past int's digit limit
+            raise LoadError(f"JSON parse error: {exc}", path=path) from exc
+        except RecursionError as exc:
+            raise LoadError("JSON parse error: nested too deeply", path=path) from exc
     if not isinstance(doc, dict):
         raise LoadError("result JSON must be an object", path=path)
     for required in ("schema_version", "meta", "payload_type", "payload"):

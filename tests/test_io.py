@@ -1,7 +1,10 @@
 import csv
+import json
 import os
 import re
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from lcengine import (
     LoadError,
     MatrixAmount,
     ScalarAmount,
+    ScenarioGrid,
+    UnitResult,
     export_results,
     import_results,
     load_background_db,
@@ -29,6 +34,7 @@ from lcengine import io as lc_io
 
 from conftest import empty_db, import_outcome, simple_model
 from oracles import oracle_mean, oracle_percentile, oracle_sd
+from test_result_text import JSON_CONTRACT
 
 
 class TestLoadModel:
@@ -742,14 +748,8 @@ def test_a_quoted_name_keeps_the_writer_layout(mc_csv, tmp_path, monkeypatch):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("case", ["mc_2000", "mc_2000-bad_row_then_bad_utf8", "reversed"])
-def test_a_result_csv_imports_from_a_pipe(case, sample_results, mc_csv, tmp_path):
-    """A pipe cannot be read twice; the row reader reads it all."""
-    data = BLOCK_CASES[case](sample_results, mc_csv, tmp_path)
-    path = tmp_path / "result.csv"
-    path.write_bytes(data)
-    expected = import_outcome(path)
-    path.unlink()
+def _outcome_through_a_pipe(path, data: bytes):
+    """What ``import_results`` makes of ``data`` written to a FIFO at ``path``."""
     os.mkfifo(path)
 
     def write():
@@ -761,6 +761,224 @@ def test_a_result_csv_imports_from_a_pipe(case, sample_results, mc_csv, tmp_path
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        assert import_outcome(path) == expected
+        return import_outcome(path)
     finally:
         writer.join()
+        path.unlink()
+
+
+@pytest.mark.parametrize("case", ["mc_2000", "mc_2000-bad_row_then_bad_utf8", "mc_2000-utf8_deep",
+                                  "reversed"])
+def test_a_result_csv_imports_from_a_pipe(case, sample_results, mc_csv, tmp_path):
+    """A pipe cannot be read twice; the row reader reads it all, and names
+    an invalid byte by its offset, as in a regular file."""
+    data = BLOCK_CASES[case](sample_results, mc_csv, tmp_path)
+    path = tmp_path / "result.csv"
+    path.write_bytes(data)
+    expected = import_outcome(path)
+    path.unlink()
+    assert _outcome_through_a_pipe(path, data) == expected
+
+
+@pytest.mark.parametrize("lead", [b"\n\n", b" \n", b"\r\n\t \r\n", b"\r\r\n"])
+def test_blank_lines_before_a_csv_header_are_skipped(lead, mc_csv, tmp_path):
+    """The file imports as it does without them, and diagnostics count them."""
+    lines = _mc_lines(mc_csv)
+    path = tmp_path / "result.csv"
+    path.write_bytes(lead + b"".join(lines))
+    assert import_outcome(path) == import_outcome(mc_csv[0])
+    lines[7] = b"meta,bad,,,,x\n"
+    path.write_bytes(lead + b"".join(lines))
+    with pytest.raises(LoadError, match="bad meta value for 'bad'") as exc_info:
+        import_results(path)
+    assert exc_info.value.line == 8 + len(lead.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# a JSON result: the writer-layout reader gives the whole-file reader's grids
+# and meta, or its error
+
+
+@pytest.fixture(scope="module")
+def mc_json(mc_csv, tmp_path_factory):
+    """The 2000-run Monte Carlo result as JSON."""
+    path = tmp_path_factory.mktemp("mc") / "mc.json"
+    export_results(mc_csv[1], "json", path)
+    return path.read_bytes()
+
+
+def _sample_json(sample_results, tmp_path, kind: str) -> bytes:
+    path = tmp_path / f"{kind}.json"
+    export_results(sample_results[kind], "json", path)
+    return path.read_bytes()
+
+
+def _names_json(tmp_path, kind: str) -> bytes:
+    """A result whose names hold commas, quotes, newlines and non-ASCII, and
+    whose meta holds a grid of floats."""
+    from test_result_text import random_result
+
+    rs = random_result(kind, 3)
+    rs.meta = {"note": 'say "hi"', "floats": [[1.5, -0.0], [2.0, 5e-324]]}
+    path = tmp_path / f"names_{kind}.json"
+    export_results(rs, "json", path)
+    return path.read_bytes()
+
+
+def _edited_json(data: bytes, edit) -> bytes:
+    """A JSON result as ``json.dumps(doc, indent=2)`` writes it after
+    ``edit(doc)``: the writer's layout."""
+    doc = json.loads(data)
+    edit(doc)
+    return json.dumps(doc, indent=2).encode("utf-8") + b"\n"
+
+
+def _cell_line(data: bytes, key: bytes, after: int, edit) -> bytes:
+    """``data`` with ``edit(line)`` for the line ``after`` lines past the
+    last one that holds ``key``."""
+    lines = data.splitlines(True)
+    i = max(i for i, line in enumerate(lines) if key in line) + after
+    lines[i] = edit(lines[i])
+    return b"".join(lines)
+
+
+def _cell(data: bytes, text: bytes, key: bytes = b'"cost": [', after: int = 3) -> bytes:
+    """The value of a grid cell replaced by ``text``; by default the third
+    cell of the first row of the cost grid."""
+    return _cell_line(data, key, after,
+                      lambda line: re.sub(rb"[-\w.+]+", lambda m: text, line, count=1))
+
+
+MC_SAMPLE = "monte_carlo"
+# each case: its id, whether the file is in the writer's layout, and a
+# function of (sample results, the 2000-run Monte Carlo JSON, a scratch
+# directory) that gives the file's bytes
+JSON_CASES = {
+    **{kind: (True, lambda sr, mc, tmp, kind=kind: _sample_json(sr, tmp, kind))
+       for kind in KINDS},
+    **{f"names-{kind}": (True, lambda sr, mc, tmp, kind=kind: _names_json(tmp, kind))
+       for kind in KINDS},
+    "mc_2000": (True, lambda sr, mc, tmp: mc),
+    "blank_lines_before": (True, lambda sr, mc, tmp: b"\n \n\t" + _sample_json(sr, tmp, "unit")),
+    "no_final_newline": (True, lambda sr, mc, tmp: _sample_json(sr, tmp, "dynamic")[:-1]),
+    # a name that holds the text that opens a grid
+    "grid_opener_in_a_name": (True, lambda sr, mc, tmp: _sample_json(sr, tmp, MC_SAMPLE).replace(
+        b'"fuel_supply"', b'"fuel\\": [\\n"')),
+    # the deviations, each read whole by json
+    "indent_4": (False, lambda sr, mc, tmp: json.dumps(
+        json.loads(_sample_json(sr, tmp, MC_SAMPLE)), indent=4).encode()),
+    "compact": (False, lambda sr, mc, tmp: json.dumps(
+        json.loads(_sample_json(sr, tmp, MC_SAMPLE)), separators=(",", ":")).encode()),
+    "crlf": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, MC_SAMPLE).replace(b"\n", b"\r\n")),
+    **{f"cell-{case}": (False, lambda sr, mc, tmp, text=text: _cell(
+        _sample_json(sr, tmp, MC_SAMPLE), text)) for case, text in (
+        ("nan", b"NaN"), ("infinity", b"-Infinity"), ("int", b"7"), ("huge_int", b"1" * 5000),
+        ("string", b'"1.5"'), ("escape_in_string", b'"\\u0031.5"'), ("bare_escape", b"\\u0031"),
+        ("true", b"true"), ("null", b"null"), ("list", b"[1.5]"), ("object", b"{}"),
+        ("two_numbers", b"1.5 2.5"), ("not_a_number", b"1.5x"))},
+    "ragged": (False, lambda sr, mc, tmp: _cell_line(
+        _sample_json(sr, tmp, MC_SAMPLE), b'"cost": [', 3, lambda line: b"")),
+    # a cell moved from the second row to the first: as many cells as the
+    # first row's width times the rows
+    "ragged_same_cells": (False, lambda sr, mc, tmp: _edited_json(
+        _sample_json(sr, tmp, MC_SAMPLE), lambda doc: doc["payload"]["samples"]["cost"][0].append(
+            doc["payload"]["samples"]["cost"][1].pop()))),
+    # a grid opener, and a grid, inside a string that holds raw newlines
+    "grid_inside_a_string": (False, lambda sr, mc, tmp: re.sub(
+        rb'"cost": (\[\n.*?\n    \])', rb'"cost": ": \1"', _sample_json(sr, tmp, "unit"),
+        count=1, flags=re.S)),
+    "nan_in_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, MC_SAMPLE).replace(
+        b'"seed": 2', b'"seed": NaN', 1)),
+    "int_grid_in_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(
+        b'"mode": "static"', b'"pairs": [\n      [\n        1,\n        2\n      ]\n    ]', 1)),
+    "deep_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(
+        b'"mode": "static"', b'"deep": %s%s' % (b"[" * 60000, b"]" * 60000), 1)),
+    "utf8_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(
+        b'"static"', b'"st\xffatic"', 1)),
+    "mc_2000-utf8_deep": (False, lambda sr, mc, tmp: _cell_line(
+        mc, b'"boiler_operation": [', 7003, lambda line: line[:-3] + b"\xff" + line[-3:])),
+    "mc_2000-int_deep": (False, lambda sr, mc, tmp: _cell(
+        mc, b"7", b'"boiler_operation": [', 7003)),
+    "missing_comma": (False, lambda sr, mc, tmp: _cell_line(
+        _sample_json(sr, tmp, MC_SAMPLE), b'"cost": [', 7, lambda line: line.replace(b",", b""))),
+    "truncated": (False, lambda sr, mc, tmp: mc[:len(mc) // 2]),
+    "trailing_garbage": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit") + b"x"),
+    # breaches of the reader contract, in the writer's layout: the same error
+    **{f"{kind}-{case_id}": (True, lambda sr, mc, tmp, kind=kind, edit=edit: _edited_json(
+        _sample_json(sr, tmp, kind), lambda doc: edit(doc["payload"])))
+       for kinds, case_id, edit, *_ in JSON_CONTRACT for kind in kinds},
+}
+
+
+def _json_outcomes(path, monkeypatch) -> tuple:
+    """The import outcome of ``path``, whether the writer-layout reader read
+    it, and the outcome of the whole-file reader alone."""
+    read = []
+    writer_layout_doc = lc_io._writer_layout_doc
+
+    def recorded(fh, head):
+        read.append(False)
+        doc = writer_layout_doc(fh, head)
+        read[-1] = True
+        return doc
+
+    monkeypatch.setattr(lc_io, "_writer_layout_doc", recorded)
+    outcome = import_outcome(path)
+    monkeypatch.setattr(lc_io, "_writer_layout_doc", mock.Mock(side_effect=lc_io._NotWriterLayout))
+    return outcome, read == [True], import_outcome(path)
+
+
+@pytest.mark.parametrize("block_chars", [None, 100], ids=["default blocks", "100-char blocks"])
+@pytest.mark.parametrize("case", list(JSON_CASES))
+def test_json_readers_agree(case, block_chars, sample_results, mc_json, tmp_path, monkeypatch):
+    writer_layout, make = JSON_CASES[case]
+    path = tmp_path / "result.json"
+    path.write_bytes(make(sample_results, mc_json, tmp_path))
+    if block_chars:  # smaller than a row of the sample results
+        monkeypatch.setattr(lc_io, "_IMPORT_BLOCK_CHARS", block_chars)
+    outcome, read, whole = _json_outcomes(path, monkeypatch)
+    assert read == writer_layout
+    assert outcome == whole
+
+
+@pytest.mark.parametrize("case", ["monte_carlo", "mc_2000", "mc_2000-utf8_deep", "truncated"])
+def test_a_result_json_imports_from_a_pipe(case, sample_results, mc_json, tmp_path):
+    """A pipe is read whole, and an invalid byte is named by its offset, as
+    in a regular file."""
+    data = JSON_CASES[case][1](sample_results, mc_json, tmp_path)
+    path = tmp_path / "result.json"
+    path.write_bytes(data)
+    expected = import_outcome(path)
+    path.unlink()
+    assert _outcome_through_a_pipe(path, data) == expected
+
+
+def test_a_json_import_holds_about_its_grids(tmp_path):
+    """A 6 MB result in the writer's layout imports into memory for its
+    grids and a few blocks of text and decoded rows, not for its text."""
+    rng = np.random.default_rng(5)
+    shape, cats, sps = (300, 60), ("GWP100", "AP"), ("a", "b")
+    grids = {}
+
+    def grid():
+        grids[len(grids)] = rng.standard_normal(shape)
+        return grids[len(grids) - 1]
+
+    unit = UnitResult(grid=ScenarioGrid(*shape), categories=cats,
+                      impacts={cat: grid() for cat in cats}, cost=grid(),
+                      sp_unit_impacts={sp: {cat: grid() for cat in cats} for sp in sps},
+                      sp_unit_costs={sp: grid() for sp in sps},
+                      sp_exchange={sp: grid() for sp in sps})
+    path = tmp_path / "result.json"
+    export_results(result_set(unit, {}), "json", path)
+    grid_bytes = sum(grid.nbytes for grid in grids.values())
+    tracemalloc.start()
+    try:
+        import_results(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text alone is about four times the grids' bytes
+    assert path.stat().st_size > 3.5 * grid_bytes
+    # room for the growth of a grid's array
+    assert peak < 1.5 * grid_bytes + 8 * lc_io._IMPORT_BLOCK_CHARS

@@ -1,8 +1,9 @@
 """Mutation fuzz of the files lcengine reads.
 
 ``lcengine report --plot-data`` on a result with one mutation never raises,
-exits 0, 2 or 3, and leaves no plot directory behind when it fails; a CSV
-result imports as it does through the per-row path alone.
+exits 0, 2 or 3, and leaves no plot directory behind when it fails; a
+result imports as it does through its format's general reader alone: a CSV
+one row at a time, a JSON text whole.
 ``lcengine validate`` and ``lcengine run`` in each mode, on the sample
 inputs with one mutation in the model, the database, the factor table or
 the matrix CSV, never raise or warn, exit 0, 1, 2 or 3, and leave no
@@ -101,12 +102,14 @@ def test_report_on_a_mutated_result(result_files, kind, fmt, mutation, rnd, toke
         code = main(["report", str(path), "--plot-data", str(plots)])
         assert code in (0, 2, 3)
         assert code == 0 or not plots.exists()
-        if fmt == "csv":
-            # blocks small enough that the sample results span several
-            with mock.patch.object(lc_io, "_IMPORT_BLOCK_CHARS", 256):
-                outcome = import_outcome(path)
-                with mock.patch.object(lc_io, "_plain_fields", lambda lines: None):
-                    assert import_outcome(path) == outcome
+        # blocks small enough that the sample results span several
+        with mock.patch.object(lc_io, "_IMPORT_BLOCK_CHARS", 256):
+            outcome = import_outcome(path)
+            # the general reader of the format alone
+            with (mock.patch.object(lc_io, "_plain_fields", lambda lines: None) if fmt == "csv"
+                  else mock.patch.object(lc_io, "_writer_layout_doc",
+                                         side_effect=lc_io._NotWriterLayout)):
+                assert import_outcome(path) == outcome
 
 
 SAMPLE_INPUTS = ("heatplant.model", "heatplant_uncertain.model", "background.csv", "dcf.csv",

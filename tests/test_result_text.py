@@ -88,6 +88,31 @@ def random_result(kind: str, seed: int, nonfinite: bool = False):
     return result_set(payload, META)
 
 
+def row_constant_result():
+    """A Monte Carlo result whose rows each hold one value: a view with a
+    zero stride along time, materialised rows, a grid of one value, and rows
+    of -0.0 and NaN; beside them, rows that differ only in the sign of a zero
+    or in a NaN's payload bits, which the writer must not take for constant."""
+    column = np.array([1.5, -0.0, 0.0, np.nan, -np.inf, 5e-324, 1 / 3])
+    other_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    constant = np.repeat(column[:, None], 4, axis=1)
+    grids = {
+        "zero_stride": np.broadcast_to(column[:, None], constant.shape),
+        "row_constant": constant,
+        "all_equal": np.full(constant.shape, -0.0),
+        "signed_zeros": np.tile([0.0, -0.0], (7, 2)),
+        "nan_payloads": np.tile([np.nan, other_nan], (7, 2)),
+    }
+    cats = tuple(grids)
+    unit = UnitResult(grid=ScenarioGrid(7, 4), categories=cats, impacts=grids, cost=constant,
+                      sp_unit_impacts={"sp": grids}, sp_unit_costs={"sp": grids["zero_stride"]},
+                      sp_exchange={"sp": grids["all_equal"]})
+    stats = SummaryStats(*(np.full(4, v) for v in (1.5, -0.0, np.nan, other_nan, 0.1)))
+    payload = MonteCarloResult(n_runs=7, seed=1, samples=unit,
+                               impact_stats={cat: stats for cat in cats}, cost_stats=stats)
+    return result_set(payload, {})
+
+
 KINDS = ("unit", "monte_carlo", "dynamic")
 
 
@@ -104,6 +129,14 @@ class TestWriterBytes:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_export_matches_frozen_emitter(self, fmt, kind, seed, block_cells, tmp_path):
         rs = random_result(kind, seed, nonfinite=True)
+        path = tmp_path / f"result.{fmt}"
+        export_results(rs, fmt, path)
+        oracle = oracle_result_json if fmt == "json" else oracle_result_csv
+        assert path.read_bytes() == oracle(rs).encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_row_constant_blocks_match_frozen_emitter(self, fmt, block_cells, tmp_path):
+        rs = row_constant_result()
         path = tmp_path / f"result.{fmt}"
         export_results(rs, fmt, path)
         oracle = oracle_result_json if fmt == "json" else oracle_result_csv
