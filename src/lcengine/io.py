@@ -29,12 +29,12 @@ with file/line context and never return a partially built object.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io as _io
 import itertools
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 from array import array
@@ -667,6 +667,8 @@ def result_set(payload, meta: dict | None = None) -> ResultSet:
 
 
 def sha256_file(path) -> str:
+    import hashlib  # here, so that importing lcengine does not load OpenSSL
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -1356,6 +1358,8 @@ def _not_a_float(text: str):
 # decodes a block of grid rows; an integer, NaN or Infinity in it is not the
 # writer's layout, whose cells are all finite floats
 _GRID_ROWS = json.JSONDecoder(parse_int=_not_a_float, parse_constant=_not_a_float)
+# the line of the top-level "payload" key, which the writer puts after meta
+_PAYLOAD_KEY = re.compile(r'^  "payload": ', re.MULTILINE)
 
 
 def _writer_layout_doc(fh, head: str) -> dict:
@@ -1387,8 +1391,13 @@ def _writer_layout_doc(fh, head: str) -> dict:
     parts: list[str] = []  # the text since the last grid, a block at a time
     grids: list[np.ndarray] = []
     pos = search = 0  # where the text since the last grid starts; where to look for one
+    in_payload = False  # past the "payload" key, so a list in meta is never taken for a grid
     try:
         while True:
+            if not in_payload:
+                key = _PAYLOAD_KEY.search(text, search)
+                in_payload = key is not None
+                search = key.end() if in_payload else len(text)
             at = text.find('": [\n', search)  # a key's list value opens
             if at < 0:
                 parts.append(text[pos:])

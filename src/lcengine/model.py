@@ -4,14 +4,19 @@ A ProcessModel is a main process made of sub-processes; each sub-process
 carries a list of flows (its inflows and outflows).  Every quantity in the
 model is an exchange amount: a scalar, a scenario x time matrix, or a
 distribution to be sampled once per scenario.  All definition types are
-frozen and safe to share between concurrent evaluations.
+frozen and safe to share between concurrent evaluations.  The arrays they
+hold are read-only: an array that owns its data is frozen in place and
+anything else is copied (see ``MatrixAmount``), so only the owner of a
+frozen array, by setting its writeable flag back, or a view of it made
+before, can still write it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -57,19 +62,55 @@ class ScalarAmount:
         object.__setattr__(self, "value", float(self.value))
 
 
+class _ValueChecks(NamedTuple):
+    """What validation needs to know of a matrix amount's values."""
+
+    finite: bool  # every value is finite
+    negative: bool  # some value is negative
+
+
+def _value_checks(values: np.ndarray) -> _ValueChecks:
+    """Check ``values`` in two reductions: NaN propagates through min and
+    max, so the element-wise scan for negatives runs only when one of them
+    is not finite."""
+    lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    return _ValueChecks(finite, bool(lo < 0 if finite else np.any(values < 0)))
+
+
+def _owned(values) -> bool:
+    """Whether ``values`` is a C-contiguous float64 ndarray that owns its data."""
+    return (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.c_contiguous and values.flags.owndata)
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixAmount:
-    """Explicit scenario x time grid; must match the run grid exactly."""
+    """Explicit scenario x time grid; must match the run grid exactly.
+
+    ``values`` is kept only when it is a C-contiguous float64 ndarray that
+    owns its data; its writeable flag is then cleared in place.  Anything
+    else (a view, a read-only view of a writable base, another dtype or
+    layout, a list) is copied once into such an array, which is frozen.
+    So a later write through the caller's view or base array changes no
+    amount, and validation checks the values once per amount (``_checks``).
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = self.values if _owned(self.values) else np.array(
+            self.values, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise ShapeError(f"matrix amount must be 2-D, got ndim={arr.ndim}")
-        arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    @cached_property
+    def _checks(self) -> _ValueChecks:
+        """The checks of ``values``, made on the first validation; the values
+        cannot change, so they hold for every later one."""
+        return _value_checks(self.values)
 
 
 @dataclass(frozen=True)
@@ -177,10 +218,10 @@ class ProcessModel:
 
 def _read_only_float64(values) -> np.ndarray:
     """``values`` as a read-only C-contiguous float64 array.  Such an array
-    is kept as it is; anything else is copied, so the result never shares
-    memory with an array its caller can still write."""
-    if (type(values) is np.ndarray and values.dtype == np.float64
-            and not values.flags.writeable and values.flags.c_contiguous):
+    that owns its data is kept as it is; anything else is copied, a writable
+    array or a read-only view too, so the result never shares memory with
+    an array its caller can still write."""
+    if _owned(values) and not values.flags.writeable:
         return values
     arr = np.array(values, dtype=np.float64, order="C")
     arr.flags.writeable = False
@@ -266,11 +307,7 @@ def _check_amount(
         elif amount.value < 0:
             report.add_warning(_location(sp, flow), "negative exchange amount (avoided flow?)")
     elif isinstance(amount, MatrixAmount):
-        values = amount.values
-        # Two reductions, as in _production_problem: NaN propagates through
-        # min and max, so the element-wise scans run only when one is not finite.
-        lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
-        finite = math.isfinite(lo) and math.isfinite(hi)
+        values, checked = amount.values, amount._checks
         if values.shape != grid.shape:
             report.add_error(
                 _location(sp, flow),
@@ -278,9 +315,9 @@ def _check_amount(
                 f"does not match grid, expected "
                 f"{grid.n_scenarios}x{grid.n_timesteps}",
             )
-        elif lo < 0 if finite else np.any(values < 0):
+        elif checked.negative:
             report.add_warning(_location(sp, flow), "negative exchange amounts (avoided flow?)")
-        if not finite:
+        if not checked.finite:
             report.add_error(_location(sp, flow), "matrix contains non-finite values")
     elif _draws_samples(amount):
         report._draws = True

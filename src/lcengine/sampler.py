@@ -9,7 +9,6 @@ other flow.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -100,6 +99,8 @@ def stable_stream_id(*names: str) -> int:
 
     Uses BLAKE2b over the NUL-joined parts; independent of PYTHONHASHSEED.
     """
+    import hashlib  # here, so that importing lcengine does not load OpenSSL
+
     digest = hashlib.blake2b("\x00".join(names).encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 

@@ -340,17 +340,28 @@ def test_criterion_7_io_round_trips_and_fuzz(tmp_path, heatplant, heatplant_unce
     )
 
 
-def _cli(*argv, cwd):
+def _python(*argv, cwd):
     # the repo's src goes first on an absolute PYTHONPATH, so the child imports
     # the same lcengine as this process from any cwd, installed or not
     pythonpath = [str(SRC.resolve())]
     if os.environ.get("PYTHONPATH"):
         pythonpath.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-    return subprocess.run(
-        [sys.executable, "-m", "lcengine", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          cwd=cwd, env=env)
+
+
+def _cli(*argv, cwd):
+    return _python("-m", "lcengine", *argv, cwd=cwd)
+
+
+def test_importing_the_cli_loads_no_hashlib(tmp_path):
+    """hashlib, and OpenSSL with it, loads only when a hash is taken, so a
+    ``report`` process never loads it."""
+    child = _python("-c", "import sys, lcengine.cli; "
+                    "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))", cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
 
 
 def test_criterion_8_cli_end_to_end(tmp_path):

@@ -864,6 +864,10 @@ JSON_CASES = {
     # a name that holds the text that opens a grid
     "grid_opener_in_a_name": (True, lambda sr, mc, tmp: _sample_json(sr, tmp, MC_SAMPLE).replace(
         b'"fuel_supply"', b'"fuel\\": [\\n"')),
+    # a list of lists holding an integer in meta, which comes before the
+    # payload's grids, so it is not taken for one
+    "int_grid_in_meta": (True, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(
+        b'"mode": "static"', b'"pairs": [\n      [\n        1,\n        2\n      ]\n    ]', 1)),
     # the deviations, each read whole by json
     "indent_4": (False, lambda sr, mc, tmp: json.dumps(
         json.loads(_sample_json(sr, tmp, MC_SAMPLE)), indent=4).encode()),
@@ -889,8 +893,6 @@ JSON_CASES = {
         count=1, flags=re.S)),
     "nan_in_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, MC_SAMPLE).replace(
         b'"seed": 2', b'"seed": NaN', 1)),
-    "int_grid_in_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(
-        b'"mode": "static"', b'"pairs": [\n      [\n        1,\n        2\n      ]\n    ]', 1)),
     "deep_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(
         b'"mode": "static"', b'"deep": %s%s' % (b"[" * 60000, b"]" * 60000), 1)),
     "utf8_meta": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(

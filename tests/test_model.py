@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ from lcengine import (
     SubProcessDefinition,
     broadcast_exchange,
     compute_inventory,
+    discounted_cost_result,
     run_dynamic,
     run_matrix,
     run_monte_carlo,
     run_static,
     validate_model,
 )
+from lcengine import model as lc_model
 from lcengine.sampler import SamplerStream, sample
 
 from conftest import db_with, empty_db, simple_model
@@ -54,6 +58,68 @@ class TestProduction:
         assert writable.flags.writeable and not model.production.flags.writeable
         assert simple_model(n_timesteps=3, production=model.production).production \
             is model.production
+
+
+class TestOwnership:
+    """An amount or production series keeps an array only when it owns its
+    data, so no write through another array changes a model."""
+
+    def test_an_owned_array_is_kept_and_frozen_in_place(self):
+        owned = np.arange(6.0).reshape(2, 3).copy()
+        amount = MatrixAmount(owned)
+        assert amount.values is owned and np.shares_memory(amount.values, owned)
+        assert not owned.flags.writeable
+        assert MatrixAmount(amount.values).values is owned
+
+    @pytest.mark.parametrize("make", [
+        lambda base: base[:, :],
+        lambda base: base.T.copy().T,  # Fortran order
+        lambda base: base.astype(np.float32),
+        lambda base: base.tolist(),
+    ], ids=["view", "fortran", "float32", "list"])
+    def test_anything_else_is_copied_once(self, make):
+        base = np.arange(6.0).reshape(2, 3)
+        amount = MatrixAmount(make(base))
+        values = amount.values
+        assert values.flags.owndata and values.flags.c_contiguous
+        assert values.dtype == np.float64 and not values.flags.writeable
+        assert not np.shares_memory(values, base) and base.flags.writeable
+        assert values.tolist() == base.tolist()
+
+    @staticmethod
+    def _run(model):
+        unit = run_matrix(model, empty_db())
+        return unit.impacts["GWP100"].tobytes(), unit.cost.tobytes()
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["view", "read_only_view"])
+    def test_a_write_through_the_base_of_a_matrix_changes_nothing(self, read_only):
+        base = np.arange(1.0, 7.0).reshape(2, 3)
+        view = base[:, :]
+        view.flags.writeable = not read_only
+        amount = MatrixAmount(view)
+        model = simple_model(n_scenarios=2, n_timesteps=3, flow_amount=amount, unit_cost=2.0)
+        before = self._run(model)
+        base[0, 0] = NAN
+        base[1, 2] = -5.0
+        assert amount.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert model.subprocesses[0].flows[0].amount.values is amount.values
+        assert not validate_model(model, empty_db()).findings
+        assert self._run(model) == before
+
+    def test_a_write_through_the_base_of_production_changes_nothing(self):
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[:]
+        view.flags.writeable = False
+        model = simple_model(n_timesteps=3, production=view, unit_cost=2.0)
+        cost = run_matrix(model, empty_db()).cost
+        before = discounted_cost_result(cost, model.production, 0.1)
+        base[:] = NAN
+        assert model.production.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(model.production, base)
+        assert validate_model(model, empty_db()).is_valid
+        assert run_matrix(model, empty_db()).cost.tobytes() == cost.tobytes()
+        after = discounted_cost_result(cost, model.production, 0.1)
+        assert after.msp.tobytes() == before.msp.tobytes()
 
 
 class TestBroadcast:
@@ -226,11 +292,74 @@ class TestValidation:
                          ("error", "matrix contains non-finite values")]),
         ([[NAN], [-2.0]], [("error", "matrix shape 2x1 does not match grid, expected 1x2"),
                            ("error", "matrix contains non-finite values")]),
-    ], ids=["negative", "nan", "inf", "nan_and_negative", "minus_inf", "shape_and_nan"])
+        ([[NAN, NAN]], [("error", "matrix contains non-finite values")]),
+        ([[-0.0, NAN]], [("error", "matrix contains non-finite values")]),
+        ([[INF, -2.0]], [("warning", "negative exchange amounts (avoided flow?)"),
+                         ("error", "matrix contains non-finite values")]),
+        ([[-INF], [INF]], [("error", "matrix shape 2x1 does not match grid, expected 1x2"),
+                           ("error", "matrix contains non-finite values")]),
+        ([[-1.0], [2.0]], [("error", "matrix shape 2x1 does not match grid, expected 1x2")]),
+        (np.empty((0, 2)), [("error", "matrix shape 0x2 does not match grid, expected 1x2")]),
+    ], ids=["negative", "nan", "inf", "nan_and_negative", "minus_inf", "shape_and_nan",
+            "nan_only", "nan_and_minus_zero", "inf_and_negative", "shape_and_infs",
+            "shape_and_negative", "empty"])
     def test_matrix_amount_findings(self, values, findings):
         model = simple_model(n_timesteps=2, flow_amount=MatrixAmount(values))
         report = validate_model(model, empty_db())
         assert [(f.severity, f.message) for f in report.findings] == findings
+        # a second validation reads the kept checks: the same findings
+        again = validate_model(model, empty_db())
+        assert again.findings == report.findings
+
+    def test_a_matrix_amount_is_checked_once(self, monkeypatch):
+        checked = []
+
+        def counted(values):
+            checked.append(values)
+            return value_checks(values)
+
+        value_checks = lc_model._value_checks
+        monkeypatch.setattr(lc_model, "_value_checks", counted)
+        amount = MatrixAmount(np.full((2, 3), -1.0))
+        model = simple_model(n_scenarios=2, n_timesteps=3, flow_amount=amount)
+        first = validate_model(model, empty_db())
+        kept = amount._checks
+        second = validate_model(model, empty_db())
+        assert len(checked) == 1 and checked[0] is amount.values
+        assert amount._checks is kept
+        assert first.findings == second.findings == [lc_model.ValidationFinding(
+            "warning", "subprocess 'only_sp', flow 'only_flow'",
+            "negative exchange amounts (avoided flow?)")]
+
+    def test_first_validations_in_threads_agree(self):
+        """Threads that validate a model for the first time at once all
+        report what one validation alone reports."""
+        def fresh():
+            return simple_model(n_scenarios=2, n_timesteps=3,
+                                flow_amount=MatrixAmount([[NAN, 1.0, 2.0], [-1.0, 0.0, 3.0]]),
+                                sp_amount=MatrixAmount(np.full((2, 3), -2.0)))
+
+        expected = validate_model(fresh(), empty_db()).findings
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                model, found = fresh(), []
+                barrier = threading.Barrier(4)
+
+                def validate(model=model, found=found, barrier=barrier):
+                    barrier.wait(timeout=10)
+                    found.append(validate_model(model, empty_db()).findings)
+
+                threads = [threading.Thread(target=validate) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert found == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_unused_static_factors_are_not_checked(self):
         model, db = _truck_model()  # emits nothing
