@@ -70,9 +70,8 @@ class RunConfig:
     threads: int = 0  # accepted for compatibility; has no effect
 
     def check(self) -> str | None:
-        """Mode-specific invariants; returns a usage-error message or None."""
-        if self.mode not in MODES:
-            return f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}"
+        """Mode-specific invariants; returns a usage-error message or None.
+        The parser's choices already limit ``mode`` and ``format``."""
         if self.mode == "dynamic" and not self.dcf:
             return "--mode dynamic requires --dcf"
         if self.mode == "montecarlo":
@@ -80,8 +79,6 @@ class RunConfig:
                 return "--mode montecarlo requires --n-runs"
             if self.n_runs < 2:
                 return f"--n-runs must be >= 2, got {self.n_runs}"
-        if self.format not in ("json", "csv"):
-            return f"--format must be json or csv, got {self.format!r}"
         if self.rate is not None and not math.isfinite(self.rate):
             return f"--rate must be finite, got {self.rate}"
         if self.rate is not None and self.rate < 0:
@@ -300,12 +297,17 @@ def cmd_run(config: RunConfig) -> int:
         return EXIT_INVALID
     for warning in report.warnings:
         print(str(warning), file=sys.stderr)
+    if config.mode == "static" and report._draws:
+        # static mode evaluates the model on its own grid, without sampling
+        print("usage error: model contains distribution amounts; use --mode montecarlo",
+              file=sys.stderr)
+        return EXIT_INVALID
 
     log.info("mode=%s", config.mode)
 
     try:
         if config.mode == "static":
-            payload = _run_deterministic(model, db, categories, config.seed)
+            payload = run_matrix(model, db, seed=config.seed, categories=categories)
         elif config.mode == "montecarlo":
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -367,15 +369,6 @@ def cmd_run(config: RunConfig) -> int:
     print("\n".join(summary + indicators))
     print(f"results written to: {output}")
     return EXIT_OK
-
-
-def _run_deterministic(model: ProcessModel, db, categories, seed: int):
-    """Static mode: every model is evaluated on its own grid, so an all-scalar
-    model on a larger grid gives constant cells; distributions are a usage
-    error here."""
-    if model.has_distributions():
-        raise ValueError("model contains distribution amounts; use --mode montecarlo")
-    return run_matrix(model, db, seed=seed, categories=categories)
 
 
 def _cost_grid_for_indicators(payload, model, db, config) -> np.ndarray | None:

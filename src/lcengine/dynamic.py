@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .engine import compute_inventory
 from .errors import MissingDataError, ShapeError
-from .model import ProcessModel, ScenarioGrid
+from .model import ProcessModel, ScenarioGrid, _frozen_grid, _frozen_series
 
 if TYPE_CHECKING:
     from .io import UnitValueTable
@@ -38,7 +38,9 @@ class DCFTable:
     periods; ages past the end of the list contribute zero.  mode
     "fixed_horizon": a single factor integrated over a declared horizon of
     ``horizon`` periods; the horizon is metadata, the whole impact is
-    booked at the emission period.  Factors must be finite.
+    booked at the emission period.  Factors must be finite; they are
+    copied unless already read-only and owned (``model._frozen_series``),
+    so a caller's later write to its array changes no table.
     """
 
     substance: str
@@ -48,8 +50,7 @@ class DCFTable:
     horizon: int | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.factors, dtype=np.float64).ravel())
-        arr.flags.writeable = False
+        arr = _frozen_series(self.factors)
         object.__setattr__(self, "factors", arr)
         if not np.isfinite(arr).all():
             raise ValueError(f"{self.substance}/{self.category}: factors must be finite")
@@ -75,16 +76,17 @@ class DCFTable:
 
 @dataclass(frozen=True, eq=False)
 class EmissionSeries:
-    """Per-period emission grid of one substance."""
+    """Per-period emission grid of one substance.
+
+    ``values`` is kept and frozen in place, or copied, as a
+    ``MatrixAmount``'s are (``model._frozen_grid``).
+    """
 
     substance: str
     values: np.ndarray  # (S, T)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if arr.ndim != 2:
-            raise ShapeError(f"emission series must be 2-D, got ndim={arr.ndim}")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_grid(self.values, "emission series"))
 
 
 @dataclass(eq=False)

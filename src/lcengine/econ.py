@@ -17,13 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .model import _read_only_float64
-
-
-def _frozen_series(values) -> np.ndarray:
-    """``values`` as a read-only C-contiguous float64 1-D array, raveled."""
-    arr = _read_only_float64(values)
-    return arr if arr.ndim == 1 else arr.ravel()
+from .model import _frozen_series
 
 
 @dataclass(frozen=True, eq=False)

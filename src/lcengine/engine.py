@@ -28,8 +28,7 @@ block at a time, and then written out in full.  Each sub-process unit
 grid is summed per block into scratch space and folded straight into its
 total.  The per-sub-process breakdowns
 (``sp_unit_impacts``/``sp_unit_costs``) are computed, with the same
-steps, the first time they are read.  Evaluation runs on one thread; the
-``threads`` argument is accepted and has no effect.
+steps, the first time they are read.  Evaluation runs on one thread.
 """
 
 from __future__ import annotations
@@ -477,14 +476,12 @@ def run_matrix(
     *,
     seed: int | None = None,
     categories=None,
-    threads: int = 1,
 ) -> UnitResult:
     """Full scenario x time calculation (the hot path).
 
     ``seed`` is required when the model carries non-degenerate
     distribution amounts; with all-scalar inputs the result is cell-wise
-    constant and equals ``run_static``.  ``threads`` is accepted for
-    compatibility and has no effect.
+    constant and equals ``run_static``.
     """
     cats = _select_categories(model, categories)
     return _evaluate(model, _require_valid(model, db), model.grid, seed, cats)[0]
@@ -497,7 +494,6 @@ def run_monte_carlo(
     seed: int,
     *,
     categories=None,
-    threads: int = 1,
 ) -> MonteCarloResult:
     """Sample the model's distributions and evaluate one run per scenario row.
 
@@ -506,7 +502,6 @@ def run_monte_carlo(
     statistics (mean, sd, and the 2.5/50/97.5 percentiles with linear
     interpolation) are computed across runs, per time step.  A model
     without distributions gives a warning once it has passed validation.
-    ``threads`` is accepted for compatibility and has no effect.
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
@@ -555,7 +550,6 @@ def compute_inventory(
     db,
     *,
     seed: int | None = None,
-    grid: ScenarioGrid | None = None,
 ) -> InventoryResult:
     """Aggregate per-substance emission grids from flow amounts.
 
@@ -568,12 +562,10 @@ def compute_inventory(
     gets that category's bits; a substance emitted only through scalar
     terms gets a read-only constant view.
     """
-    grid = grid or model.grid
-    report = _require_valid(model, db, grid=grid if grid is not model.grid else None,
-                            require_cost=False)
+    report = _require_valid(model, db, require_cost=False)
     emissions = _resolved_columns(model, report, ())[-1]
-    totals, _, _ = _fold(model, report, grid, seed, (),
+    totals, _, _ = _fold(model, report, model.grid, seed, (),
                          (per_unit.items() for per_unit in emissions))
     return InventoryResult(
-        grid=grid, emissions={substance: acc.grid() for substance, acc in totals.items()}
+        grid=model.grid, emissions={substance: acc.grid() for substance, acc in totals.items()}
     )

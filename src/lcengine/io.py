@@ -138,11 +138,20 @@ def _parse_integer(text: str, where: str, path, line: int) -> int:
     return int(value)
 
 
-def _read_csv_records(text: str, path) -> list[list[str]]:
+def _csv_records(text: str, path) -> list[tuple[int, list[str]]]:
+    """The records of a CSV text that hold a non-blank cell, each with the
+    line it starts on, so a diagnostic names that line."""
+    reader = csv.reader(_io.StringIO(text))
+    records, line = [], 1
     try:
-        return list(csv.reader(_io.StringIO(text)))
+        for record in reader:
+            if any(cell.strip() for cell in record):
+                records.append((line, record))
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise LoadError(f"CSV parse error: {exc}", path=str(path)) from exc
+        raise LoadError(f"CSV parse error: {exc}", path=str(path),
+                        line=reader.line_num) from exc
+    return records
 
 
 def _require_mapping(obj, where: str, path) -> dict:
@@ -249,12 +258,9 @@ def load_matrix_csv(path) -> np.ndarray:
     text = _read_text(path)
     rows = _plain_matrix_rows(text)
     if rows is None:
-        rows = []
-        for lineno, record in enumerate(_read_csv_records(text, path), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            rows.append([_parse_number(cell, f"column {i + 1}", path, lineno)
-                         for i, cell in enumerate(record)])
+        rows = [[_parse_number(cell, f"column {i + 1}", path, lineno)
+                 for i, cell in enumerate(record)]
+                for lineno, record in _csv_records(text, path)]
     if not rows:
         raise LoadError("matrix file is empty", path=path)
     width = len(rows[0])
@@ -464,11 +470,10 @@ def load_background_db(path) -> UnitValueTable:
     """Parse a background database CSV (see module docstring for the schema)."""
     path = str(path)
     text = _read_text(path)
-    records = _read_csv_records(text, path)
-    records = [r for r in records if r and any(cell.strip() for cell in r)]
+    records = _csv_records(text, path)
     if not records:
         raise LoadError("database file is empty", path=path)
-    header = [h.strip() for h in records[0]]
+    header = [h.strip() for h in records[0][1]]
     if not header or header[0] != "flow":
         raise LoadError(f"first column must be 'flow', got {header[:1]!r}", path=path)
     if len(set(header)) != len(header):
@@ -482,7 +487,7 @@ def load_background_db(path) -> UnitValueTable:
             raise LoadError("empty category column name", path=path)
 
     rows: dict[str, BackgroundRow] = {}
-    for lineno, record in enumerate(records[1:], start=2):
+    for lineno, record in records[1:]:
         if len(record) != len(header):
             raise LoadError(
                 f"row has {len(record)} cells, header has {len(header)}",
@@ -542,11 +547,10 @@ def load_dcf_tables(path) -> list[DCFTable]:
     """Parse characterization factor tables (one per substance and category)."""
     path = str(path)
     text = _read_text(path)
-    records = _read_csv_records(text, path)
-    records = [r for r in records if r and any(cell.strip() for cell in r)]
+    records = _csv_records(text, path)
     if not records:
         raise LoadError("factor file is empty", path=path)
-    header = [h.strip() for h in records[0]]
+    header = [h.strip() for h in records[0][1]]
     if header != _DCF_HEADER:
         raise LoadError(
             f"header must be {','.join(_DCF_HEADER)!r}, got {','.join(header)!r}",
@@ -555,7 +559,7 @@ def load_dcf_tables(path) -> list[DCFTable]:
     annual: dict[tuple[str, str], dict[int, float]] = {}
     fixed: dict[tuple[str, str], tuple[float, int]] = {}
     order: list[tuple[str, str, str]] = []
-    for lineno, record in enumerate(records[1:], start=2):
+    for lineno, record in records[1:]:
         if len(record) != len(header):
             raise LoadError(
                 f"row has {len(record)} cells, expected {len(header)}", path=path, line=lineno

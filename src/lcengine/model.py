@@ -5,18 +5,21 @@ carries a list of flows (its inflows and outflows).  Every quantity in the
 model is an exchange amount: a scalar, a scenario x time matrix, or a
 distribution to be sampled once per scenario.  All definition types are
 frozen and safe to share between concurrent evaluations.  The arrays they
-hold are read-only: an array that owns its data is frozen in place and
-anything else is copied (see ``MatrixAmount``), so only the owner of a
-frozen array, by setting its writeable flag back, or a view of it made
-before, can still write it.
+hold are read-only, and this module alone decides how a value object takes
+one (``dynamic`` and ``econ`` use the same two rules): a grid that owns its
+data is frozen in place (``_frozen_grid``), a series is kept only when it
+is already read-only (``_read_only_float64``), and anything else is copied
+once.  So only the owner of a frozen array, by setting its writeable flag
+back, or a view of it made before, can still write it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -84,6 +87,17 @@ def _owned(values) -> bool:
             and values.flags.c_contiguous and values.flags.owndata)
 
 
+def _frozen_grid(values, what: str) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 2-D array: kept, and
+    its writeable flag cleared in place, when it is such an array that owns
+    its data (``_owned``); else copied once into one."""
+    arr = values if _owned(values) else np.array(values, dtype=np.float64, order="C")
+    if arr.ndim != 2:
+        raise ShapeError(f"{what} must be 2-D, got ndim={arr.ndim}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixAmount:
     """Explicit scenario x time grid; must match the run grid exactly.
@@ -99,12 +113,7 @@ class MatrixAmount:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = self.values if _owned(self.values) else np.array(
-            self.values, dtype=np.float64, order="C")
-        if arr.ndim != 2:
-            raise ShapeError(f"matrix amount must be 2-D, got ndim={arr.ndim}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_grid(self.values, "matrix amount"))
 
     @cached_property
     def _checks(self) -> _ValueChecks:
@@ -127,7 +136,7 @@ def as_amount(value) -> ExchangeAmount:
         return value
     if isinstance(value, DistributionSpec):
         return DistributionAmount(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):  # int, float, bool and NumPy's scalars
         return ScalarAmount(float(value))
     return MatrixAmount(np.asarray(value))
 
@@ -210,11 +219,6 @@ class ProcessModel:
         if self.production is not None:
             object.__setattr__(self, "production", _read_only_float64(self.production))
 
-    def has_distributions(self) -> bool:
-        """True when some amount has a non-point distribution, so evaluation
-        draws samples; point masses count as scalars."""
-        return any(_draws_samples(a) for a in iter_amounts(self))
-
 
 def _read_only_float64(values) -> np.ndarray:
     """``values`` as a read-only C-contiguous float64 array.  Such an array
@@ -228,17 +232,16 @@ def _read_only_float64(values) -> np.ndarray:
     return arr
 
 
+def _frozen_series(values) -> np.ndarray:
+    """``values`` as a read-only float64 1-D array, raveled, by the rule of
+    ``_read_only_float64``."""
+    arr = _read_only_float64(values)
+    return arr if arr.ndim == 1 else arr.ravel()
+
+
 def _draws_samples(amount: ExchangeAmount) -> bool:
     """Whether evaluating this amount draws from a sampler stream."""
     return isinstance(amount, DistributionAmount) and amount.spec.kind != "point"
-
-
-def iter_amounts(model: ProcessModel) -> Iterable[ExchangeAmount]:
-    """All exchange amounts in document order: per sub-process, flows first."""
-    for sp in model.subprocesses:
-        for flow in sp.flows:
-            yield flow.amount
-        yield sp.amount
 
 
 # ---------------------------------------------------------------------------

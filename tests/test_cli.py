@@ -176,6 +176,14 @@ class TestRunCommand:
         assert rc == 1
         assert "--dcf" in capsys.readouterr().err
 
+    def test_static_mode_rejects_a_sampling_model_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", "static",
+                     "--output", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "usage error: model contains distribution amounts; use --mode montecarlo\n")
+
     def test_montecarlo_needs_n_runs(self, capsys):
         assert run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", "montecarlo") == 1
 

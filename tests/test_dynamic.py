@@ -155,6 +155,31 @@ def co2_model(amounts, n_t, substance="CO2"):
     return ProcessModel("emitter", (sp,), ScenarioGrid(1, n_t), ("GWP100",))
 
 
+class TestOwnership:
+    """A factor table takes its factors as a production series, and an
+    emission series its values as a matrix amount, so a caller's later
+    write to its array changes neither."""
+
+    def test_a_write_to_the_factors_array_changes_no_table_or_run(self):
+        factors = np.array([1.0, 0.5, 0.25])
+        table = DCFTable("CO2", "GWP100", "annual_step", factors)
+        model = co2_model([1.0, 2.0], 2)
+        before = run_dynamic(model, db_with({}), [table]).impacts["GWP100"].tobytes()
+        factors[0] = np.nan
+        assert table.factors.tolist() == [1.0, 0.5, 0.25]
+        assert not table.factors.flags.writeable
+        assert run_dynamic(model, db_with({}), [table]).impacts["GWP100"].tobytes() == before
+
+    def test_an_emission_series_keeps_an_owned_array_and_copies_a_view(self):
+        owned = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert EmissionSeries("CO2", owned).values is owned
+        assert not owned.flags.writeable
+        base = np.array([[1.0, 2.0], [3.0, 4.0]])
+        values = EmissionSeries("CO2", base[:, :]).values
+        assert values.flags.owndata and not values.flags.writeable
+        assert not np.shares_memory(values, base) and base.flags.writeable
+
+
 class TestRunDynamic:
     def test_static_only_substances_match_per_period_static(self):
         model = co2_model([2.0, 0.0, 3.0], 3, substance="NOx")

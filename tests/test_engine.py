@@ -315,15 +315,6 @@ class TestRunMatrix:
         scaled_target = scaled.contribution_impact("target", "c")
         np.testing.assert_allclose(scaled_target, k * base_target, rtol=1e-12, atol=1e-12)
 
-    def test_threads_do_not_change_bits(self):
-        rng = random.Random(99)
-        model, db, _ = random_model(rng, max_s=4, max_t=4)
-        serial = run_matrix(model, db, threads=1)
-        threaded = run_matrix(model, db, threads=3)
-        for cat in model.categories:
-            assert np.array_equal(serial.impacts[cat], threaded.impacts[cat])
-        assert np.array_equal(serial.cost, threaded.cost)
-
     def test_seed_required_with_distributions(self):
         model = simple_model(
             flow_amount=DistributionAmount(DistributionSpec("uniform", (0.0, 1.0))),

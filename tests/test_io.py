@@ -283,6 +283,32 @@ class TestLoadDcfTables:
         assert fixed.horizon == 100
 
 
+# blank lines, or a quoted field over two lines, before a bad record: the
+# diagnostic names the line the bad record starts on
+@pytest.mark.parametrize("load, text, message, line", [
+    (load_background_db, "flow,unit_cost,GWP100\n\nsteel,1.0,2.0\n\nbad,abc,1.0\n",
+     "bad: unit_cost: invalid number 'abc'", 5),
+    (load_background_db, 'flow,unit_cost,GWP100\n"steel\nmill",1.0,2.0\n\n"bad,1.0,1.0\n',
+     "row has 1 cells, header has 3", 5),
+    (load_dcf_tables, "substance,category,mode,horizon,tau,factor\n\n"
+                      "CO2,GWP100,annual_step,,0,1.0\n\nCO2,GWP100,annual_step,,1,abc\n",
+     "CO2: factor: invalid number 'abc'", 5),
+    (load_dcf_tables, 'substance,category,mode,horizon,tau,factor\n\n\n"CO2,GWP100\n',
+     "row has 1 cells, expected 6", 4),
+    (load_background_db, 'flow,unit_cost\n\na,1\n"' + "x" * 200_000 + '",1\n',
+     "CSV parse error: field larger than field limit", 4),
+    (load_matrix_csv, '"1\n",2\n\n5,x\n', "column 2: invalid number 'x'", 4),
+], ids=["db_blank_lines", "db_unterminated_quote", "dcf_blank_lines",
+        "dcf_unterminated_quote", "db_field_too_large", "matrix_quoted_newline"])
+def test_input_diagnostics_name_the_line_a_record_starts_on(tmp_path, load, text, message,
+                                                            line):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(LoadError, match=re.escape(message)) as exc_info:
+        load(path)
+    assert exc_info.value.line == line
+
+
 def _payloads(heatplant, heatplant_uncertain, background_db, dcf_tables):
     unit = run_matrix(heatplant, background_db)
     mc = run_monte_carlo(heatplant_uncertain, background_db, n_runs=40, seed=7)

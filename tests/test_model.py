@@ -19,6 +19,7 @@ from lcengine import (
     ScenarioGrid,
     ShapeError,
     SubProcessDefinition,
+    as_amount,
     broadcast_exchange,
     compute_inventory,
     discounted_cost_result,
@@ -120,6 +121,12 @@ class TestOwnership:
         assert run_matrix(model, empty_db()).cost.tobytes() == cost.tobytes()
         after = discounted_cost_result(cost, model.production, 0.1)
         assert after.msp.tobytes() == before.msp.tobytes()
+
+
+@pytest.mark.parametrize("value", [2, 2.0, True, np.float64(2), np.int64(2), np.float32(2)],
+                         ids=["int", "float", "bool", "float64", "int64", "float32"])
+def test_as_amount_takes_any_real_number_as_a_scalar(value):
+    assert as_amount(value) == ScalarAmount(float(value))
 
 
 class TestBroadcast:
