@@ -60,8 +60,9 @@ class ProductionSeries:
         object.__setattr__(self, "values", _production_values(self.values))
 
 
-def _discounted_sum(values: np.ndarray, rate: float) -> float:
-    # sequential accumulation: at rate 0 this equals the plain sum exactly
+def _discounted_sum(values: np.ndarray, rate: float) -> float | np.ndarray:
+    # sequential accumulation: at rate 0 this equals the plain sum exactly;
+    # over the columns of a grid (its ``.T``) it gives every row's sum
     total = 0.0
     base = 1.0 + rate
     for t, v in enumerate(values):
@@ -203,9 +204,6 @@ def discounted_cost_result(
         raise ZeroDivisionError(
             f"minimum_selling_price: discounted production is {denom}, must be > 0"
         )
-    out_npv = np.zeros(n_s, dtype=np.float64)
-    base = 1.0 + rate
-    for t in range(grid.shape[1]):
-        out_npv += grid[:, t] / base**t
+    out_npv = _discounted_sum(grid.T, rate)
     out_msp = out_npv / denom
     return ScenarioIndicators(npv=out_npv, msp=out_msp, lcoe=out_msp.copy())

@@ -225,48 +225,34 @@ def _parse_distribution(mapping: dict, where: str, path) -> DistributionAmount:
         raise LoadError(f"{where}: {exc}", path=path) from exc
 
 
-# the characters of a matrix CSV of plain numbers, as a str.translate table
-# that deletes them
-_PLAIN_MATRIX_CHARS = dict.fromkeys(map(ord, "0123456789eE+-.,\t\r\n "))
-
-
-def _plain_matrix_rows(text: str) -> list[list[float]] | None:
-    """The rows of a matrix CSV of plain numbers, or None where the
-    line-precise parser must decide.  Both parse cells with ``float()``, so
-    whenever this returns rows, they are the rows that parser gives."""
-    if text.translate(_PLAIN_MATRIX_CHARS) or (
-            "\r" in text and text.count("\r") != text.count("\r\n")):
-        return None  # quotes, letters, underscores, a \r that ends no line...
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None  # csv.reader refuses such a field
-    try:
-        return [list(map(float, line.split(","))) for line in lines if line.strip()]
-    except ValueError:
-        return None
-
-
 def load_matrix_csv(path) -> np.ndarray:
     """Numeric CSV, scenario rows by time columns, no header.
 
-    A file of plain numbers (digits, signs, points, exponents, commas,
-    spaces, tabs and line ends) is split on lines and commas and its cells
-    parsed with ``float()``.  Any other file, or one where that fails, goes
-    to the CSV parser, which reports the line and column of a bad cell.
+    NumPy's reader parses a file of unquoted numbers; wherever it takes a
+    cell, it gives the bits of ``float()``.  A file it rejects goes to the
+    CSV parser, which reads quoted cells and names the line and column of
+    a bad cell, or the line of a row with another number of columns.
     """
     path = str(path)
     text = _read_text(path)
-    rows = _plain_matrix_rows(text)
-    if rows is None:
-        rows = [[_parse_number(cell, f"column {i + 1}", path, lineno)
-                 for i, cell in enumerate(record)]
-                for lineno, record in _csv_records(text, path)]
+    # NumPy warns on a blank file, and takes a cell longer than csv.reader does
+    if text.strip() and max(map(len, text.split("\n"))) <= csv.field_size_limit():
+        try:
+            return np.loadtxt(_io.StringIO(text), dtype=np.float64, delimiter=",",
+                              comments=None, ndmin=2)
+        except ValueError:
+            pass
+    records = _csv_records(text, path)
+    rows = [[_parse_number(cell, f"column {i + 1}", path, line)
+             for i, cell in enumerate(record)]
+            for line, record in records]
     if not rows:
         raise LoadError("matrix file is empty", path=path)
     width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise LoadError(f"row {i + 1} has {len(row)} columns, expected {width}", path=path)
+    for i, (line, record) in enumerate(records):
+        if len(record) != width:
+            raise LoadError(f"row {i + 1} has {len(record)} columns, expected {width}",
+                            path=path, line=line)
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -1359,9 +1345,9 @@ def _not_a_float(text: str):
     raise _NotWriterLayout
 
 
-# decodes a block of grid rows; an integer, NaN or Infinity in it is not the
-# writer's layout, whose cells are all finite floats
-_GRID_ROWS = json.JSONDecoder(parse_int=_not_a_float, parse_constant=_not_a_float)
+# decodes a block of grid rows; an integer in it is not the writer's layout,
+# whose cells are all floats, NaN and Infinity among them
+_GRID_ROWS = json.JSONDecoder(parse_int=_not_a_float)
 # the line of the top-level "payload" key, which the writer puts after meta
 _PAYLOAD_KEY = re.compile(r'^  "payload": ', re.MULTILINE)
 
@@ -1420,7 +1406,7 @@ def _writer_layout_doc(fh, head: str) -> dict:
                     raise _NotWriterLayout
                 text += block
                 continue
-            if (not text.startswith(first_row, at + 4) or text[first_cell] not in "-0123456789"
+            if (not text.startswith(first_row, at + 4) or text[first_cell] not in "-0123456789NI"
                     or line[k:k + 1] != '"' or scanstring(line, k + 1)[1] != len(line)):
                 search = at + 5  # a list of names, a stat series or part of meta
                 continue
@@ -1436,7 +1422,7 @@ def _writer_layout_doc(fh, head: str) -> dict:
                 cut = stop if stop >= 0 else text.rfind(between, start) + 1
                 if cut > 0:
                     rows = text[start:cut]
-                    if "t" in rows or "f" in rows:  # true or false, which array("d") takes
+                    if "true" in rows or "false" in rows:  # which array("d") takes
                         raise _NotWriterLayout
                     rows = _GRID_ROWS.decode(f"[{rows}]")
                     width = width or len(rows[0])

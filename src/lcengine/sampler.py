@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import DistributionError
 
-DISTRIBUTION_KINDS = ("point", "uniform", "normal", "triangular", "lognormal")
-
 # parameter names per family, in declaration order
 _PARAM_NAMES = {
     "point": ("value",),
@@ -26,6 +24,7 @@ _PARAM_NAMES = {
     "triangular": ("low", "mode", "high"),
     "lognormal": ("mu", "sigma"),
 }
+DISTRIBUTION_KINDS = tuple(_PARAM_NAMES)
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,6 @@ class DistributionSpec:
         elif self.kind == "lognormal":
             if params[1] <= 0:
                 raise DistributionError(f"lognormal requires sigma > 0, got {params[1]}")
-
-    def param(self, name: str) -> float:
-        return self.parameters[_PARAM_NAMES[self.kind].index(name)]
 
     def mean(self) -> float:
         """Analytic mean of the distribution; the program itself never calls it."""

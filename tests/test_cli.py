@@ -286,6 +286,43 @@ subprocesses:
         doc = json.loads(out.read_text())
         assert np.asarray(doc["payload"]["cost"]).shape == (2, 5)
 
+    def test_single_scenario_prints_one_economics_line(self, tmp_path, capsys):
+        model = tmp_path / "one.model"
+        model.write_text((SAMPLES / "heatplant.model").read_text().replace(
+            "{matrix_file: co2_stack.csv}", "81000.0").replace("scenarios: 2", "scenarios: 1"))
+        out = tmp_path / "one.json"
+        assert run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
+                       "--output", str(out)) == 0
+        [cost] = json.loads(out.read_text())["payload"]["cost"]
+        present = sum(c / 1.05 ** t for t, c in enumerate(cost))
+        msp = present / sum(450.0 / 1.05 ** t for t in range(5))
+        text = capsys.readouterr().out
+        assert (f"\n  economics (rate 0.05): present cost {present:.6g}, MSP {msp:.6g}, "
+                f"LCOE {msp:.6g}\n") in text
+        assert "mean" not in text
+
+    def test_dynamic_run_without_unit_costs_skips_the_indicators(self, tmp_path, capsys):
+        model = tmp_path / "nocost.model"
+        model.write_text("""
+schema_version: 1
+process: {name: nocost, categories: [GWP100], production: [450, 450, 450, 450, 450]}
+grid: {scenarios: 1, timesteps: 5}
+subprocesses:
+  - name: stack
+    amount: 1.0
+    flows: [{name: co2, direction: outflow, amount: 100.0, background: flue_gas,
+             substance: CO2}]
+""")
+        db = tmp_path / "nocost.csv"
+        db.write_text("flow,unit_cost,GWP100\nflue_gas,,1.0\n")
+        out = tmp_path / "nocost.json"
+        assert run_cli("run", "--model", str(model), "--db", str(db), "--mode", "dynamic",
+                       "--dcf", DCF, "--output", str(out)) == 0
+        assert json.loads(out.read_text())["payload_type"] == "dynamic"
+        text = capsys.readouterr().out
+        assert text.endswith(f"results written to: {out}\n")
+        assert "economics" not in text and "present cost" not in text
+
     @pytest.mark.parametrize("value", [".nan", "-450", "0"])
     def test_bad_production_exits_1_before_writing(self, tmp_path, capsys, value):
         series = ", ".join([value] * 5)

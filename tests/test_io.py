@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import threading
@@ -35,6 +36,22 @@ from lcengine import io as lc_io
 from conftest import empty_db, import_outcome, simple_model
 from oracles import oracle_mean, oracle_percentile, oracle_sd
 from test_result_text import JSON_CONTRACT
+
+
+def _matrix_model(tmp_path, amount: str):
+    """A one-flow model on a 2 x 3 grid whose flow amount is ``amount``."""
+    path = tmp_path / "matrix.model"
+    path.write_text(f"""
+schema_version: 1
+process: {{name: m, categories: [c]}}
+grid: {{scenarios: 2, timesteps: 3}}
+subprocesses:
+  - name: s
+    amount: 1.0
+    flows: [{{name: f, direction: inflow, amount: {amount}, unit_impact: {{c: 1.0}},
+             unit_cost: 0.0}}]
+""")
+    return load_model(path)
 
 
 class TestLoadModel:
@@ -139,6 +156,29 @@ subprocesses:
         path.write_text(doc)
         model = load_model(path)
         assert model.subprocesses[0].flows[0].amount.values.tolist() == [[1.5, 2.5]]
+
+    def test_inline_matrix_has_the_bits_of_its_matrix_file(self, tmp_path):
+        cells = [["0.1", "-2.5", "1.0e+3"], ["123456789.125", "7", "-0.0"]]
+        (tmp_path / "m.csv").write_text("".join(",".join(row) + "\n" for row in cells))
+        inline = "[" + ", ".join("[" + ", ".join(row) + "]" for row in cells) + "]"
+        from_file, from_inline = (
+            _matrix_model(tmp_path, amount).subprocesses[0].flows[0].amount.values
+            for amount in ("{matrix_file: m.csv}", "{matrix: %s}" % inline))
+        assert from_file.shape == from_inline.shape == (2, 3)
+        assert from_file.tobytes() == from_inline.tobytes()
+
+    @pytest.mark.parametrize("matrix, problem", [
+        ("5", "matrix must be a list of rows"),
+        ("[1.0, 2.0]", "matrix must be a list of rows"),
+        ("[[1.0, 2.0], [3.0]]", "matrix rows must be non-empty and equal length"),
+        ("[]", "matrix rows must be non-empty and equal length"),
+        ("[[true, 1.0]]", "matrix cell: expected a number, got True"),
+        ("[['1.5', 1.0]]", "matrix cell: expected a number, got '1.5'"),
+    ], ids=["not_a_list", "not_rows", "ragged", "empty", "bool_cell", "string_cell"])
+    def test_bad_inline_matrix_fails_naming_the_amount(self, tmp_path, matrix, problem):
+        with pytest.raises(LoadError, match=re.escape(
+                f"subprocess 's', flow 'f': amount: {problem}")):
+            _matrix_model(tmp_path, "{matrix: %s}" % matrix)
 
     def test_matrix_csv_errors(self, tmp_path):
         ragged = tmp_path / "ragged.csv"
@@ -298,8 +338,10 @@ class TestLoadDcfTables:
     (load_background_db, 'flow,unit_cost\n\na,1\n"' + "x" * 200_000 + '",1\n',
      "CSV parse error: field larger than field limit", 4),
     (load_matrix_csv, '"1\n",2\n\n5,x\n', "column 2: invalid number 'x'", 4),
+    (load_matrix_csv, "1,2\n\n3\n", "row 2 has 1 columns, expected 2", 3),
 ], ids=["db_blank_lines", "db_unterminated_quote", "dcf_blank_lines",
-        "dcf_unterminated_quote", "db_field_too_large", "matrix_quoted_newline"])
+        "dcf_unterminated_quote", "db_field_too_large", "matrix_quoted_newline",
+        "matrix_short_row"])
 def test_input_diagnostics_name_the_line_a_record_starts_on(tmp_path, load, text, message,
                                                             line):
     path = tmp_path / "input.csv"
@@ -875,6 +917,17 @@ def _cell(data: bytes, text: bytes, key: bytes = b'"cost": [', after: int = 3) -
                       lambda line: re.sub(rb"[-\w.+]+", lambda m: text, line, count=1))
 
 
+def _grid_corner(data: bytes, keys: tuple, corner: int, value: float) -> bytes:
+    """``data`` with the first (``corner`` 0) or last (-1) cell of the payload
+    grid under ``keys`` set to ``value``, in the writer's layout."""
+    def edit(doc):
+        grid = doc["payload"]
+        for key in keys:
+            grid = grid[key]
+        grid[corner][corner] = value
+    return _edited_json(data, edit)
+
+
 MC_SAMPLE = "monte_carlo"
 # each case: its id, whether the file is in the writer's layout, and a
 # function of (sample results, the 2000-run Monte Carlo JSON, a scratch
@@ -894,6 +947,17 @@ JSON_CASES = {
     # payload's grids, so it is not taken for one
     "int_grid_in_meta": (True, lambda sr, mc, tmp: _sample_json(sr, tmp, "unit").replace(
         b'"mode": "static"', b'"pairs": [\n      [\n        1,\n        2\n      ]\n    ]', 1)),
+    # non-finite cells, which the writer writes as json.dumps does
+    **{f"cell-{case}": (True, lambda sr, mc, tmp, text=text: _cell(
+        _sample_json(sr, tmp, MC_SAMPLE), text)) for case, text in (
+        ("nan", b"NaN"), ("infinity", b"-Infinity"))},
+    "first_cell-infinity": (True, lambda sr, mc, tmp: _grid_corner(
+        _sample_json(sr, tmp, MC_SAMPLE), ("samples", "cost"), 0, math.inf)),
+    "first_cell-nan": (True, lambda sr, mc, tmp: _grid_corner(
+        _sample_json(sr, tmp, "unit"), ("impacts", "GWP100"), 0, math.nan)),
+    # the last cell of the file's last grid
+    "last_cell-nan": (True, lambda sr, mc, tmp: _grid_corner(
+        _sample_json(sr, tmp, "dynamic"), ("contributions", "NOx", "AP"), -1, math.nan)),
     # the deviations, each read whole by json
     "indent_4": (False, lambda sr, mc, tmp: json.dumps(
         json.loads(_sample_json(sr, tmp, MC_SAMPLE)), indent=4).encode()),
@@ -902,7 +966,7 @@ JSON_CASES = {
     "crlf": (False, lambda sr, mc, tmp: _sample_json(sr, tmp, MC_SAMPLE).replace(b"\n", b"\r\n")),
     **{f"cell-{case}": (False, lambda sr, mc, tmp, text=text: _cell(
         _sample_json(sr, tmp, MC_SAMPLE), text)) for case, text in (
-        ("nan", b"NaN"), ("infinity", b"-Infinity"), ("int", b"7"), ("huge_int", b"1" * 5000),
+        ("int", b"7"), ("huge_int", b"1" * 5000),
         ("string", b'"1.5"'), ("escape_in_string", b'"\\u0031.5"'), ("bare_escape", b"\\u0031"),
         ("true", b"true"), ("null", b"null"), ("list", b"[1.5]"), ("object", b"{}"),
         ("two_numbers", b"1.5 2.5"), ("not_a_number", b"1.5x"))},

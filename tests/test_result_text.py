@@ -1,11 +1,15 @@
 """Result text: the grid-row writer against the frozen per-cell emitters,
-the JSON import's shape checks and grid hook, and the matrix CSV fast path."""
+the JSON import's shape checks and grid hook, and the matrix CSV readers."""
 
 import json
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcengine import (
     DynamicImpactResult,
@@ -367,40 +371,46 @@ class TestJsonImportChecks:
 
 
 # ---------------------------------------------------------------------------
-# matrix CSVs: the fast path gives the line-precise parser's bytes or error
+# matrix CSVs: NumPy's reader gives the CSV parser's bytes or error
 
+# each case: its text, and whether NumPy's reader gives the outcome
 MATRIX_CASES = {
     "crlf": ("1,2\r\n3,4\r\n", True),
-    "bare cr": ("1,2\r3,4\n", False),
+    "bare cr": ("1,2\r3,4\n", True),
     "cr ending a field": ("1,2\r,3\n4,5,6\n", False),
     "blank lines": ("\n1,2\n\n3,4\n\n", True),
-    "whitespace-only lines": ("1,2\n  \t \n3,4\n \r\n", True),
+    "whitespace-only lines": ("1,2\n  \t \n3,4\n \r\n", False),
     "padded cells": (" 1 ,\t2\t\n 3, 4 \n", True),
+    "vertical tab padding": ("\x0b1\x0b,2\n", True),
     "plus sign": ("+1,2\n", True),
     "leading point": (".5,1\n", True),
     "trailing point": ("1.,2\n", True),
     "exponent": ("1E-5,2e+3\n", True),
-    "inf": ("inf,1\n", False),
-    "nan": ("nan,1\n", False),
+    "inf": ("inf,1\n", True),
+    "nan": ("nan,1\n", True),
+    "non-finite spellings": ("-nan,Infinity,+inf\n", True),
     "underscore": ("1_0,2\n", False),
+    "arabic-indic digit": ("\u0661,2\n", False),
+    "comment": ("1,2 # x\n", False),
     "quoted cell": ('"1",2\n', False),
     "trailing comma": ("1,2,\n3,4,\n", False),
-    "ragged rows": ("1,2\n3\n", True),
+    "ragged rows": ("1,2\n3\n", False),
+    "short row after a blank line": ("1,2\n\n3\n", False),
     "double minus": ("1,--1\n", False),
-    "bom": ("﻿1,2\n", False),
+    "bom": ("\ufeff1,2\n", False),
     "blank cells": ("1,2\n , \n", False),
-    "empty": ("\n \n", True),
+    "empty": ("\n \n", False),
+    "empty file": ("", False),
+    "only line ends": ("\r\n\n", False),
+    "cell past the CSV field limit": ("1" * 200_000 + ",2\n", False),
     "no final newline": ("1,2\n3,4", True),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MATRIX_CASES))
-def test_matrix_fast_path_agrees_with_csv_parser(case, tmp_path, monkeypatch):
-    text, plain = MATRIX_CASES[case]
-    path = tmp_path / "m.csv"
-    path.write_bytes(text.encode("utf-8"))
-    assert (lc_io._plain_matrix_rows(text) is not None) == plain
-
+def _matrix_outcomes(path) -> tuple:
+    """The outcome of ``load_matrix_csv(path)``, whether NumPy's reader gave
+    it, and the outcome with that reader switched off: the array's shape and
+    bytes, or the error's text and line.  Any warning fails the load."""
     def outcome():
         try:
             values = load_matrix_csv(path)
@@ -408,9 +418,63 @@ def test_matrix_fast_path_agrees_with_csv_parser(case, tmp_path, monkeypatch):
             return "error", str(exc), exc.line
         return "array", values.shape, values.tobytes()
 
-    fast = outcome()
-    monkeypatch.setattr(lc_io, "_plain_matrix_rows", lambda text: None)
-    assert fast == outcome()
+    read = []
+    loadtxt = np.loadtxt
+
+    def recorded(*args, **kwargs):
+        read.append(False)
+        values = loadtxt(*args, **kwargs)
+        read[-1] = True
+        return values
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(np, "loadtxt", recorded):
+            first = outcome()
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            return first, read == [True], outcome()
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_CASES))
+def test_matrix_fast_path_agrees_with_csv_parser(case, tmp_path):
+    text, numpy_reads = MATRIX_CASES[case]
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome, read, csv_outcome = _matrix_outcomes(path)
+    assert read == numpy_reads
+    assert outcome == csv_outcome
+
+
+@st.composite
+def _matrix_texts(draw) -> str:
+    """A matrix CSV of float64 reprs, in other spellings too: padded, signed,
+    with exponents, CRLF line ends and blank lines."""
+    n_cols = draw(st.integers(1, 4))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    pad = st.sampled_from(["", " ", "\t", " \x0b "])
+    spell = st.sampled_from([repr, "{:.17e}".format, "{:.16E}".format, "{:.17g}".format])
+    lines = []
+    for row in draw(st.lists(st.lists(st.floats(width=64), min_size=n_cols, max_size=n_cols),
+                             min_size=1, max_size=4)):
+        cells = []
+        for value in row:
+            cell = draw(spell)(value)
+            if not cell.startswith("-") and draw(st.booleans()):
+                cell = "+" + cell
+            cells.append(draw(pad) + cell + draw(pad))
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join(cells))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(text=_matrix_texts())
+def test_numpy_reader_gives_the_csv_parsers_bits(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "generated_matrix.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome, read, csv_outcome = _matrix_outcomes(path)
+    assert read and outcome[0] == "array"
+    assert outcome == csv_outcome
 
 
 @pytest.mark.parametrize("loader, text, line", [
