@@ -26,7 +26,6 @@ from .econ import (
     lcoe,
     minimum_selling_price,
     npv,
-    price_by_bisection,
 )
 from .engine import (
     InventoryResult,
@@ -97,7 +96,7 @@ __all__ = [
     "characterize_static_at_emission", "characterize_fixed_horizon", "run_dynamic",
     # econ
     "CashFlowSeries", "ProductionSeries", "ScenarioIndicators", "npv",
-    "minimum_selling_price", "lcoe", "price_by_bisection", "discounted_cost_result",
+    "minimum_selling_price", "lcoe", "discounted_cost_result",
     # io
     "UnitValueTable", "BackgroundRow", "ResultSet", "result_set", "load_model",
     "load_background_db", "load_dcf_tables", "load_matrix_csv", "export_results",

@@ -26,7 +26,7 @@ from .dynamic import DynamicImpactResult, run_dynamic
 from .econ import ProductionSeries, discounted_cost_result
 # run_static is not called here; the tracer in e2ebench/tracing.py wraps cli.run_static
 from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
-from .errors import LcengineError, LoadError
+from .errors import InvalidModelError, LcengineError, LoadError
 from .io import (
     _STATS,
     _grid_where,
@@ -379,8 +379,10 @@ def _cost_grid_for_indicators(payload, model, db, config) -> np.ndarray | None:
     # dynamic payload carries no costs; compute them on the model grid when possible
     try:
         unit = run_matrix(model, db, seed=config.seed, categories=())
-    except (LcengineError, ValueError) as exc:
-        log.info("skipping economic indicators: %s", exc)
+    except InvalidModelError as exc:
+        finding = exc.report.errors[0]
+        print(f"warning: economic indicators skipped: {finding.location}: {finding.message}",
+              file=sys.stderr)
         return None
     return unit.cost
 

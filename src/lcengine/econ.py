@@ -91,8 +91,7 @@ def minimum_selling_price(costs: CashFlowSeries, production: ProductionSeries) -
     """Price at which discounted revenues exactly cover the discounted costs.
 
     Closed form: PV(costs) / PV(production).  This is the root of
-    npv(p x production - costs) = 0, which price_by_bisection also finds
-    numerically for cross-checks and future nonlinear revenue models.
+    npv(p x production - costs) = 0.
     """
     return _discounted_ratio(costs, production, "minimum_selling_price")
 
@@ -104,53 +103,6 @@ def lcoe(costs: CashFlowSeries, energy: ProductionSeries) -> float:
     because both indicators are conventional.
     """
     return _discounted_ratio(costs, energy, "lcoe")
-
-
-def price_by_bisection(
-    costs: CashFlowSeries,
-    production: ProductionSeries,
-    *,
-    lo: float = 0.0,
-    hi: float | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Solve npv(p x production - costs) = 0 for p by bisection.
-
-    General fallback for revenue models where the price does not enter the
-    NPV linearly; for the linear case it converges to the closed form.
-    """
-    if costs.values.shape != production.values.shape:
-        raise ShapeError("price_by_bisection: cost and production lengths differ")
-
-    def residual(price: float) -> float:
-        return npv(CashFlowSeries(price * production.values - costs.values, costs.rate))
-
-    if hi is None:
-        hi = max(1.0, abs(lo) * 2.0)
-        for _ in range(200):
-            if residual(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("price_by_bisection: could not bracket a root")
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise ValueError(f"price_by_bisection: no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if f_mid == 0.0 or (hi - lo) <= tol * max(1.0, abs(mid)):
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(eq=False)

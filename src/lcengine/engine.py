@@ -52,7 +52,6 @@ from .model import (
     SubProcessDefinition,
     ValidationReport,
     _draws_samples,
-    _resolved_columns,
     broadcast_exchange,
     validate_model,
 )
@@ -355,8 +354,8 @@ class _LazyGrids(Mapping):
 
 def _fold(model: ProcessModel, report: ValidationReport, grid: ScenarioGrid,
           seed: int | None, kinds: tuple, flow_pairs):
-    """The one accumulation path: ``flow_pairs`` yields each flow's
-    ``(kind, unit value)`` pairs, one iterable per flow in document order.
+    """The one accumulation path: ``flow_pairs`` maps a flow's record in
+    ``report._resolved`` to its ``(kind, unit value)`` pairs.
     Each flow's exchange operand is resolved once and feeds a unit
     accumulator per pair; each unit accumulator is folded into its kind's
     total times the sub-process exchange.  Every sub-process has
@@ -364,17 +363,21 @@ def _fold(model: ProcessModel, report: ValidationReport, grid: ScenarioGrid,
     draws nothing; all sampling happens here, in document order.
     ``report`` is the model's validation report.
     """
+    if None in report._resolved:  # a background flow, validated without a database
+        flow = [f for sp in model.subprocesses for f in sp.flows][report._resolved.index(None)]
+        raise MissingDataError(f"flow {flow.name!r}: no database to resolve it from")
     if seed is None and report._draws:
         raise ValueError("model has distribution amounts; pass seed=")
     shape = grid.shape
     totals = {kind: _Accumulator(shape) for kind in kinds}
     sp_units: dict[str, dict[object, _Accumulator]] = {}
     sp_exchange: dict[str, Grid] = {}
+    records = iter(report._resolved)
     for sp in model.subprocesses:
         units = sp_units[sp.name] = {kind: _Accumulator(shape) for kind in kinds}
         for flow in sp.flows:
             x = None
-            for kind, unit in next(flow_pairs):
+            for kind, unit in flow_pairs(next(records)):
                 if x is None:  # the flow's first unit value: draw its exchange
                     stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
                     x = _exchange_operand(flow.amount, grid, stream)
@@ -405,9 +408,10 @@ def _evaluate(
     """The unit result, and each total's compact grid keyed by kind
     (a category, or None for cost)."""
     kinds = (*categories, None)  # per category, then cost (kind None)
-    *columns, _ = _resolved_columns(model, report, categories)
-    flow_pairs = (zip(kinds, values) for values in zip(*columns))
-    totals, sp_units, sp_exchange = _fold(model, report, grid, seed, kinds, flow_pairs)
+    columns = [*map(model.categories.index, categories)]
+    totals, sp_units, sp_exchange = _fold(
+        model, report, grid, seed, kinds,
+        lambda units: zip(kinds, [*map(units.impacts.__getitem__, columns), units.cost]))
     # Only the totals are summed here; each sub-process unit grid is
     # computed per row block inside them, and whole only when first read.
     compact = {kind: totals[kind].compact() for kind in kinds}
@@ -563,9 +567,8 @@ def compute_inventory(
     terms gets a read-only constant view.
     """
     report = _require_valid(model, db, require_cost=False)
-    emissions = _resolved_columns(model, report, ())[-1]
     totals, _, _ = _fold(model, report, model.grid, seed, (),
-                         (per_unit.items() for per_unit in emissions))
+                         lambda units: units.emissions.items())
     return InventoryResult(
         grid=model.grid, emissions={substance: acc.grid() for substance, acc in totals.items()}
     )

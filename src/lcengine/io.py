@@ -225,23 +225,35 @@ def _parse_distribution(mapping: dict, where: str, path) -> DistributionAmount:
         raise LoadError(f"{where}: {exc}", path=path) from exc
 
 
+def _numpy_matrix(text: str) -> np.ndarray:
+    return np.loadtxt(_io.StringIO(text), dtype=np.float64, delimiter=",",
+                      comments=None, ndmin=2)
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Numeric CSV, scenario rows by time columns, no header.
 
     NumPy's reader parses a file of unquoted numbers; wherever it takes a
-    cell, it gives the bits of ``float()``.  A file it rejects goes to the
-    CSV parser, which reads quoted cells and names the line and column of
-    a bad cell, or the line of a row with another number of columns.
+    cell, it gives the bits of ``float()``.  It rejects a whitespace-only
+    line, which the CSV parser skips, so a file it rejects that has one is
+    read once more without such lines.  A file it still rejects goes to the
+    CSV parser, which reads quoted cells and names the line and column of a
+    bad cell, or the line of a row with another number of columns.
     """
     path = str(path)
     text = _read_text(path)
+    lines = text.split("\n")
     # NumPy warns on a blank file, and takes a cell longer than csv.reader does
-    if text.strip() and max(map(len, text.split("\n"))) <= csv.field_size_limit():
+    if text.strip() and max(map(len, lines)) <= csv.field_size_limit():
         try:
-            return np.loadtxt(_io.StringIO(text), dtype=np.float64, delimiter=",",
-                              comments=None, ndmin=2)
+            return _numpy_matrix(text)
         except ValueError:
             pass
+        if any(map(str.isspace, lines)):
+            try:
+                return _numpy_matrix("\n".join(line for line in lines if not line.isspace()))
+            except ValueError:
+                pass
     records = _csv_records(text, path)
     rows = [[_parse_number(cell, f"column {i + 1}", path, line)
              for i, cell in enumerate(record)]

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import MissingDataError, ShapeError
+from .errors import ShapeError
 from .sampler import DistributionSpec, SamplerStream, sample
 
 if TYPE_CHECKING:
@@ -257,10 +257,18 @@ class ValidationFinding:
         return f"{self.severity}: {self.location}: {self.message}"
 
 
+class _UnitValues(NamedTuple):
+    """The unit values validation resolved for one flow."""
+    impacts: tuple  # per category of the model: a float, or a per-period row
+    cost: float | None
+    emissions: Mapping[str, float]  # per unit of flow, by substance
+
+
 @dataclass
 class ValidationReport:
     findings: list[ValidationFinding] = field(default_factory=list)
-    # the flows' resolved unit values, end to end (see _check_flow_resolution)
+    # per flow in document order, its _UnitValues, or None for a background
+    # flow validated without a database (see _check_flow_resolution)
     _resolved: list = field(default_factory=list, init=False, repr=False, compare=False)
     # whether some amount draws samples (see _check_amount)
     _draws: bool = field(default=False, init=False, repr=False, compare=False)
@@ -339,11 +347,11 @@ def _check_flow_resolution(
     require_cost: bool,
 ) -> None:
     """Resolve the unit values of ``sp``'s ``flow``, report each that is
-    missing, defined twice or not finite, and append them to
+    missing, defined twice or not finite, and append their record to
     ``report._resolved``: a unit impact per category (inline, else the
     row's per-period override, else its value), the unit cost (inline,
     else the row's, else None) and the per-unit emissions (the row's
-    inventory plus one unit of ``substance``).  All None when no database
+    inventory plus one unit of ``substance``).  None when no database
     row resolves."""
     row = None
     if flow.background_ref != FOREGROUND:
@@ -354,9 +362,9 @@ def _check_flow_resolution(
                     _location(sp, flow),
                     f"background key {flow.background_ref!r} not found in database",
                 )
-            report._resolved.extend((None,) * (len(categories) + 2))
+            report._resolved.append(None)
             return
-    resolved = report._resolved
+    impacts = []
     inline = flow.inline_unit_impact or _EMPTY
     overrides = row.impact_overrides if row is not None else _EMPTY
     for cat in categories:
@@ -393,7 +401,7 @@ def _check_flow_resolution(
         elif value is not None and not math.isfinite(value):
             report.add_error(_location(sp, flow),
                              f"unit impact {value} for category {cat!r} is not finite")
-        resolved.append(value)
+        impacts.append(value)
 
     cost_in_db = row is not None and row.unit_cost is not None
     cost = flow.inline_unit_cost
@@ -417,19 +425,7 @@ def _check_flow_resolution(
                 _location(sp, flow),
                 f"emission {value} of substance {substance!r} per unit is not finite",
             )
-    resolved.extend((cost, emissions))
-
-
-def _resolved_columns(model: ProcessModel, report: ValidationReport, categories) -> list[list]:
-    """The unit values ``report`` resolved, one value per flow in document order: a
-    column per one of ``categories``, then the unit costs and the per-unit emissions."""
-    width = len(model.categories) + 2
-    emissions = report._resolved[width - 1::width]
-    if None in emissions:  # a background flow, validated without a database
-        flow = [flow for sp in model.subprocesses for flow in sp.flows][emissions.index(None)]
-        raise MissingDataError(f"flow {flow.name!r}: no database to resolve it from")
-    columns = [*map(model.categories.index, categories), width - 2]
-    return [report._resolved[column::width] for column in columns] + [emissions]
+    report._resolved.append(_UnitValues(tuple(impacts), cost, emissions))
 
 
 def _production_problem(production: np.ndarray) -> str | None:
@@ -510,16 +506,15 @@ def validate_model(
                 report, sp, flow, model.categories, db, grid.n_timesteps, require_cost
             )
     if db is not None:
-        width = len(model.categories) + 2  # per flow: the unit impacts, cost, emissions
-        _check_static_factors(report, db, report._resolved[width - 1::width])
+        _check_static_factors(report, db)
     return report
 
 
-def _check_static_factors(report: ValidationReport, db: "UnitValueTable", emissions) -> None:
+def _check_static_factors(report: ValidationReport, db: "UnitValueTable") -> None:
     """Report each non-finite static factor: an impact in the database row
-    named after a substance that some flow emits (``emissions`` holds each
-    flow's per-unit emissions, None for an unresolved flow)."""
-    substances = dict.fromkeys(s for per_unit in emissions if per_unit for s in per_unit)
+    named after a substance that some flow emits, as the ``emissions`` of
+    its record in ``report._resolved`` say."""
+    substances = dict.fromkeys(s for units in report._resolved if units for s in units.emissions)
     for substance in substances:
         for cat, factor in db.static_factors(substance).items():
             if not math.isfinite(factor):

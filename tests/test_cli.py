@@ -319,9 +319,27 @@ subprocesses:
         assert run_cli("run", "--model", str(model), "--db", str(db), "--mode", "dynamic",
                        "--dcf", DCF, "--output", str(out)) == 0
         assert json.loads(out.read_text())["payload_type"] == "dynamic"
-        text = capsys.readouterr().out
-        assert text.endswith(f"results written to: {out}\n")
-        assert "economics" not in text and "present cost" not in text
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"results written to: {out}\n")
+        assert "economics" not in captured.out and "present cost" not in captured.out
+        assert captured.err == ("warning: economic indicators skipped: subprocess 'stack', "
+                                "flow 'co2': no unit cost resolvable\n")
+
+    def test_dynamic_run_names_a_cost_conflict_it_skips(self, tmp_path, capsys):
+        model = _heatplant_copy(tmp_path, "background: truck_km",
+                                "background: truck_km\n        unit_cost: 2.0")
+        conflict = ("subprocess 'fuel_supply', flow 'gas_transport': "
+                    "unit cost is defined both inline and in database")
+        assert run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
+                       "--output", str(tmp_path / "static.json")) == 1
+        assert conflict in capsys.readouterr().err
+        out = tmp_path / "dynamic.json"
+        assert run_cli("run", "--model", str(model), "--db", DB, "--mode", "dynamic",
+                       "--dcf", DCF, "--output", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"results written to: {out}\n")
+        assert "economics" not in captured.out
+        assert captured.err == f"warning: economic indicators skipped: {conflict}\n"
 
     @pytest.mark.parametrize("value", [".nan", "-450", "0"])
     def test_bad_production_exits_1_before_writing(self, tmp_path, capsys, value):

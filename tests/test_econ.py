@@ -11,7 +11,6 @@ from lcengine import (
     lcoe,
     minimum_selling_price,
     npv,
-    price_by_bisection,
 )
 
 from oracles import oracle_npv
@@ -125,16 +124,6 @@ class TestMspAndLcoe:
         price = minimum_selling_price(cf, prod)
         residual = npv(CashFlowSeries(price * prod.values - cf.values, rate))
         assert abs(residual) <= 1e-9 * max(1.0, np.abs(cf.values).sum())
-
-    def test_bisection_matches_closed_form(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(1, 8))
-            costs = CashFlowSeries(rng.uniform(1, 100, n), float(rng.uniform(0, 0.2)))
-            production = ProductionSeries(rng.uniform(0.5, 20, n))
-            closed = minimum_selling_price(costs, production)
-            numeric = price_by_bisection(costs, production)
-            assert numeric == pytest.approx(closed, rel=1e-9)
 
 
 class TestDiscountedCostResult:

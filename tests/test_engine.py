@@ -22,6 +22,7 @@ from lcengine import (
     SubProcessDefinition,
     compute_inventory,
     main_aggregate,
+    run_dynamic,
     run_matrix,
     run_monte_carlo,
     run_static,
@@ -34,12 +35,18 @@ from lcengine.engine import (
     _exchange_operand,
     _unit_operand,
 )
-from lcengine.model import _resolved_columns
 from lcengine.sampler import stream_for_flow, stream_for_subprocess
 
 from conftest import db_with, empty_db, simple_model
 from modelgen import random_model
 from oracles import oracle_unit_result
+
+
+def _resolved(model, db, kind):
+    """Each flow's unit value of ``kind`` (a category, or None for cost), in
+    document order, as validation resolved it."""
+    return [units.cost if kind is None else units.impacts[model.categories.index(kind)]
+            for units in validate_model(model, db)._resolved]
 
 
 def grid_1x1(v):
@@ -341,11 +348,24 @@ class TestWithoutDatabase:
         unit = run_matrix(model, None)
         assert unit.impacts["GWP100"][0, 0] == 8.0 and unit.cost[0, 0] == 12.0
 
+    @pytest.mark.filterwarnings("ignore:model has no distribution amounts")
     def test_background_flow_is_named(self):
         flow = FlowDefinition("gas", "inflow", ScalarAmount(1.0), background_ref="natural_gas")
         sp = SubProcessDefinition("s", ScalarAmount(1.0), flows=(flow,))
         model = ProcessModel("m", (sp,), ScenarioGrid(1, 1), ("GWP100",))
-        for calculate in (run_static, run_matrix, compute_inventory):
+        for calculate in (run_static, run_matrix, compute_inventory,
+                          lambda model, db: run_monte_carlo(model, db, 4, 1),
+                          lambda model, db: run_dynamic(model, db, ())):
+            with pytest.raises(MissingDataError, match="flow 'gas': no database"):
+                calculate(model, None)
+
+    def test_missing_database_is_reported_before_a_missing_seed(self):
+        drawn = FlowDefinition("fuel", "inflow", UNIFORM, inline_unit_impact={"GWP100": 1.0},
+                               inline_unit_cost=1.0)
+        gas = FlowDefinition("gas", "inflow", ScalarAmount(1.0), background_ref="natural_gas")
+        sp = SubProcessDefinition("s", ScalarAmount(1.0), flows=(drawn, gas))
+        model = ProcessModel("m", (sp,), ScenarioGrid(3, 2), ("GWP100",))
+        for calculate in (run_matrix, compute_inventory):
             with pytest.raises(MissingDataError, match="flow 'gas': no database"):
                 calculate(model, None)
 
@@ -357,8 +377,7 @@ class TestBreakdownsOnFirstRead:
     @staticmethod
     def _sp_operands(model, db, sp, cat):
         shape = model.grid.shape
-        report = validate_model(model, db)
-        resolved = _resolved_columns(model, report, [] if cat is None else [cat])[0]
+        resolved = _resolved(model, db, cat)
         first = sum(len(s.flows) for s in model.subprocesses[:model.subprocesses.index(sp)])
         units, exchanges = [], []
         for i, flow in enumerate(sp.flows, start=first):
@@ -465,8 +484,7 @@ def _materialised_total(model, db, kind, seed):
     copies of every grid operand, so summed over the whole grid.  An
     all-scalar sub-process enters as the scalar its fold gives."""
     grid = model.grid
-    report = validate_model(model, db)
-    values = iter(_resolved_columns(model, report, [] if kind is None else [kind])[0])
+    values = iter(_resolved(model, db, kind))
 
     def stream(make, *names):
         return None if seed is None else make(seed, *names)
