@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamic import DynamicImpactResult, run_dynamic
-from .econ import ProductionSeries, discounted_cost_result
+from .econ import discounted_cost_result
 # run_static is not called here; the tracer in e2ebench/tracing.py wraps cli.run_static
 from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
 from .errors import InvalidModelError, LcengineError, LoadError
@@ -297,8 +297,8 @@ def cmd_run(config: RunConfig) -> int:
         return EXIT_INVALID
     for warning in report.warnings:
         print(str(warning), file=sys.stderr)
-    if config.mode == "static" and report._draws:
-        # static mode evaluates the model on its own grid, without sampling
+    if config.mode != "montecarlo" and report._draws:
+        # static and dynamic modes evaluate the model on its own grid, without sampling
         print("usage error: model contains distribution amounts; use --mode montecarlo",
               file=sys.stderr)
         return EXIT_INVALID
@@ -346,7 +346,7 @@ def cmd_run(config: RunConfig) -> int:
         if cost_grid is not None:
             try:
                 result = discounted_cost_result(
-                    cost_grid, ProductionSeries(model.production), model.discount_rate
+                    cost_grid, model.production, model.discount_rate
                 )
                 indicators = _indicator_lines(result, model.discount_rate)
             # ArithmeticError: a division by zero, or a discount factor past the float range

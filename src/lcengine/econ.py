@@ -4,8 +4,9 @@ Conventions: end-of-period discounting with period 0 undiscounted, i.e.
 PV = sum of values[t] / (1 + rate)^t.  The discount rate is per grid
 period, not per year; convert before calling when the grid step is
 sub-annual.  The minimum selling price discounts the production series
-with the same rate as the costs, and the levelized cost of electricity is
-the same function applied to delivered energy.
+with the same rate as the costs.  ``discounted_cost_result`` is the one
+implementation: ``minimum_selling_price`` is its one-row case, and
+``lcoe`` is the same function applied to delivered energy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from .errors import ShapeError
 from .model import _frozen_series
 
 
+def _checked_rate(values: np.ndarray, rate) -> float:
+    """``rate`` as a float, after checking that every cash flow value is
+    finite and that the rate is finite and > -1."""
+    if not np.isfinite(values).all():
+        raise ValueError("cash flow values must be finite")
+    rate = float(rate)
+    if not math.isfinite(rate) or rate <= -1.0:
+        raise ValueError(f"discount rate must be finite and > -1, got {rate}")
+    return rate
+
+
 @dataclass(frozen=True, eq=False)
 class CashFlowSeries:
     """Per-period net cash flow (sign convention is the caller's) plus rate."""
@@ -30,11 +42,7 @@ class CashFlowSeries:
     def __post_init__(self):
         arr = _frozen_series(self.values)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "rate", float(self.rate))
-        if not np.isfinite(arr).all():
-            raise ValueError("cash flow values must be finite")
-        if not math.isfinite(self.rate) or self.rate <= -1.0:
-            raise ValueError(f"discount rate must be finite and > -1, got {self.rate}")
+        object.__setattr__(self, "rate", _checked_rate(arr, self.rate))
 
 
 def _production_values(values) -> np.ndarray:
@@ -75,36 +83,6 @@ def npv(cf: CashFlowSeries) -> float:
     return _discounted_sum(cf.values, cf.rate)
 
 
-def _discounted_ratio(costs: CashFlowSeries, quantity: ProductionSeries, what: str) -> float:
-    if costs.values.shape != quantity.values.shape:
-        raise ShapeError(
-            f"{what}: {costs.values.shape[0]} cost periods vs "
-            f"{quantity.values.shape[0]} production periods"
-        )
-    denom = _discounted_sum(quantity.values, costs.rate)
-    if denom <= 0.0:
-        raise ZeroDivisionError(f"{what}: discounted production is {denom}, must be > 0")
-    return _discounted_sum(costs.values, costs.rate) / denom
-
-
-def minimum_selling_price(costs: CashFlowSeries, production: ProductionSeries) -> float:
-    """Price at which discounted revenues exactly cover the discounted costs.
-
-    Closed form: PV(costs) / PV(production).  This is the root of
-    npv(p x production - costs) = 0.
-    """
-    return _discounted_ratio(costs, production, "minimum_selling_price")
-
-
-def lcoe(costs: CashFlowSeries, energy: ProductionSeries) -> float:
-    """Levelized cost of electricity: PV(costs) / PV(energy delivered).
-
-    Identical function to ``minimum_selling_price``; both names are kept
-    because both indicators are conventional.
-    """
-    return _discounted_ratio(costs, energy, "lcoe")
-
-
 @dataclass(eq=False)
 class ScenarioIndicators:
     """Row-wise indicators over a scenario x time cost grid.
@@ -129,8 +107,10 @@ def discounted_cost_result(
 
     Under Monte Carlo the rows are runs, so the returned arrays are the
     indicator distributions.  The grid is discounted one time column at a
-    time in ``npv``'s order, so every row equals the scalar
-    ``npv``/``minimum_selling_price`` of that row to the bit.
+    time in ``npv``'s order, so every row's ``npv`` equals the scalar
+    ``npv`` of that row to the bit.  Every grid, an empty one too, passes
+    the checks of ``CashFlowSeries`` and ``ProductionSeries``, and must have
+    discounted production > 0.
     """
     grid = np.asarray(unit_cost_grid, dtype=np.float64)
     if grid.ndim != 2:
@@ -142,15 +122,7 @@ def discounted_cost_result(
             f"production has {quantity.shape[0]} periods, "
             f"cost grid has {grid.shape[1]} columns"
         )
-    n_s = grid.shape[0]
-    if n_s == 0:
-        return ScenarioIndicators(npv=np.empty(0), msp=np.empty(0), lcoe=np.empty(0))
-    # the checks CashFlowSeries and minimum_selling_price make on each row
-    if not np.isfinite(grid).all():
-        raise ValueError("cash flow values must be finite")
-    rate = float(rate)
-    if not math.isfinite(rate) or rate <= -1.0:
-        raise ValueError(f"discount rate must be finite and > -1, got {rate}")
+    rate = _checked_rate(grid, rate)
     denom = _discounted_sum(quantity.tolist(), rate)  # Python floats: the same bits
     if denom <= 0.0:
         raise ZeroDivisionError(
@@ -159,3 +131,18 @@ def discounted_cost_result(
     out_npv = _discounted_sum(grid.T, rate)
     out_msp = out_npv / denom
     return ScenarioIndicators(npv=out_npv, msp=out_msp, lcoe=out_msp.copy())
+
+
+def minimum_selling_price(costs: CashFlowSeries, production: ProductionSeries) -> float:
+    """Price at which discounted revenues exactly cover the discounted costs.
+
+    Closed form: PV(costs) / PV(production), the root of
+    npv(p x production - costs) = 0.  It is the ``msp`` of the one-row
+    ``discounted_cost_result``, with its checks and messages; ``lcoe``
+    (costs over energy delivered) is this same function.
+    """
+    row = discounted_cost_result(costs.values[np.newaxis], production, costs.rate)
+    return float(row.msp[0])
+
+
+lcoe = minimum_selling_price

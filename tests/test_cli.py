@@ -176,9 +176,11 @@ class TestRunCommand:
         assert rc == 1
         assert "--dcf" in capsys.readouterr().err
 
-    def test_static_mode_rejects_a_sampling_model_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", [["static"], ["dynamic", "--dcf", DCF]],
+                             ids=["static", "dynamic"])
+    def test_static_mode_rejects_a_sampling_model_before_writing(self, mode, tmp_path, capsys):
         out = tmp_path / "r.json"
-        rc = run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", "static",
+        rc = run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", *mode,
                      "--output", str(out))
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err == (

@@ -97,6 +97,9 @@ class TestMspAndLcoe:
             production = ProductionSeries(rng.uniform(0.1, 50, n))
             assert lcoe(costs, production) == minimum_selling_price(costs, production)
 
+    def test_lcoe_is_minimum_selling_price(self):
+        assert lcoe is minimum_selling_price
+
     def test_zero_discounted_production_rejected(self):
         with pytest.raises(ZeroDivisionError):
             minimum_selling_price(CashFlowSeries([10.0], 0.0), ProductionSeries([0.0]))
@@ -163,6 +166,18 @@ class TestDiscountedCostResult:
         with pytest.raises(ShapeError):
             discounted_cost_result(np.ones((2, 3)), [1.0, 1.0], 0.0)
 
+    def test_length_mismatch_rejected_like_a_row(self):
+        with pytest.raises(ShapeError) as scalar:
+            minimum_selling_price(CashFlowSeries([1.0, 2.0, 3.0], 0.1),
+                                  ProductionSeries([1.0, 1.0]))
+        with pytest.raises(ShapeError) as grid:
+            discounted_cost_result(np.ones((2, 3)), [1.0, 1.0], 0.1)
+        assert str(grid.value) == str(scalar.value)
+
+    def test_an_empty_grid_gives_empty_arrays(self):
+        out = discounted_cost_result(np.empty((0, 3)), [0.0, 1.0, 1.0], 0.05)
+        assert [a.shape for a in (out.npv, out.msp, out.lcoe)] == [(0,)] * 3
+
     @pytest.mark.parametrize("rate", [0.0, 0.05, -0.5])
     def test_every_row_has_the_scalar_bits(self, rate):
         rng = np.random.default_rng(5)
@@ -188,21 +203,24 @@ class TestDiscountedCostResult:
         with pytest.raises(ValueError, match="cash flow values must be finite"):
             discounted_cost_result(grid, [1.0] * 4, 0.05)
 
+    @pytest.mark.parametrize("n_rows", [2, 0])
     @pytest.mark.parametrize("rate", [-1.0, -2.0, np.nan, np.inf])
-    def test_bad_rate_rejected_like_a_row(self, rate):
+    def test_bad_rate_rejected_like_a_row(self, rate, n_rows):
         message = f"discount rate must be finite and > -1, got {float(rate)}"
         with pytest.raises(ValueError) as scalar:
             CashFlowSeries([1.0, 2.0], rate)
         with pytest.raises(ValueError) as grid:
-            discounted_cost_result(np.ones((2, 2)), [1.0, 1.0], rate)
+            discounted_cost_result(np.ones((n_rows, 2)), [1.0, 1.0], rate)
         assert str(grid.value) == str(scalar.value) == message
 
-    def test_zero_production_rejected_like_a_row(self):
+    @pytest.mark.parametrize("n_rows", [2, 0])
+    @pytest.mark.parametrize("scalar_call", [minimum_selling_price, lcoe], ids=["msp", "lcoe"])
+    def test_zero_production_rejected_like_a_row(self, scalar_call, n_rows):
         production = ProductionSeries([0.0, 0.0, 0.0])
         with pytest.raises(ZeroDivisionError) as scalar:
-            minimum_selling_price(CashFlowSeries([1.0, 2.0, 3.0], 0.1), production)
+            scalar_call(CashFlowSeries([1.0, 2.0, 3.0], 0.1), production)
         with pytest.raises(ZeroDivisionError) as grid:
-            discounted_cost_result(np.ones((2, 3)), production, 0.1)
+            discounted_cost_result(np.ones((n_rows, 3)), production, 0.1)
         assert str(grid.value) == str(scalar.value)
 
     def test_every_production_form_gives_the_same_bits(self):

@@ -446,6 +446,14 @@ def test_matrix_fast_path_agrees_with_csv_parser(case, tmp_path):
     assert outcome == csv_outcome
 
 
+def test_numpy_reads_a_matrix_with_whitespace_only_lines_once(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n  \t \n3,4\n \n")
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert load_matrix_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert loadtxt.call_count == 1
+
+
 @st.composite
 def _matrix_texts(draw) -> str:
     """A matrix CSV of float64 reprs, in other spellings too: padded, signed,
