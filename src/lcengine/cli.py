@@ -87,7 +87,7 @@ class RunConfig:
 
     def to_meta(self) -> dict:
         d = dataclasses.asdict(self)
-        d["categories"] = list(self.categories) if self.categories else None
+        d["categories"] = None if self.categories is None else list(self.categories)
         return d
 
 

@@ -191,6 +191,9 @@ def run_dynamic(
             sources.setdefault(cat, ("static", factor))
         if not sources:
             raise MissingDataError(
+                f"substance {substance!r} has no dynamic factors, and its database row "
+                f"{substance!r} has no single-value cell (per-period cells are not "
+                f"static factors)" if substance in db.rows else
                 f"substance {substance!r} has neither dynamic factors nor a "
                 f"static factor row in the database"
             )

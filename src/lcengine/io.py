@@ -10,9 +10,10 @@ Three input formats, all UTF-8 with dot decimal separators:
   ``matrix`` list of rows.
 * Background database CSV: header ``flow,unit_cost,<category>...`` plus
   optional ``inv:<substance>`` columns.  An empty cell means "no value";
-  a semicolon-separated cell in a category column is a per-period
-  override (length n_timesteps).  A row keyed by a substance name doubles
-  as that substance's static characterization factors.
+  a category cell holds one value, either a single number or a
+  semicolon-separated per-period series (length n_timesteps).  A row keyed
+  by a substance name doubles as that substance's static characterization
+  factors: its single-number cells.
 * Factor tables CSV: header ``substance,category,mode,horizon,tau,factor``.
   annual_step rows enumerate tau = 0,1,2,... per (substance, category);
   fixed_horizon entries are a single row with horizon filled and tau
@@ -33,6 +34,7 @@ import io as _io
 import itertools
 import json
 import math
+import numbers
 import os
 import re
 import shutil
@@ -59,6 +61,7 @@ from .model import (
     ScalarAmount,
     ScenarioGrid,
     SubProcessDefinition,
+    _frozen_series,
     validate_model,
 )
 from .sampler import _PARAM_NAMES, DistributionSpec
@@ -74,16 +77,18 @@ _CSV_HEADER = ["section", "name", "scenario", "timestep", "category", "value"]
 
 @dataclass(frozen=True, eq=False)
 class BackgroundRow:
-    """Unit values of one background flow (or substance, see static_factors)."""
+    """Unit values of one background flow (or substance, see static_factors);
+    an ``impacts`` cell is a float or a per-period series, frozen once here."""
 
-    flow: str
     unit_cost: float | None = None
-    impacts: Mapping[str, float] = field(default_factory=dict)
-    impact_overrides: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
+    impacts: Mapping[str, float | np.ndarray] = field(default_factory=dict)
     inventory: Mapping[str, float] = field(default_factory=dict)
 
-    def resolves_impact(self, category: str) -> bool:
-        return category in self.impacts or category in self.impact_overrides
+    def __post_init__(self):
+        object.__setattr__(self, "impacts", {
+            cat: value if isinstance(value, numbers.Real) else _frozen_series(value)
+            for cat, value in self.impacts.items()
+        })
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,13 +96,12 @@ class UnitValueTable:
     """Background database: flow name -> unit cost, unit impacts, inventory."""
 
     rows: Mapping[str, BackgroundRow]
-    categories: tuple[str, ...] = ()
-    source: str | None = None
 
     def static_factors(self, substance: str) -> dict[str, float]:
-        """Static characterization factors for a substance, if it has a row."""
+        """Static characterization factors for a substance: its row's single values."""
         row = self.rows.get(substance)
-        return dict(row.impacts) if row is not None else {}
+        cells = row.impacts.items() if row is not None else ()
+        return {cat: v for cat, v in cells if not isinstance(v, np.ndarray)}
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +500,16 @@ def load_background_db(path) -> UnitValueTable:
         unit_cost = None
         if cells.get("unit_cost"):
             unit_cost = _parse_number(cells["unit_cost"], f"{flow}: unit_cost", path, lineno)
-        impacts: dict[str, float] = {}
-        overrides: dict[str, tuple[float, ...]] = {}
+        impacts: dict[str, float | list[float]] = {}
         for cat in categories:
             cell = cells[cat]
             if not cell:
                 continue
             if ";" in cell:
-                overrides[cat] = tuple(
+                impacts[cat] = [
                     _parse_number(part, f"{flow}: {cat} period value", path, lineno)
                     for part in cell.split(";")
-                )
+                ]
             else:
                 impacts[cat] = _parse_number(cell, f"{flow}: {cat}", path, lineno)
         inventory: dict[str, float] = {}
@@ -520,14 +523,8 @@ def load_background_db(path) -> UnitValueTable:
                     inventory[substance] = _parse_number(
                         cell, f"{flow}: inv:{substance}", path, lineno
                     )
-        rows[flow] = BackgroundRow(
-            flow=flow,
-            unit_cost=unit_cost,
-            impacts=impacts,
-            impact_overrides=overrides,
-            inventory=inventory,
-        )
-    return UnitValueTable(rows=rows, categories=tuple(categories), source=path)
+        rows[flow] = BackgroundRow(unit_cost=unit_cost, impacts=impacts, inventory=inventory)
+    return UnitValueTable(rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ model is an exchange amount: a scalar, a scenario x time matrix, or a
 distribution to be sampled once per scenario.  All definition types are
 frozen and safe to share between concurrent evaluations.  The arrays they
 hold are read-only, and this module alone decides how a value object takes
-one (``dynamic`` and ``econ`` use the same two rules): a grid that owns its
-data is frozen in place (``_frozen_grid``), a series is kept only when it
-is already read-only (``_read_only_float64``), and anything else is copied
-once.  So only the owner of a frozen array, by setting its writeable flag
-back, or a view of it made before, can still write it.
+one (``dynamic``, ``econ`` and ``io.BackgroundRow`` use the same two
+rules): a grid that owns its data is frozen in place (``_frozen_grid``), a
+series is kept only when it is already read-only (``_read_only_float64``),
+and anything else is copied once.  So only the owner of a frozen array,
+by setting its writeable flag back, or a view of it made before, can still
+write it.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ def _check_flow_resolution(
     """Resolve the unit values of ``sp``'s ``flow``, report each that is
     missing, defined twice or not finite, and append their record to
     ``report._resolved``: a unit impact per category (inline, else the
-    row's per-period override, else its value), the unit cost (inline,
+    row's cell, a float or a per-period series), the unit cost (inline,
     else the row's, else None) and the per-unit emissions (the row's
     inventory plus one unit of ``substance``).  None when no database
     row resolves."""
@@ -366,30 +367,26 @@ def _check_flow_resolution(
             return
     impacts = []
     inline = flow.inline_unit_impact or _EMPTY
-    overrides = row.impact_overrides if row is not None else _EMPTY
+    cells = row.impacts if row is not None else _EMPTY
     for cat in categories:
-        in_db = row is not None and row.resolves_impact(cat)
-        value = inline.get(cat)
-        if in_db and value is not None:
+        value, cell = inline.get(cat), cells.get(cat)
+        if cell is not None and value is not None:
             report.add_error(
                 _location(sp, flow),
                 f"unit impact for category {cat!r} is defined both inline and "
                 f"in database row {flow.background_ref!r}",
             )
-        elif not in_db and value is None:
+        elif cell is None and value is None:
             report.add_error(_location(sp, flow),
                              f"no unit impact resolvable for category {cat!r}")
-        override = overrides.get(cat)
-        if override is not None and len(override) != n_timesteps:
+        if isinstance(cell, np.ndarray) and len(cell) != n_timesteps:
             report.add_error(
                 _location(sp, flow),
                 f"per-period unit impacts for {cat!r} have length "
-                f"{len(override)}, expected {n_timesteps}",
+                f"{len(cell)}, expected {n_timesteps}",
             )
-        elif value is None and override is not None:
-            value = np.asarray(override, dtype=np.float64)
-        elif value is None and in_db:
-            value = row.impacts[cat]
+        elif value is None:
+            value = cell
         if isinstance(value, np.ndarray):
             bad = np.flatnonzero(~np.isfinite(value))
             if bad.size:

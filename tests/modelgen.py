@@ -22,7 +22,7 @@ from lcengine import (
 
 
 def random_model(rng: random.Random, *, max_sp=5, max_flows=5, max_s=4, max_t=4,
-                 with_overrides=True, p_matrix=0.5):
+                 with_series=True, p_matrix=0.5):
     """Returns (model, db, oracle_data) with deterministic random content."""
     n_s = rng.randint(1, max_s)
     n_t = rng.randint(1, max_t)
@@ -52,21 +52,17 @@ def random_model(rng: random.Random, *, max_sp=5, max_flows=5, max_s=4, max_t=4,
                 # background-backed unit values, optionally time-varying
                 key = f"bg_{i}_{j}"
                 impacts = {}
-                overrides = {}
                 oracle_impacts = {}
                 for cat in categories:
-                    if with_overrides and rng.random() < 0.25:
-                        series = tuple(scalar() for _ in range(n_t))
-                        overrides[cat] = series
+                    if with_series and rng.random() < 0.25:
+                        series = [scalar() for _ in range(n_t)]
+                        impacts[cat] = series
                         oracle_impacts[cat] = list(series)
                     else:
                         v = scalar()
                         impacts[cat] = v
                         oracle_impacts[cat] = v
-                db_rows[key] = BackgroundRow(
-                    flow=key, unit_cost=unit_cost, impacts=impacts,
-                    impact_overrides=overrides,
-                )
+                db_rows[key] = BackgroundRow(unit_cost=unit_cost, impacts=impacts)
                 flow = FlowDefinition(
                     name=f"flow_{i}_{j}",
                     direction=rng.choice(("inflow", "outflow")),
@@ -98,6 +94,6 @@ def random_model(rng: random.Random, *, max_sp=5, max_flows=5, max_s=4, max_t=4,
         grid=grid,
         categories=categories,
     )
-    db = UnitValueTable(rows=db_rows, categories=categories)
+    db = UnitValueTable(rows=db_rows)
     oracle_data = {"grid": (n_s, n_t), "subprocesses": oracle_sps}
     return model, db, oracle_data

@@ -74,7 +74,7 @@ def test_criterion_1_oracle_equivalence_200_models():
 def test_criterion_2_broadcast_consistency_bit_exact():
     rng = random.Random(777)
     for _ in range(50):
-        model, db, _ = random_model(rng, p_matrix=0.0, with_overrides=False,
+        model, db, _ = random_model(rng, p_matrix=0.0, with_series=False,
                                     max_s=6, max_t=6)
         static = run_static(model, db)
         matrix = run_matrix(model, db)

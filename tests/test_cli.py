@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcengine import export_results
+from lcengine import export_results, import_results
 from lcengine.cli import main
 
 SAMPLES = Path(__file__).parent.parent / "sample_models"
@@ -245,6 +245,35 @@ subprocesses:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert list(doc["payload"]["impacts"].keys()) == ["GWP100"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("flag, recorded", [
+        ((), None), (("--categories", ","), []), (("--categories", "AP"), ["AP"]),
+    ], ids=["absent", "none", "one"])
+    def test_meta_records_the_categories_computed(self, tmp_path, fmt, flag, recorded):
+        out = tmp_path / f"r.{fmt}"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static", *flag,
+                     "--format", fmt, "--output", str(out))
+        assert rc == 0
+        result = import_results(out)
+        assert result.meta["config"]["categories"] == recorded
+        assert list(result.payload.categories) == (
+            ["GWP100", "AP"] if recorded is None else recorded)
+
+    @pytest.mark.parametrize("cells", ["0.9;0.9;0.9;0.9;0.9", ""], ids=["per_period", "empty"])
+    def test_dynamic_names_a_substance_row_without_a_static_factor(self, tmp_path, capsys,
+                                                                    cells):
+        inputs = _inputs_copy(tmp_path, "background.csv", "NOx,,,0.9,", f"NOx,,,{cells},")
+        model, db = str(inputs / "heatplant.model"), str(inputs / "background.csv")
+        assert run_cli("validate", "--model", model, "--db", db) == 0
+        assert capsys.readouterr().out == "OK\n"
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", model, "--db", db, "--mode", "dynamic", "--dcf", DCF,
+                     "--output", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: substance 'NOx' has no dynamic factors, and its database row 'NOx' has no "
+            "single-value cell (per-period cells are not static factors)\n")
 
     def test_rate_override_embedded_in_meta(self, tmp_path):
         out = tmp_path / "r.json"
@@ -674,7 +703,7 @@ class TestReportCommand:
         assert not plots.exists()
 
     def test_nonfinite_dynamic_cumulative_exits_3(self, tmp_path, capsys, sample_results):
-        from lcengine import export_results
+        from lcengine import export_results, import_results
 
         path = tmp_path / "dyn.json"
         export_results(sample_results["dynamic"], "json", path)

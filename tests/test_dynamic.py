@@ -183,7 +183,7 @@ class TestOwnership:
 class TestRunDynamic:
     def test_static_only_substances_match_per_period_static(self):
         model = co2_model([2.0, 0.0, 3.0], 3, substance="NOx")
-        db = db_with({"NOx": BackgroundRow(flow="NOx", impacts={"AP": 0.9})})
+        db = db_with({"NOx": BackgroundRow(impacts={"AP": 0.9})})
         result = run_dynamic(model, db, [])
         assert result.t_out == 3
         np.testing.assert_allclose(result.impacts["AP"], [[1.8, 0.0, 2.7]])
@@ -228,8 +228,8 @@ class TestRunDynamic:
                                      substance=name) for name, row in rows.items())
         model = ProcessModel("m", (SubProcessDefinition("ops", ScalarAmount(1.0), flows),),
                              ScenarioGrid(1, 4), ("GWP100",))
-        db = db_with({"X": BackgroundRow(flow="X", impacts={"GWP100": -1.0}),
-                      "Y": BackgroundRow(flow="Y", impacts={"GWP100": 1.0, "AP": -1.0})})
+        db = db_with({"X": BackgroundRow(impacts={"GWP100": -1.0}),
+                      "Y": BackgroundRow(impacts={"GWP100": 1.0, "AP": -1.0})})
         result = run_dynamic(model, db, [])
         for cat in ("GWP100", "AP"):
             expected = np.zeros((1, 4))
@@ -246,14 +246,14 @@ class TestRunDynamic:
 
     def test_annual_preferred_over_fixed_and_static(self):
         model = co2_model([1.0], 1)
-        db = db_with({"CO2": BackgroundRow(flow="CO2", impacts={"GWP100": 999.0})})
+        db = db_with({"CO2": BackgroundRow(impacts={"GWP100": 999.0})})
         fixed = DCFTable("CO2", "GWP100", "fixed_horizon", [555.0], horizon=100)
         result = run_dynamic(model, db, [annual([1.0, 0.5]), fixed])
         np.testing.assert_allclose(result.impacts["GWP100"], [[1.0, 0.5]])
 
     def test_fixed_preferred_over_static(self):
         model = co2_model([1.0], 1)
-        db = db_with({"CO2": BackgroundRow(flow="CO2", impacts={"GWP100": 999.0})})
+        db = db_with({"CO2": BackgroundRow(impacts={"GWP100": 999.0})})
         fixed = DCFTable("CO2", "GWP100", "fixed_horizon", [555.0], horizon=100)
         result = run_dynamic(model, db, [fixed])
         np.testing.assert_allclose(result.impacts["GWP100"], [[555.0]])
@@ -262,6 +262,22 @@ class TestRunDynamic:
         model = co2_model([1.0], 1, substance="SF6")
         with pytest.raises(MissingDataError, match="SF6"):
             run_dynamic(model, db_with({}), [])
+
+    @pytest.mark.parametrize("rows, message", [
+        ({}, "substance 'SF6' has neither dynamic factors nor a static factor row in the "
+             "database"),
+        ({"SF6": BackgroundRow(impacts={"GWP100": [23500.0]})},
+         "substance 'SF6' has no dynamic factors, and its database row 'SF6' has no "
+         "single-value cell (per-period cells are not static factors)"),
+        ({"SF6": BackgroundRow(unit_cost=1.0)},
+         "substance 'SF6' has no dynamic factors, and its database row 'SF6' has no "
+         "single-value cell (per-period cells are not static factors)"),
+    ], ids=["no_row", "per_period_cells_only", "no_cells"])
+    def test_missing_factor_names_the_substance_row(self, rows, message):
+        model = co2_model([1.0], 1, substance="SF6")
+        with pytest.raises(MissingDataError) as info:
+            run_dynamic(model, db_with(rows), [])
+        assert str(info.value) == message
 
     def test_requested_category_without_factors_is_error(self, heatplant, background_db,
                                                          dcf_tables):

@@ -539,7 +539,7 @@ class TestCompactShape:
         rng = random.Random(11)
         for _ in range(10):
             model, db, _ = random_model(rng, max_s=300, max_t=12, p_matrix=0.0,
-                                        with_overrides=False)
+                                        with_series=False)
             model = _with_draws(model, every_flow=True)
             shapes = self._check(model, db, seed=5)
             assert set(shapes.values()) == {(model.grid.n_scenarios, 1)}
@@ -585,7 +585,7 @@ class TestCompactShape:
 
     def test_totals_are_writable_unless_virtual(self):
         model, db, _ = random_model(random.Random(15), max_s=6, max_t=5, p_matrix=0.0,
-                                    with_overrides=False)
+                                    with_series=False)
         drawn = _with_draws(model, every_flow=True)
         mc = run_monte_carlo(drawn, db, n_runs=8, seed=1)
         emitting = dataclasses.replace(drawn, subprocesses=tuple(
@@ -700,7 +700,7 @@ class TestMonteCarlo:
 
 class TestInventory:
     def test_hand_product(self):
-        row = BackgroundRow(flow="fuel", unit_cost=0.0, impacts={"GWP100": 0.0},
+        row = BackgroundRow(unit_cost=0.0, impacts={"GWP100": 0.0},
                             inventory={"CO2": 2.0})
         flow = FlowDefinition("fuel", "inflow", ScalarAmount(3.0), background_ref="fuel")
         sp = SubProcessDefinition("s", ScalarAmount(1.0), flows=(flow,))
@@ -712,7 +712,7 @@ class TestInventory:
     def test_inventory_has_the_run_matrix_bits(self):
         # each flow's unit impact for GWP100 equals its per-unit CO2 emission,
         # so the inventory and the impact grid are the same fold
-        rows = {ref: BackgroundRow(flow=ref, unit_cost=0.0, impacts={"GWP100": e},
+        rows = {ref: BackgroundRow(unit_cost=0.0, impacts={"GWP100": e},
                                    inventory={"CO2": e})
                 for ref, e in (("steel", 0.7), ("gas", 0.45))}
         uniform = DistributionAmount(DistributionSpec("uniform", (1.0, 2.0)))
@@ -735,7 +735,7 @@ class TestInventory:
         assert inv.emissions == {}
 
     def test_same_substance_adds_across_flows(self):
-        row = BackgroundRow(flow="fuel", unit_cost=0.0, impacts={"GWP100": 0.0},
+        row = BackgroundRow(unit_cost=0.0, impacts={"GWP100": 0.0},
                             inventory={"CO2": 2.0})
         f1 = FlowDefinition("fuel1", "inflow", ScalarAmount(3.0), background_ref="fuel")
         f2 = FlowDefinition("fuel2", "inflow", ScalarAmount(1.0), background_ref="fuel")

@@ -224,11 +224,15 @@ class TestLoadBackgroundDb:
         report = validate_model(model, db)  # cost-mode validation fails later
         assert any("unit cost" in f.message for f in report.errors)
 
-    def test_per_period_override_cells(self, tmp_path):
+    def test_per_period_cells(self, tmp_path):
         path = tmp_path / "db.csv"
-        path.write_text("flow,unit_cost,GWP100\ngrid_mix,0.1,0.5;0.4;0.3\n")
+        path.write_text("flow,unit_cost,GWP100,AP\ngrid_mix,0.1,0.5;0.4;0.3,0.2\n")
         db = load_background_db(path)
-        assert db.rows["grid_mix"].impact_overrides["GWP100"] == (0.5, 0.4, 0.3)
+        cell = db.rows["grid_mix"].impacts["GWP100"]
+        assert cell.dtype == np.float64 and cell.tolist() == [0.5, 0.4, 0.3]
+        assert not cell.flags.writeable
+        assert db.rows["grid_mix"].impacts["AP"] == 0.2
+        assert db.static_factors("grid_mix") == {"AP": 0.2}
 
     def test_inventory_columns(self, background_db):
         assert background_db.rows["natural_gas"].inventory == {"CO2": 36.0, "CH4": 0.15}

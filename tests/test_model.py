@@ -62,8 +62,9 @@ class TestProduction:
 
 
 class TestOwnership:
-    """An amount or production series keeps an array only when it owns its
-    data, so no write through another array changes a model."""
+    """An amount, production series or database cell keeps an array only
+    when it owns its data, so no write through another array changes a
+    model."""
 
     def test_an_owned_array_is_kept_and_frozen_in_place(self):
         owned = np.arange(6.0).reshape(2, 3).copy()
@@ -121,6 +122,28 @@ class TestOwnership:
         assert run_matrix(model, empty_db()).cost.tobytes() == cost.tobytes()
         after = discounted_cost_result(cost, model.production, 0.1)
         assert after.msp.tobytes() == before.msp.tobytes()
+
+    @pytest.mark.parametrize("make", [list, tuple, np.array],
+                             ids=["list", "tuple", "writable_array"])
+    def test_a_per_period_cell_is_copied_once(self, make):
+        values = make([0.4, 0.3, 0.2])
+        impacts = {"GWP100": values}
+        row = BackgroundRow(unit_cost=0.1, impacts=impacts)
+        model, db = _grid_mix_model(row)
+        cell = row.impacts["GWP100"]
+        before = run_matrix(model, db).impacts["GWP100"].tobytes()
+        if not isinstance(values, tuple):
+            values[0] = NAN
+        impacts["GWP100"] = 9.0
+        assert cell.dtype == np.float64 and not cell.flags.writeable
+        assert row.impacts["GWP100"] is cell and cell.tolist() == [0.4, 0.3, 0.2]
+        assert not validate_model(model, db).findings
+        assert run_matrix(model, db).impacts["GWP100"].tobytes() == before
+
+    def test_a_read_only_owned_cell_is_kept(self):
+        values = np.array([0.4, 0.3, 0.2])
+        values.flags.writeable = False
+        assert BackgroundRow(impacts={"GWP100": values}).impacts["GWP100"] is values
 
 
 @pytest.mark.parametrize("value", [2, 2.0, True, np.float64(2), np.int64(2), np.float32(2)],
@@ -253,7 +276,7 @@ class TestValidation:
         assert any("duplicate flow" in m for m in messages)
 
     def test_both_sources_for_category_is_error(self):
-        row = BackgroundRow(flow="electricity", unit_cost=0.1, impacts={"GWP100": 0.4})
+        row = BackgroundRow(unit_cost=0.1, impacts={"GWP100": 0.4})
         flow = FlowDefinition(name="electricity", direction="inflow",
                               amount=ScalarAmount(1.0), background_ref="electricity",
                               inline_unit_impact={"GWP100": 0.5})
@@ -265,7 +288,7 @@ class TestValidation:
         assert any("both inline and" in f.message for f in report.errors)
 
     def test_missing_cost_deferred_until_required(self):
-        row = BackgroundRow(flow="electricity", unit_cost=None, impacts={"GWP100": 0.4})
+        row = BackgroundRow(unit_cost=None, impacts={"GWP100": 0.4})
         flow = FlowDefinition(name="electricity", direction="inflow",
                               amount=ScalarAmount(1.0), background_ref="electricity")
         sp = SubProcessDefinition(name="s", amount=ScalarAmount(1.0), flows=(flow,))
@@ -277,8 +300,7 @@ class TestValidation:
         assert any("unit cost" in f.message for f in validate_model(model, db).errors)
 
     def test_per_period_override_length_checked(self):
-        row = BackgroundRow(flow="grid_mix", unit_cost=0.1,
-                            impact_overrides={"GWP100": (0.4, 0.3)})
+        row = BackgroundRow(unit_cost=0.1, impacts={"GWP100": (0.4, 0.3)})
         flow = FlowDefinition(name="grid_mix", direction="inflow",
                               amount=ScalarAmount(1.0), background_ref="grid_mix")
         sp = SubProcessDefinition(name="s", amount=ScalarAmount(1.0), flows=(flow,))
@@ -370,7 +392,7 @@ class TestValidation:
 
     def test_unused_static_factors_are_not_checked(self):
         model, db = _truck_model()  # emits nothing
-        db = db_with({**db.rows, "CO2": BackgroundRow(flow="CO2", impacts={"GWP100": NAN})})
+        db = db_with({**db.rows, "CO2": BackgroundRow(impacts={"GWP100": NAN})})
         assert not validate_model(model, db).findings
 
     def test_validation_never_raises(self):
@@ -382,7 +404,7 @@ class TestValidation:
 def _truck_model(**row):
     """One background flow on a 1x1 grid, and a database with its row:
     ``row`` replaces the row's default unit cost, impacts or inventory."""
-    row = BackgroundRow(flow="truck_km", **{"unit_cost": 1.1, "impacts": {"GWP100": 0.12}, **row})
+    row = BackgroundRow(**{"unit_cost": 1.1, "impacts": {"GWP100": 0.12}, **row})
     flow = FlowDefinition("gas_transport", "inflow", ScalarAmount(180.0),
                           background_ref="truck_km")
     sp = SubProcessDefinition("fuel_supply", ScalarAmount(1.0), flows=(flow,))
@@ -393,8 +415,62 @@ def _emitting_model(factor):
     """_truck_model whose flow emits CO2, with a CO2 row holding ``factor``
     as its static factor for GWP100."""
     model, db = _truck_model(inventory={"CO2": 2.0})
-    co2 = BackgroundRow(flow="CO2", impacts={"GWP100": factor})
+    co2 = BackgroundRow(impacts={"GWP100": factor})
     return model, db_with({**db.rows, "CO2": co2})
+
+
+def _grid_mix_model(row, inline=None):
+    """A 1x3 model whose one flow resolves from database row ``row``, and
+    for GWP100 from ``inline`` too unless it is None."""
+    flow = FlowDefinition("power", "inflow", ScalarAmount(2.0), background_ref="grid_mix",
+                          inline_unit_impact=None if inline is None else {"GWP100": inline})
+    sp = SubProcessDefinition("s", ScalarAmount(1.0), (flow,))
+    return ProcessModel("m", (sp,), ScenarioGrid(1, 3), ("GWP100",)), db_with({"grid_mix": row})
+
+
+_BOTH = "unit impact for category 'GWP100' is defined both inline and in database row 'grid_mix'"
+_LENGTH = "per-period unit impacts for 'GWP100' have length 2, expected 3"
+_INLINE_NAN = "unit impact nan for category 'GWP100' is not finite"
+_CELLS = {"no_cell": None, "single": 0.4, "single_inf": INF, "series": (0.4, 0.3, 0.2),
+          "series_nan": (0.4, NAN, -INF), "short": (0.4, 0.3), "short_inf": (INF, 0.3)}
+# (inline value, database cell, findings in order, resolved unit impact)
+UNIT_IMPACT_SOURCES = [
+    ("no_inline", "no_cell", ["no unit impact resolvable for category 'GWP100'"], None),
+    ("no_inline", "single", [], 0.4),
+    ("no_inline", "single_inf", ["unit impact inf for category 'GWP100' is not finite"], INF),
+    ("no_inline", "series", [], [0.4, 0.3, 0.2]),
+    ("no_inline", "series_nan",
+     ["per-period unit impact nan for category 'GWP100' at period 1 is not finite"],
+     [0.4, NAN, -INF]),
+    ("no_inline", "short", [_LENGTH], None),
+    ("no_inline", "short_inf", [_LENGTH], None),
+    ("inline", "no_cell", [], 0.5),
+    *[("inline", cell, [_BOTH], 0.5)
+      for cell in ("single", "single_inf", "series", "series_nan")],
+    *[("inline", cell, [_BOTH, _LENGTH], 0.5) for cell in ("short", "short_inf")],
+    ("inline_nan", "no_cell", [_INLINE_NAN], NAN),
+    *[("inline_nan", cell, [_BOTH, _INLINE_NAN], NAN)
+      for cell in ("single", "single_inf", "series", "series_nan")],
+    *[("inline_nan", cell, [_BOTH, _LENGTH, _INLINE_NAN], NAN) for cell in ("short", "short_inf")],
+]
+
+
+@pytest.mark.parametrize("inline, cell, findings, resolved", UNIT_IMPACT_SOURCES,
+                         ids=[f"{i}-{c}" for i, c, _, _ in UNIT_IMPACT_SOURCES])
+def test_unit_impact_sources_give_their_findings_in_order(inline, cell, findings, resolved):
+    row = BackgroundRow(unit_cost=0.1, impacts={} if _CELLS[cell] is None
+                        else {"GWP100": _CELLS[cell]})
+    value = {"no_inline": None, "inline": 0.5, "inline_nan": NAN}[inline]
+    model, db = _grid_mix_model(row, inline=value)
+    report = validate_model(model, db)
+    assert [f.message for f in report.findings] == findings
+    assert all(f.location == "subprocess 's', flow 'power'" for f in report.findings)
+    got = report._resolved[0].impacts[0]
+    assert (got is None) == (resolved is None)
+    if resolved is not None:
+        np.testing.assert_array_equal(got, resolved)
+    if isinstance(resolved, list):  # the row's own frozen series
+        assert got is row.impacts["GWP100"]
 
 
 # (model and database, the one finding's location and message)
@@ -403,7 +479,7 @@ NON_FINITE_UNIT_VALUES = [
                  "unit cost nan is not finite", id="db_unit_cost"),
     pytest.param(lambda: _truck_model(impacts={"GWP100": INF}), "flow 'gas_transport'",
                  "unit impact inf for category 'GWP100' is not finite", id="db_unit_impact"),
-    pytest.param(lambda: _truck_model(impacts={}, impact_overrides={"GWP100": (-INF,)}),
+    pytest.param(lambda: _truck_model(impacts={"GWP100": (-INF,)}),
                  "flow 'gas_transport'",
                  "per-period unit impact -inf for category 'GWP100' at period 0 is not finite",
                  id="db_per_period_unit_impact"),
