@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 usage or validation failure; 2 I/O or parse
 failure; 3 numerical failure (non-finite result).  Diagnostics go to
-stderr, data and summaries to stdout.  Set LCENGINE_LOG=debug|info|...
-for logging.
+stderr, data and summaries to stdout.  Set
+LCENGINE_LOG=debug|info|warning|error|critical for logging.
 """
 
 from __future__ import annotations
@@ -526,8 +526,13 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
 # entry point
 
 def main(argv=None) -> int:
+    level = os.environ.get("LCENGINE_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):  # a name logging does not know
+        print(f"usage error: LCENGINE_LOG must be one of debug, info, warning, error, "
+              f"critical; got {os.environ['LCENGINE_LOG']!r}", file=sys.stderr)
+        return EXIT_INVALID
     logging.basicConfig(
-        level=os.environ.get("LCENGINE_LOG", "WARNING").upper(),
+        level=level,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
@@ -541,9 +546,8 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(args.model, args.db)
     if args.command == "run":
-        categories = None
-        if args.categories:
-            categories = tuple(c.strip() for c in args.categories.split(",") if c.strip())
+        categories = None if args.categories is None else tuple(
+            dict.fromkeys(c.strip() for c in args.categories.split(",") if c.strip()))
         config = RunConfig(
             model=args.model,
             db=args.db,

@@ -166,30 +166,29 @@ def run_dynamic(
 ) -> DynamicImpactResult:
     """Characterize the model's emission inventory over time.
 
-    Per substance and category the richest available data wins:
-    annual-step factors first, then fixed-horizon factors, then a static
-    factor looked up from the background database row named after the
-    substance.  A substance with none of the three is an error, and so is
-    a requested category that no emitted substance has a factor for.
+    Per substance and category the richest available data wins: an
+    annual-step table (the last of equal ones in ``dcfs``), convolved over
+    emission age; else a fixed-horizon factor, else a static factor from
+    the background database row named after the substance, either booked
+    at the period of emission.  A substance with none of the three is an
+    error, and so is a requested category that no emitted substance has a
+    factor for.
     """
     inventory = compute_inventory(model, db, seed=seed)
 
-    # mode -> (substance, category) -> table; annual-step tables come first
-    tables: dict[str, dict[tuple[str, str], DCFTable]] = {ANNUAL_STEP: {}, FIXED_HORIZON: {}}
+    # (substance, category) -> annual-step table or single factor, richest first
+    factors: dict[tuple[str, str], DCFTable | float] = {}
     for table in dcfs:
-        tables[table.mode][table.substance, table.category] = table
-
-    # (substance, category, source) dispatch in deterministic document order
-    jobs: list[tuple[str, str, str, object]] = []
+        if table.mode == ANNUAL_STEP:
+            factors[table.substance, table.category] = table
+    for table in dcfs:
+        key = (table.substance, table.category)
+        if table.mode == FIXED_HORIZON and not isinstance(factors.get(key), DCFTable):
+            factors[key] = float(table.factors[0])
+    tabled = {substance for substance, _ in factors}
     for substance in inventory.emissions:
-        sources: dict[str, tuple[str, object]] = {}  # category -> richest source
-        for mode, by_key in tables.items():
-            for (sub, cat), table in by_key.items():
-                if sub == substance:
-                    sources.setdefault(cat, (mode, table))
-        for cat, factor in db.static_factors(substance).items():
-            sources.setdefault(cat, ("static", factor))
-        if not sources:
+        static = db.static_factors(substance)
+        if substance not in tabled and not static:
             raise MissingDataError(
                 f"substance {substance!r} has no dynamic factors, and its database row "
                 f"{substance!r} has no single-value cell (per-period cells are not "
@@ -197,42 +196,42 @@ def run_dynamic(
                 f"substance {substance!r} has neither dynamic factors nor a "
                 f"static factor row in the database"
             )
-        jobs += [(substance, cat, mode, data) for cat, (mode, data) in sources.items()]
+        for cat, factor in static.items():
+            factors.setdefault((substance, cat), factor)
 
+    # (substance, category) terms, in the inventory's substance order
+    rank = {substance: i for i, substance in enumerate(inventory.emissions)}
+    jobs = sorted((key for key in factors if key[0] in rank), key=lambda key: rank[key[0]])
     if categories is not None:
-        found = {cat for _, cat, _, _ in jobs}
+        found = {cat for _, cat in jobs}
         missing = [c for c in categories if c not in found]
         if missing:
             raise MissingDataError(
                 f"categories with no factor for any emitted substance: {missing}")
         wanted = set(categories)
-        jobs = [j for j in jobs if j[1] in wanted]
+        jobs = [job for job in jobs if job[1] in wanted]
 
-    n_t = inventory.grid.n_timesteps
-    max_len = max(
-        (t.factors.shape[0] for _, _, mode, t in jobs if mode == ANNUAL_STEP),
-        default=1,
-    )
-    t_out = n_t + max_len - 1
+    t_out = inventory.grid.n_timesteps - 1 + max(
+        (factors[job].factors.shape[0] for job in jobs if isinstance(factors[job], DCFTable)),
+        default=1)
 
-    cats: list[str] = []
     impacts: dict[str, np.ndarray] = {}
     contributions: dict[str, dict[str, np.ndarray]] = {}
-    for substance, cat, mode, data in jobs:
-        em = EmissionSeries(substance, inventory.emissions[substance])
-        if mode == ANNUAL_STEP:
-            term = characterize_dynamic(em, data)
-        elif mode == FIXED_HORIZON:
-            term = characterize_fixed_horizon(em, data)
-        else:
-            term = characterize_static_at_emission(em, data)
+    em = None
+    for substance, cat in jobs:
+        if em is None or em.substance != substance:
+            em = EmissionSeries(substance, inventory.emissions[substance])
+        factor = factors[substance, cat]
+        if isinstance(factor, DCFTable):  # spread over emission age
+            term = characterize_dynamic(em, factor)
+        else:  # booked at the period of emission
+            term = characterize_static_at_emission(em, factor)
         term = _pad_to(term, t_out)
         if cat in impacts:
             impacts[cat] += term
         else:
             # a zeroed grid plus the term, in one pass and a new array:
             # term + 0.0 turns -0.0 into 0.0 as 0.0 + term does
-            cats.append(cat)
             impacts[cat] = term + 0.0
         contributions.setdefault(substance, {})[cat] = term
 
@@ -240,7 +239,7 @@ def run_dynamic(
     return DynamicImpactResult(
         grid=inventory.grid,
         t_out=t_out,
-        categories=tuple(cats),
+        categories=tuple(impacts),
         impacts=impacts,
         cumulative=cumulative,
         contributions=contributions,

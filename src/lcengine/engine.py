@@ -433,10 +433,11 @@ def _evaluate(
 def _select_categories(model: ProcessModel, categories) -> tuple[str, ...]:
     if categories is None:
         return model.categories
+    categories = tuple(dict.fromkeys(categories))  # each name once, in first-seen order
     missing = [c for c in categories if c not in model.categories]
     if missing:
         raise MissingDataError(f"categories not declared by the model: {missing}")
-    return tuple(categories)
+    return categories
 
 
 def _require_valid(model: ProcessModel, db, grid=None, require_cost=True) -> ValidationReport:

@@ -85,10 +85,18 @@ class BackgroundRow:
     inventory: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "impacts", {
-            cat: value if isinstance(value, numbers.Real) else _frozen_series(value)
-            for cat, value in self.impacts.items()
-        })
+        impacts = {}
+        for cat, value in self.impacts.items():
+            if not isinstance(value, numbers.Real):
+                arr = np.asarray(value)
+                if arr.ndim == 0 or arr.dtype.kind not in "biuf":
+                    raise ValueError(f"impact cell for category {cat!r} is neither a real "
+                                     f"number nor a sequence of numbers: {value!r}")
+                if arr is not value:  # a new array, frozen here rather than copied again
+                    arr.flags.writeable = False
+                value = _frozen_series(arr)
+            impacts[cat] = value
+        object.__setattr__(self, "impacts", impacts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,9 +554,9 @@ def load_dcf_tables(path) -> list[DCFTable]:
             f"header must be {','.join(_DCF_HEADER)!r}, got {','.join(header)!r}",
             path=path,
         )
-    annual: dict[tuple[str, str], dict[int, float]] = {}
-    fixed: dict[tuple[str, str], tuple[float, int]] = {}
-    order: list[tuple[str, str, str]] = []
+    # (substance, category, mode) -> its rows, in the order the keys first appear:
+    # tau -> factor for annual_step, horizon -> factor for fixed_horizon
+    rows: dict[tuple[str, str, str], dict[int, float]] = {}
     for lineno, record in records[1:]:
         if len(record) != len(header):
             raise LoadError(
@@ -557,81 +565,50 @@ def load_dcf_tables(path) -> list[DCFTable]:
         substance, category, mode, horizon, tau, factor = (c.strip() for c in record)
         if not substance or not category:
             raise LoadError("substance and category must be non-empty", path=path, line=lineno)
-        key = (substance, category)
+
+        def bad_row(problem: str) -> LoadError:
+            return LoadError(f"{substance}/{category}: {problem}", path=path, line=lineno)
+
+        key = (substance, category, mode)
         if mode == ANNUAL_STEP:
             if horizon:
-                raise LoadError(
-                    f"{substance}/{category}: annual_step rows must leave horizon empty",
-                    path=path,
-                    line=lineno,
-                )
+                raise bad_row("annual_step rows must leave horizon empty")
             if not tau:
-                raise LoadError(
-                    f"{substance}/{category}: annual_step rows need a tau", path=path, line=lineno
-                )
-            tau_val = _parse_integer(tau, f"{substance}: tau", path, lineno)
-            taus = annual.setdefault(key, {})
-            if not taus:
-                order.append((substance, category, ANNUAL_STEP))
-            if tau_val in taus:
-                raise LoadError(
-                    f"{substance}/{category}: duplicate tau {tau_val}", path=path, line=lineno
-                )
-            taus[tau_val] = _parse_finite(factor, f"{substance}: factor", path, lineno)
+                raise bad_row("annual_step rows need a tau")
+            n = _parse_integer(tau, f"{substance}: tau", path, lineno)
+            if n in rows.setdefault(key, {}):
+                raise bad_row(f"duplicate tau {n}")
         elif mode == FIXED_HORIZON:
             if tau:
-                raise LoadError(
-                    f"{substance}/{category}: fixed_horizon rows must leave tau empty",
-                    path=path,
-                    line=lineno,
-                )
-            if key in fixed:
-                raise LoadError(
-                    f"{substance}/{category}: duplicate fixed_horizon row", path=path, line=lineno
-                )
+                raise bad_row("fixed_horizon rows must leave tau empty")
+            if key in rows:
+                raise bad_row("duplicate fixed_horizon row")
             if not horizon:
-                raise LoadError(
-                    f"{substance}/{category}: fixed_horizon rows need a horizon",
-                    path=path,
-                    line=lineno,
-                )
-            h = _parse_integer(horizon, f"{substance}: horizon", path, lineno)
-            if h < 1:
-                raise LoadError(
-                    f"{substance}/{category}: horizon must be >= 1, got {h}",
-                    path=path,
-                    line=lineno,
-                )
-            fixed[key] = (_parse_finite(factor, f"{substance}: factor", path, lineno), h)
-            order.append((substance, category, FIXED_HORIZON))
+                raise bad_row("fixed_horizon rows need a horizon")
+            n = _parse_integer(horizon, f"{substance}: horizon", path, lineno)
+            if n < 1:
+                raise bad_row(f"horizon must be >= 1, got {n}")
+            rows[key] = {}
         else:
-            raise LoadError(
-                f"{substance}/{category}: mode must be {ANNUAL_STEP!r} or "
-                f"{FIXED_HORIZON!r}, got {mode!r}",
-                path=path,
-                line=lineno,
-            )
+            raise bad_row(f"mode must be {ANNUAL_STEP!r} or {FIXED_HORIZON!r}, got {mode!r}")
+        rows[key][n] = _parse_finite(factor, f"{substance}: factor", path, lineno)
 
     tables: list[DCFTable] = []
-    for substance, category, mode in order:
-        if mode == ANNUAL_STEP:
-            taus = annual[(substance, category)]
-            expected = range(len(taus))
-            missing = [t for t in expected if t not in taus]
-            if missing or max(taus) != len(taus) - 1:
-                first_missing = missing[0] if missing else len(taus)
-                raise LoadError(
-                    f"{substance}/{category}: tau values must be contiguous from 0; "
-                    f"missing tau {first_missing}",
-                    path=path,
-                )
-            factors = np.asarray([taus[t] for t in expected], dtype=np.float64)
-            tables.append(DCFTable(substance, category, ANNUAL_STEP, factors))
-        else:
-            factor, h = fixed[(substance, category)]
-            tables.append(
-                DCFTable(substance, category, FIXED_HORIZON, np.asarray([factor]), horizon=h)
+    for (substance, category, mode), factor_of in rows.items():
+        if mode == FIXED_HORIZON:
+            [(h, factor)] = factor_of.items()
+            tables.append(DCFTable(substance, category, mode, np.asarray([factor]), horizon=h))
+            continue
+        # n distinct taus are contiguous from 0 when none of 0..n-1 is missing
+        missing = [t for t in range(len(factor_of)) if t not in factor_of]
+        if missing:
+            raise LoadError(
+                f"{substance}/{category}: tau values must be contiguous from 0; "
+                f"missing tau {missing[0]}",
+                path=path,
             )
+        factors = np.asarray([factor_of[t] for t in range(len(factor_of))], dtype=np.float64)
+        tables.append(DCFTable(substance, category, mode, factors))
     return tables
 
 

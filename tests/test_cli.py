@@ -36,6 +36,8 @@ STRUCTURAL_ERRORS = [
                  "discount_rate must be finite, got inf", id="infinite_rate"),
     pytest.param("name: boiler_operation", "name: fuel_supply",
                  "duplicate sub-process name", id="duplicate_subprocess"),
+    pytest.param("categories: [GWP100, AP]", "categories: [GWP100, AP, GWP100]",
+                 "model 'heatplant': duplicate category 'GWP100'", id="duplicate_category"),
     pytest.param("production: [450, 450, 450, 450, 450]", "production: [450, 450]",
                  "production series length 2 does not match 5 time steps",
                  id="production_length"),
@@ -186,8 +188,26 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             "usage error: model contains distribution amounts; use --mode montecarlo\n")
 
-    def test_montecarlo_needs_n_runs(self, capsys):
-        assert run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", "montecarlo") == 1
+    @pytest.mark.parametrize("n_runs, problem", [
+        ((), "--mode montecarlo requires --n-runs"),
+        (("--n-runs", "1"), "--n-runs must be >= 2, got 1"),
+    ], ids=["missing", "one"])
+    def test_montecarlo_needs_n_runs(self, tmp_path, capsys, n_runs, problem):
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL_MC, "--db", DB, "--mode", "montecarlo", *n_runs,
+                     "--output", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == f"usage error: {problem}\n"
+
+    def test_negative_amount_warns_and_runs(self, tmp_path, capsys):
+        model = _heatplant_copy(tmp_path, "amount: 4.5", "amount: -4.5")
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", str(model), "--db", DB, "--mode", "static",
+                     "--output", str(out))
+        assert rc == 0 and out.exists()
+        assert capsys.readouterr().err == (
+            "warning: subprocess 'boiler_operation', flow 'maintenance': "
+            "negative exchange amount (avoided flow?)\n")
 
     def test_missing_input_exits_2(self):
         assert run_cli("run", "--model", "/nope.model", "--db", DB, "--mode", "static") == 2
@@ -249,8 +269,10 @@ subprocesses:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("flag, recorded", [
         ((), None), (("--categories", ","), []), (("--categories", "AP"), ["AP"]),
-    ], ids=["absent", "none", "one"])
-    def test_meta_records_the_categories_computed(self, tmp_path, fmt, flag, recorded):
+        (("--categories", ""), []), (("--categories", "GWP100,GWP100"), ["GWP100"]),
+        (("--categories", "AP, GWP100,AP"), ["AP", "GWP100"]),
+    ], ids=["absent", "none", "one", "empty", "repeated", "repeated_keeps_first_order"])
+    def test_meta_records_the_categories_computed(self, tmp_path, capsys, fmt, flag, recorded):
         out = tmp_path / f"r.{fmt}"
         rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "static", *flag,
                      "--format", fmt, "--output", str(out))
@@ -259,6 +281,9 @@ subprocesses:
         assert result.meta["config"]["categories"] == recorded
         assert list(result.payload.categories) == (
             ["GWP100", "AP"] if recorded is None else recorded)
+        capsys.readouterr()
+        assert run_cli("report", str(out)) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("cells", ["0.9;0.9;0.9;0.9;0.9", ""], ids=["per_period", "empty"])
     def test_dynamic_names_a_substance_row_without_a_static_factor(self, tmp_path, capsys,
@@ -509,6 +534,27 @@ subprocesses:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("run", "--frobnicate") == 1
+
+    # missing inputs: a usage error, not an I/O failure, shows that nothing was read
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--model", "/nonexistent.model", "--db", DB),
+        ("run", "--model", "/nonexistent.model", "--db", DB, "--mode", "static"),
+        ("report", "/nonexistent.json"),
+    ], ids=["validate", "run", "report"])
+    @pytest.mark.parametrize("level", ["foo", "", "10"])
+    def test_unknown_log_level_is_usage_error_before_reading(self, monkeypatch, capsys, argv,
+                                                              level):
+        monkeypatch.setenv("LCENGINE_LOG", level)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: LCENGINE_LOG must be one of debug, info, warning, error, critical; "
+            f"got {level!r}\n")
+
+    @pytest.mark.parametrize("level", ["debug", "Info", "WARNING", "error", "critical"])
+    def test_known_log_level_runs(self, monkeypatch, capsys, level):
+        monkeypatch.setenv("LCENGINE_LOG", level)
+        assert run_cli("validate", "--model", MODEL, "--db", DB) == 0
+        assert capsys.readouterr().out == "OK\n"
 
 
 def _mc_result_with(tmp_path, fmt, cells) -> Path:

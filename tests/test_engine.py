@@ -337,6 +337,9 @@ class TestRunMatrix:
         model = ProcessModel("m", (sp,), ScenarioGrid(1, 1), ("a", "b"))
         unit = run_matrix(model, empty_db(), categories=("b",))
         assert tuple(unit.impacts) == ("b",)
+        # a name given twice counts once, in first-seen order
+        unit = run_matrix(model, empty_db(), categories=["b", "a", "b"])
+        assert unit.categories == tuple(unit.impacts) == ("b", "a")
         from lcengine import MissingDataError
         with pytest.raises(MissingDataError):
             run_matrix(model, empty_db(), categories=("zzz",))

@@ -414,6 +414,26 @@ class TestRoundTrips:
             assert first.read_bytes() == second.read_bytes()
             assert_result_sets_equal(rs, loaded)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("mode", ["matrix", "monte_carlo", "dynamic"])
+    def test_repeated_categories_are_computed_once(self, fmt, mode, tmp_path, heatplant,
+                                                   heatplant_uncertain, background_db,
+                                                   dcf_tables):
+        cats = ["AP", "GWP100", "AP"]
+        payload = {
+            "matrix": lambda: run_matrix(heatplant, background_db, categories=cats),
+            "monte_carlo": lambda: run_monte_carlo(heatplant_uncertain, background_db, 20, 7,
+                                                   categories=cats),
+            "dynamic": lambda: run_dynamic(heatplant, background_db, dcf_tables,
+                                           categories=cats),
+        }[mode]()
+        unit = payload.samples if mode == "monte_carlo" else payload
+        assert sorted(unit.categories) == ["AP", "GWP100"]
+        rs = result_set(payload, {})
+        path = tmp_path / f"r.{fmt}"
+        export_results(rs, fmt, path)
+        assert_result_sets_equal(rs, import_results(path))
+
     def test_static_csv_has_one_row_per_category_plus_cost(self, tmp_path):
         unit = run_static(simple_model(unit_impact=7.0, unit_cost=2.0), empty_db())
         path = tmp_path / "static.csv"

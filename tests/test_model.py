@@ -145,6 +145,14 @@ class TestOwnership:
         values.flags.writeable = False
         assert BackgroundRow(impacts={"GWP100": values}).impacts["GWP100"] is values
 
+    @pytest.mark.parametrize("cell", [None, np.array(0.4), "0.4", [0.4, None], ["0.4"], {}],
+                             ids=["none", "zero_d_array", "string", "none_in_list",
+                                  "strings", "mapping"])
+    def test_a_cell_that_is_not_numbers_is_rejected(self, cell):
+        with pytest.raises(ValueError, match="impact cell for category 'AP' is neither a real "
+                                             "number nor a sequence of numbers"):
+            BackgroundRow(impacts={"GWP100": 0.4, "AP": cell})
+
 
 @pytest.mark.parametrize("value", [2, 2.0, True, np.float64(2), np.int64(2), np.float32(2)],
                          ids=["int", "float", "bool", "float64", "int64", "float32"])
@@ -274,6 +282,28 @@ class TestValidation:
         messages = [f.message for f in report.errors]
         assert any("duplicate sub-process" in m for m in messages)
         assert any("duplicate flow" in m for m in messages)
+
+    @pytest.mark.parametrize("build, findings", [
+        (lambda m: ProcessModel("m", (), m.grid, m.categories),
+         [("model 'm'", "model has no sub-processes")]),
+        (lambda m: ProcessModel("m", (SubProcessDefinition("s", ScalarAmount(1.0), ()),),
+                                m.grid, m.categories),
+         [("subprocess 's'", "sub-process has no flows")]),
+        (lambda m: simple_model(flow_amount=NAN),
+         [("subprocess 'only_sp', flow 'only_flow'", "amount nan is not finite")]),
+        (lambda m: simple_model(sp_amount=-INF),
+         [("subprocess 'only_sp'", "amount -inf is not finite")]),
+        (lambda m: ProcessModel("m", m.subprocesses, m.grid, ("GWP100", "GWP100")),
+         [("model 'm'", "duplicate category 'GWP100'")]),
+        (lambda m: ProcessModel("m", m.subprocesses, m.grid, ("GWP100",) * 3),
+         [("model 'm'", "duplicate category 'GWP100'")]),
+    ], ids=["no_subprocesses", "no_flows", "nan_flow_amount", "infinite_subprocess_amount",
+            "duplicate_category", "category_thrice"])
+    def test_structural_errors(self, build, findings):
+        """Each is an error of the structural pass (no database), as in load_model."""
+        model = build(simple_model())
+        report = validate_model(model, None)
+        assert [(f.location, f.message) for f in report.errors] == findings
 
     def test_both_sources_for_category_is_error(self):
         row = BackgroundRow(unit_cost=0.1, impacts={"GWP100": 0.4})
