@@ -526,13 +526,13 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
 # entry point
 
 def main(argv=None) -> int:
-    level = os.environ.get("LCENGINE_LOG", "WARNING").upper()
-    if not isinstance(logging.getLevelName(level), int):  # a name logging does not know
+    level = os.environ.get("LCENGINE_LOG", "warning")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # a name logging does not know
         print(f"usage error: LCENGINE_LOG must be one of debug, info, warning, error, "
-              f"critical; got {os.environ['LCENGINE_LOG']!r}", file=sys.stderr)
+              f"critical; got {level!r}", file=sys.stderr)
         return EXIT_INVALID
     logging.basicConfig(
-        level=level,
+        level=level.upper(),
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )

@@ -167,12 +167,12 @@ def run_dynamic(
     """Characterize the model's emission inventory over time.
 
     Per substance and category the richest available data wins: an
-    annual-step table (the last of equal ones in ``dcfs``), convolved over
-    emission age; else a fixed-horizon factor, else a static factor from
-    the background database row named after the substance, either booked
-    at the period of emission.  A substance with none of the three is an
-    error, and so is a requested category that no emitted substance has a
-    factor for.
+    annual-step table, convolved over emission age; else a fixed-horizon
+    factor, else a static factor from the background database row named
+    after the substance, both booked at the period of emission.  Of two
+    tables in ``dcfs`` with the same substance, category and mode, the
+    last wins.  A substance with none of the three is an error, and so is
+    a requested category that no emitted substance has a factor for.
     """
     inventory = compute_inventory(model, db, seed=seed)
 
@@ -185,7 +185,7 @@ def run_dynamic(
         key = (table.substance, table.category)
         if table.mode == FIXED_HORIZON and not isinstance(factors.get(key), DCFTable):
             factors[key] = float(table.factors[0])
-    tabled = {substance for substance, _ in factors}
+    tabled = {substance for substance, _ in factors}  # substances with a table
     for substance in inventory.emissions:
         static = db.static_factors(substance)
         if substance not in tabled and not static:

@@ -85,18 +85,25 @@ class BackgroundRow:
     inventory: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        impacts = {}
-        for cat, value in self.impacts.items():
-            if not isinstance(value, numbers.Real):
-                arr = np.asarray(value)
-                if arr.ndim == 0 or arr.dtype.kind not in "biuf":
-                    raise ValueError(f"impact cell for category {cat!r} is neither a real "
-                                     f"number nor a sequence of numbers: {value!r}")
-                if arr is not value:  # a new array, frozen here rather than copied again
-                    arr.flags.writeable = False
-                value = _frozen_series(arr)
-            impacts[cat] = value
-        object.__setattr__(self, "impacts", impacts)
+        object.__setattr__(self, "impacts", {
+            cat: value if isinstance(value, numbers.Real) else _series_cell(cat, value)
+            for cat, value in self.impacts.items()
+        })
+
+
+def _series_cell(category: str, value) -> np.ndarray:
+    """A per-period impact cell, frozen by the rule of ``model._frozen_series``;
+    anything but a flat sequence of numbers is a ValueError naming the category."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # sequences of unequal lengths
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf":
+        raise ValueError(f"impact cell for category {category!r} is neither a real "
+                         f"number nor a sequence of numbers: {value!r}")
+    if arr is not value:  # a new array, frozen here rather than copied again
+        arr.flags.writeable = False
+    return _frozen_series(arr)
 
 
 @dataclass(frozen=True, eq=False)

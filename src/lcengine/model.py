@@ -464,7 +464,7 @@ def validate_model(
     if not model.subprocesses:
         report.add_error(f"model {model.name!r}", "model has no sub-processes")
     cats = model.categories
-    if len(set(cats)) < len(cats):  # the repeated names are looked for only here
+    if len(set(cats)) < len(cats):  # one set per call; the repeats are named only here
         for cat in dict.fromkeys(c for i, c in enumerate(cats) if c in cats[:i]):
             report.add_error(f"model {model.name!r}", f"duplicate category {cat!r}")
     if not math.isfinite(model.discount_rate):

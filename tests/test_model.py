@@ -145,9 +145,10 @@ class TestOwnership:
         values.flags.writeable = False
         assert BackgroundRow(impacts={"GWP100": values}).impacts["GWP100"] is values
 
-    @pytest.mark.parametrize("cell", [None, np.array(0.4), "0.4", [0.4, None], ["0.4"], {}],
+    @pytest.mark.parametrize("cell", [None, np.array(0.4), "0.4", [0.4, None], ["0.4"], {},
+                                      [[0.4, 0.3], [0.2, 0.1]], [[0.4], [0.3, 0.2]]],
                              ids=["none", "zero_d_array", "string", "none_in_list",
-                                  "strings", "mapping"])
+                                  "strings", "mapping", "two_d", "ragged"])
     def test_a_cell_that_is_not_numbers_is_rejected(self, cell):
         with pytest.raises(ValueError, match="impact cell for category 'AP' is neither a real "
                                              "number nor a sequence of numbers"):
