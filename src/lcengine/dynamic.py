@@ -169,11 +169,16 @@ def run_dynamic(
     Per substance and category the richest available data wins: an
     annual-step table, convolved over emission age; else a fixed-horizon
     factor, else a static factor from the background database row named
-    after the substance, both booked at the period of emission.  Of two
+    after the substance, both booked at the period of emission.  Without a
+    database (``db=None``, an all-inline model) no substance has a static
+    factor.  Of two
     tables in ``dcfs`` with the same substance, category and mode, the
     last wins.  A substance with none of the three is an error, and so is
     a requested category that no emitted substance has a factor for.
     """
+    if isinstance(categories, str):  # a str is a sequence of one-letter names
+        raise TypeError(f"categories must be a sequence of category names, "
+                        f"not the str {categories!r}")
     inventory = compute_inventory(model, db, seed=seed)
 
     # (substance, category) -> annual-step table or single factor, richest first
@@ -187,9 +192,11 @@ def run_dynamic(
             factors[key] = float(table.factors[0])
     tabled = {substance for substance, _ in factors}  # substances with a table
     for substance in inventory.emissions:
-        static = db.static_factors(substance)
+        static = {} if db is None else db.static_factors(substance)
         if substance not in tabled and not static:
             raise MissingDataError(
+                f"substance {substance!r} has no dynamic factors, and no database "
+                f"to take a static factor from" if db is None else
                 f"substance {substance!r} has no dynamic factors, and its database row "
                 f"{substance!r} has no single-value cell (per-period cells are not "
                 f"static factors)" if substance in db.rows else

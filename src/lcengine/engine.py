@@ -13,22 +13,30 @@ document order) and applied first, then the grid-valued terms are applied
 in document order.  Every cell therefore sees one fixed operation
 sequence, and results are reproducible to the bit across repeat runs
 and block sizes; reordering effects stay within the documented 1e-9
-accumulation tolerance.  ``run_matrix``, ``compute_inventory`` and the
-public ``subprocess_aggregate``/``main_aggregate`` share that one
-accumulation path (``_Accumulator`` and its steps, executed by the NumPy
-ops in ``kernels``), so they agree to the bit.
+accumulation tolerance.
+
+Each call builds one evaluation plan (``_Plan``) in one walk over the
+model and the unit values its validation resolved: per kind (a category,
+cost, or a substance), each sub-process sum and each main-process total
+becomes plain data, a float constant folded as above plus a finished list
+of grid terms whose compact shape is computed once (``_Sum``).  Nothing is
+kept between calls.  ``run_static``, ``run_matrix``, ``run_monte_carlo``
+and ``compute_inventory`` (and so ``run_dynamic``) build and run a plan;
+the public ``subprocess_aggregate``/``main_aggregate`` build and run one
+``_Sum`` with the same steps (``kernels.accumulate``), so they all agree
+to the bit.
 
 Grids are float64, scenario rows by time columns.  Operands stay as
-cheap as their amounts allow: a per-period unit row or a per-scenario
-draw is a read-only broadcast view, not a copy.  An evaluation sums only
-the main-process totals, once per distinct value: a total whose terms
+cheap as their amounts allow: a per-period unit row is kept as one row and
+a per-scenario draw as one column, not copied out.  An evaluation sums
+only the main-process totals, once per distinct value: a total whose terms
 all repeat along an axis (draw columns along time, per-period rows across
-scenarios) is summed over one column or one row, one cache-sized row
-block at a time, and then written out in full.  Each sub-process unit
-grid is summed per block into scratch space and folded straight into its
-total.  The per-sub-process breakdowns
-(``sp_unit_impacts``/``sp_unit_costs``) are computed, with the same
-steps, the first time they are read.  Evaluation runs on one thread.
+scenarios) is summed over one column or one row, one cache-sized row block
+at a time, and then written out in full.  Each sub-process unit grid is
+summed per block into scratch space and folded straight into its total.
+The per-sub-process breakdowns (``sp_unit_impacts``/``sp_unit_costs``)
+are computed from their sums, with the same steps, the first time they
+are read.  Evaluation runs on one thread.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,8 +133,8 @@ class MonteCarloResult:
 # core aggregation
 
 def _aggregate(unit_values, exchange_values, what: str) -> Grid:
-    """One output grid from scalar or conforming 2-D operands, summed by the
-    accumulator steps of ``_fold``, so the public aggregators give its bits."""
+    """One output grid from scalar or conforming 2-D operands, built and
+    summed as a plan's ``_Sum``, so the public aggregators give its bits."""
     if len(unit_values) != len(exchange_values):
         raise ShapeError(
             f"{what}: {len(unit_values)} unit values vs "
@@ -145,10 +153,12 @@ def _aggregate(unit_values, exchange_values, what: str) -> Grid:
         raise ShapeError(
             f"{what}: all operands are scalars; pass at least one grid to fix the output shape"
         )
-    acc = _Accumulator(shape)
-    for unit, exch in zip(unit_values, exchange_values):
-        acc.add(unit, exch)
-    return acc.grid()
+
+    def operand(value):
+        return _compact_operand(value) if isinstance(value, np.ndarray) else value
+
+    return _grid(_sum([(operand(u), operand(x)) for u, x in zip(unit_values, exchange_values)]),
+                 shape)
 
 
 def subprocess_aggregate(
@@ -190,13 +200,6 @@ def _exchange_operand(amount, grid: ScenarioGrid, stream):
     return broadcast_exchange(amount, grid, stream)
 
 
-def _unit_operand(value, shape: tuple[int, int]):
-    """Per-period unit rows become read-only grid views; scalars stay scalar."""
-    if isinstance(value, np.ndarray):
-        return np.broadcast_to(value, shape)
-    return value
-
-
 def _constant_grid(value, shape: tuple[int, int]) -> Grid:
     """A read-only grid whose every cell is ``value``: the zero-stride view
     ``np.broadcast_to`` makes of a scalar, built without its overhead."""
@@ -204,145 +207,250 @@ def _constant_grid(value, shape: tuple[int, int]) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# evaluation driver
+# evaluation plan
 
-class _Accumulator:
-    """One output grid as a sum of terms, with scalar terms folded.
+class _Sum(NamedTuple):
+    """One output grid as plain data: ``const`` plus the products of ``terms``.
 
-    Scalar x scalar terms collapse into one constant (summed in document
-    order); grid-valued terms keep document order.  A grid-valued operand
-    is an array or another accumulator (a sub-process unit value feeding a
-    main-process total), which is summed block by block into scratch
-    space and never stored whole.  The constant is applied first, then
-    the grid terms, so the per-cell operation sequence is fixed and
-    identical across block sizes.
-
-    Each grid term is kept as ``(scale, grid, other)``: ``scale`` times
-    ``grid`` when one operand is a scalar, else ``grid`` times ``other``
-    (``scale`` None), so summing it takes one dispatch.
-
-    ``compact_shape`` is the extent of the distinct values: per axis, 1
-    when every term repeats along it (a scalar, a length-1 axis or a
-    stride-0 axis, as in a draw column or a per-period row), else the axis
-    length.  The grid is summed over that shape only, so each distinct
-    cell value is computed once.  An accumulator that never receives a
-    grid term stays virtual: its grid is a constant view of ``const`` and
-    costs no memory or passes.
+    ``const`` holds the scalar x scalar terms, folded in document order.
+    Each term ``(a, b)`` adds ``a * b``, in document order: ``a`` is a grid
+    operand, ``b`` a grid operand or a float.  A grid operand is a
+    sub-process ``_Sum`` (inside a main-process total only) or an array in
+    compact form, of length 1 along each axis its values repeat along: a
+    per-period unit row is one row, a draw one column, a matrix whole.
+    ``shape`` is the compact shape, per axis the longest extent of any
+    operand, so the sum is computed once per distinct value.  A sum
+    without terms is kept as its constant, a float: its grid is a constant
+    view and costs no memory or passes.
     """
 
-    __slots__ = ("shape", "compact_shape", "const", "grid_terms")
+    const: float
+    terms: list
+    shape: tuple[int, int]
 
-    def __init__(self, shape: tuple[int, int]):
-        self.shape = shape
-        self.compact_shape = (1, 1)
-        self.const = 0.0
-        self.grid_terms: list[tuple[float | None, object, object]] = []
 
-    def add(self, unit, exch) -> None:
-        if isinstance(unit, _GRID_OPERANDS):
-            term = ((None, unit, exch) if isinstance(exch, _GRID_OPERANDS)
-                    else (float(exch), unit, None))
-        elif isinstance(exch, _GRID_OPERANDS):
-            term = (float(unit), exch, None)
+_GRID_OPERANDS = (np.ndarray, _Sum)
+
+
+def _finish(const: float, terms: list) -> _Sum | float:
+    """A sum's plain data: ``const`` alone when there are no ``terms``, else
+    a ``_Sum`` with its compact shape."""
+    if not terms:
+        return const
+    rows = cols = 1
+    for a, b in terms:
+        a_rows, a_cols = a.shape
+        b_rows, b_cols = (1, 1) if type(b) is float else b.shape
+        if a_rows > rows or b_rows > rows:
+            rows = a_rows if a_rows > b_rows else b_rows
+        if a_cols > cols or b_cols > cols:
+            cols = a_cols if a_cols > b_cols else b_cols
+    return _Sum(const, terms, (rows, cols))
+
+
+def _sum(pairs) -> _Sum | float:
+    """The sum of ``a * b`` over ``pairs``, in order, as plain data; each
+    operand is a number, an array in compact form or a ``_Sum``."""
+    const = 0.0
+    terms = []
+    for a, b in pairs:
+        if isinstance(a, _GRID_OPERANDS):
+            terms.append((a, b if isinstance(b, _GRID_OPERANDS) else float(b)))
+        elif isinstance(b, _GRID_OPERANDS):
+            terms.append((b, float(a)))
         else:
-            self.const += float(unit) * float(exch)
-            return
-        self.grid_terms.append(term)
-        rows, cols = self.compact_shape
-        for operand in term[1:]:
-            if isinstance(operand, _Accumulator):
-                op_rows, op_cols = operand.compact_shape
-            elif operand is None:
-                continue
-            else:  # an array of self.shape
-                row_step, col_step = operand.strides
-                op_rows = self.shape[0] if row_step else 1
-                op_cols = self.shape[1] if col_step else 1
-            if op_rows > rows:
-                rows = op_rows
-            if op_cols > cols:
-                cols = op_cols
-        self.compact_shape = (rows, cols)
+            const += float(a) * float(b)
+    return _finish(const, terms)
 
-    def fill(self, out: Grid, rows: slice, scratch: Grid | None) -> None:
-        """Write this grid's ``rows`` into ``out``, a block of that height
-        whose width is at least this grid's compact width.
 
-        An accumulator operand is first summed into ``scratch``, a flat
-        buffer at least as large as ``out``.  Such operands nest one level
-        deep (a unit value inside a total), so they get no scratch of their
-        own.
-        """
-        # The bits of a zeroed cell plus the constant: a sum started at 0.0
-        # is never -0.0, the one value that adding to 0.0 would change.
-        out.fill(self.const)
-        for scale, grid, other in self.grid_terms:
-            grid = _operand_rows(grid, rows, out.shape, scratch)
-            if scale is None:
-                kernels.add_product(out, grid, _operand_rows(other, rows, out.shape, scratch))
-            else:
-                kernels.add_scaled(out, scale, grid)
+def _compact_operand(grid: Grid) -> Grid:
+    """A grid operand in compact form: a view of length 1 along each axis
+    of stride 0 (time for a draw, scenarios for a per-period row)."""
+    row_step, col_step = grid.strides
+    if row_step and col_step:
+        return grid
+    return grid[: None if row_step else 1, : None if col_step else 1]
 
-    def compact(self) -> Grid:
-        """The distinct values: a new ``compact_shape`` array summed one row
-        block at a time, or a constant 1 x 1 view when virtual."""
-        if not self.grid_terms:
-            return _constant_grid(self.const, (1, 1))
-        out = np.empty(self.compact_shape, dtype=np.float64)
-        blocks = _cache_blocks(*self.compact_shape)
-        scratch = np.empty(blocks[0].stop * self.compact_shape[1], dtype=np.float64)
+
+def _fill(out: Grid, total: _Sum, rows: slice | None, scratch: Grid | None) -> None:
+    """Write ``total``'s compact ``rows`` (all of them when None) into
+    ``out``, a block of that height and of the compact width.
+
+    A ``_Sum`` operand is first summed into a block of its own: a block of
+    ``scratch``, a buffer at least as large as ``out``, or a new array when
+    ``rows`` is None.  Such operands nest one level deep (a unit value
+    inside a total), so they need no scratch of their own.
+    """
+    # The bits of a zeroed cell plus the constant: a sum started at 0.0
+    # is never -0.0, the one value that adding to 0.0 would change.
+    out.fill(total.const)
+    for a, b in total.terms:
+        if type(a) is _Sum:
+            n_rows, n_cols = a.shape
+            if n_rows > 1:
+                n_rows = out.shape[0]
+            block = np.empty(a.shape) if scratch is None else scratch[:n_rows, :n_cols]
+            _fill(block, a, rows if n_rows > 1 else None, None)
+            a = block
+        elif rows is not None and a.shape[0] > 1:
+            a = a[rows]
+        if rows is not None and type(b) is not float and b.shape[0] > 1:
+            b = b[rows]
+        kernels.accumulate(out, a, b)
+
+
+def _compact(total: _Sum | float) -> Grid:
+    """The distinct values of ``total``: a new array of its compact shape,
+    summed one row block at a time, or a constant 1 x 1 view."""
+    if type(total) is float:
+        return _constant_grid(total, (1, 1))
+    out = np.empty(total.shape)
+    blocks = _cache_blocks(*total.shape)
+    if len(blocks) == 1:
+        _fill(out, total, None, None)
+    else:
+        scratch = np.empty((blocks[0].stop, total.shape[1]))
         for rows in blocks:
-            self.fill(out[rows], rows, scratch)
-        return out
-
-    def spread(self, compact: Grid) -> Grid:
-        """``compact`` written out over the whole shape: a new writable
-        C-contiguous grid, or a constant view when virtual."""
-        if not self.grid_terms:
-            return _constant_grid(self.const, self.shape)
-        if compact.shape == self.shape:
-            return compact
-        out = np.empty(self.shape, dtype=np.float64)
-        out[...] = compact
-        return out
-
-    def grid(self) -> Grid:
-        """The whole grid, summed once per distinct value."""
-        return self.spread(self.compact())
+            _fill(out[rows], total, rows, scratch)
+    return out
 
 
-_GRID_OPERANDS = (np.ndarray, _Accumulator)
+def _spread(total: _Sum | float, compact: Grid, shape: tuple[int, int]) -> Grid:
+    """``compact`` written out over ``shape``: a new writable C-contiguous
+    grid, or a constant view when ``total`` is a constant."""
+    if type(total) is float:
+        return _constant_grid(total, shape)
+    if compact.shape == shape:
+        return compact
+    out = np.empty(shape)
+    out[...] = compact
+    return out
 
 
-def _operand_rows(operand, rows: slice, shape: tuple[int, int], scratch: Grid) -> Grid:
-    """The grid operand's ``rows`` of a compact grid, as a ``shape`` block."""
-    if isinstance(operand, _Accumulator):
-        n_rows, n_cols = operand.compact_shape
-        if n_rows == 1:
-            rows = slice(0, 1)
-        block = scratch[: (rows.stop - rows.start) * n_cols].reshape(-1, n_cols)
-        operand.fill(block, rows, None)
-        return block if block.shape == shape else np.broadcast_to(block, shape)
-    return operand if operand.shape == shape else operand[rows, : shape[1]]
+def _grid(total: _Sum | float, shape: tuple[int, int]) -> Grid:
+    """The whole grid of ``total``, summed once per distinct value."""
+    return _spread(total, _compact(total), shape)
+
+
+class _Plan:
+    """One evaluation as plain data, built in one walk over the model and
+    its validation report's resolved unit values; nothing outlives the call
+    that builds it but the sums its lazy breakdowns hold.
+
+    A kind is a category, None for cost, or a substance.  ``values`` maps a
+    flow's record in ``report._resolved`` to its unit values, one per kind
+    of ``kinds`` (None where the flow has none), or to None when it has
+    none at all.  A kind belongs to a sub-process when one of its flows has
+    a value of it; in a valid model every flow has every category and cost.
+    Each sum is a float or a ``_Sum`` (see there).  Aligned with ``kinds``:
+
+    - ``sp_sums`` holds, per sub-process name, each kind's sum over the
+      flows' (unit value x exchange) terms, or None for a kind it lacks;
+    - ``totals`` holds each kind's sum over sub-processes of (unit value x
+      sub-process exchange), a sub-process ``_Sum`` being a grid operand.
+
+    ``sp_exchange`` holds each sub-process exchange grid.  Each flow's
+    exchange is resolved once, and a flow without values draws nothing.
+    All sampling happens here, in document order.
+    """
+
+    __slots__ = ("totals", "sp_sums", "sp_exchange")
+
+    def __init__(self, model: ProcessModel, report: ValidationReport, grid: ScenarioGrid,
+                 seed: int | None, kinds: tuple, values):
+        if None in report._resolved:  # a background flow, validated without a database
+            flow = [f for sp in model.subprocesses for f in sp.flows][report._resolved.index(None)]
+            raise MissingDataError(f"flow {flow.name!r}: no database to resolve it from")
+        if seed is None and report._draws:
+            raise ValueError("model has distribution amounts; pass seed=")
+        shape = grid.shape
+        n = len(kinds)
+        # per kind: the constant, then the grid terms once it has one
+        total_consts, total_terms = [0.0] * n, [None] * n
+        self.sp_sums: dict[str, list] = {}
+        self.sp_exchange: dict[str, Grid] = {}
+        records = iter(report._resolved)
+        for sp in model.subprocesses:
+            consts, terms, seen = [0.0] * n, [None] * n, [False] * n
+            for flow in sp.flows:
+                units = values(next(records))
+                if units is None:  # draws nothing
+                    continue
+                stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
+                x = _exchange_operand(flow.amount, grid, stream)
+                scalar = not isinstance(x, np.ndarray)
+                if not scalar:
+                    x = _compact_operand(x)
+                for i, unit in enumerate(units):
+                    if type(unit) is not float:
+                        if unit is None:
+                            continue
+                        unit = (unit[np.newaxis] if isinstance(unit, np.ndarray)  # a per-period row
+                                else float(unit))
+                    seen[i] = True
+                    if type(unit) is float:
+                        if scalar:
+                            consts[i] += unit * x
+                            continue
+                        term = (x, unit)
+                    else:
+                        term = (unit, x)
+                    if terms[i] is None:
+                        terms[i] = [term]
+                    else:
+                        terms[i].append(term)
+            sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
+            sp_x = _exchange_operand(sp.amount, grid, sp_stream)
+            scalar = not isinstance(sp_x, np.ndarray)
+            if scalar:
+                self.sp_exchange[sp.name] = _constant_grid(sp_x, shape)
+            else:
+                self.sp_exchange[sp.name] = sp_x
+                sp_x = _compact_operand(sp_x)
+            sums = self.sp_sums[sp.name] = [
+                None if not present else const if t is None else _finish(const, t)
+                for const, t, present in zip(consts, terms, seen)]
+            for i, unit in enumerate(sums):
+                if unit is None:
+                    continue
+                if type(unit) is _Sum:
+                    term = (unit, sp_x)
+                elif scalar:
+                    total_consts[i] += unit * sp_x
+                    continue
+                else:
+                    term = (sp_x, unit)
+                if total_terms[i] is None:
+                    total_terms[i] = [term]
+                else:
+                    total_terms[i].append(term)
+        self.totals = [const if t is None else _finish(const, t)
+                       for const, t in zip(total_consts, total_terms)]
 
 
 class _LazyGrids(Mapping):
-    """Read-only mapping whose accumulator values become grids on first read.
+    """Read-only mapping whose plan sums become grids on first read.
 
-    Each grid is summed by the accumulator's own steps, so it has the bits
-    an eager evaluation would give, and replaces its accumulator once read.
-    Other values (nested mappings) pass through.
+    Each grid is summed by the plan's own steps, so it has the bits an
+    eager evaluation would give, and replaces its sum once read.  With
+    ``keys``, each value is a list of sums aligned with them, read as a
+    mapping of its own (a sub-process's unit grid per category).
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_shape", "_keys")
 
-    def __init__(self, values: dict):
+    def __init__(self, values: dict, shape: tuple[int, int], keys: tuple | None = None):
         self._values = values
+        self._shape = shape
+        self._keys = keys
 
     def __getitem__(self, key):
         value = self._values[key]
-        if isinstance(value, _Accumulator):
-            value = self._values[key] = value.grid()
+        if self._keys is not None:
+            if type(value) is list:
+                value = self._values[key] = _LazyGrids(dict(zip(self._keys, value)), self._shape)
+        elif type(value) is _Sum or type(value) is float:
+            value = self._values[key] = _grid(value, self._shape)
         return value
 
     def __iter__(self):
@@ -350,52 +458,6 @@ class _LazyGrids(Mapping):
 
     def __len__(self) -> int:
         return len(self._values)
-
-
-def _fold(model: ProcessModel, report: ValidationReport, grid: ScenarioGrid,
-          seed: int | None, kinds: tuple, flow_pairs):
-    """The one accumulation path: ``flow_pairs`` maps a flow's record in
-    ``report._resolved`` to its ``(kind, unit value)`` pairs.
-    Each flow's exchange operand is resolved once and feeds a unit
-    accumulator per pair; each unit accumulator is folded into its kind's
-    total times the sub-process exchange.  Every sub-process has
-    ``kinds``; other kinds join in first-seen order.  A flow with no pairs
-    draws nothing; all sampling happens here, in document order.
-    ``report`` is the model's validation report.
-    """
-    if None in report._resolved:  # a background flow, validated without a database
-        flow = [f for sp in model.subprocesses for f in sp.flows][report._resolved.index(None)]
-        raise MissingDataError(f"flow {flow.name!r}: no database to resolve it from")
-    if seed is None and report._draws:
-        raise ValueError("model has distribution amounts; pass seed=")
-    shape = grid.shape
-    totals = {kind: _Accumulator(shape) for kind in kinds}
-    sp_units: dict[str, dict[object, _Accumulator]] = {}
-    sp_exchange: dict[str, Grid] = {}
-    records = iter(report._resolved)
-    for sp in model.subprocesses:
-        units = sp_units[sp.name] = {kind: _Accumulator(shape) for kind in kinds}
-        for flow in sp.flows:
-            x = None
-            for kind, unit in flow_pairs(next(records)):
-                if x is None:  # the flow's first unit value: draw its exchange
-                    stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
-                    x = _exchange_operand(flow.amount, grid, stream)
-                acc = units.get(kind)
-                if acc is None:
-                    acc = units[kind] = _Accumulator(shape)
-                acc.add(_unit_operand(unit, shape), x)
-        sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
-        sp_x = _exchange_operand(sp.amount, grid, sp_stream)
-        sp_exchange[sp.name] = (
-            sp_x if isinstance(sp_x, np.ndarray) else _constant_grid(sp_x, shape)
-        )
-        for kind, unit_acc in units.items():
-            total = totals.get(kind)
-            if total is None:
-                total = totals[kind] = _Accumulator(shape)
-            total.add(unit_acc if unit_acc.grid_terms else unit_acc.const, sp_x)
-    return totals, sp_units, sp_exchange
 
 
 def _evaluate(
@@ -408,31 +470,39 @@ def _evaluate(
     """The unit result, and each total's compact grid keyed by kind
     (a category, or None for cost)."""
     kinds = (*categories, None)  # per category, then cost (kind None)
-    columns = [*map(model.categories.index, categories)]
-    totals, sp_units, sp_exchange = _fold(
-        model, report, grid, seed, kinds,
-        lambda units: zip(kinds, [*map(units.impacts.__getitem__, columns), units.cost]))
+    columns = None if categories == model.categories else [
+        *map(model.categories.index, categories)]
+
+    def values(units):
+        if columns is None:  # the record's impacts, as they are
+            return (*units.impacts, units.cost)
+        return (*map(units.impacts.__getitem__, columns), units.cost)
+
+    plan = _Plan(model, report, grid, seed, kinds, values)
     # Only the totals are summed here; each sub-process unit grid is
     # computed per row block inside them, and whole only when first read.
-    compact = {kind: totals[kind].compact() for kind in kinds}
+    shape = grid.shape
+    compact = [*map(_compact, plan.totals)]
+    grids = [*map(_spread, plan.totals, compact, [shape] * len(kinds))]
+    sp_sums = plan.sp_sums
     unit = UnitResult(
         grid=grid,
         categories=categories,
-        impacts={cat: totals[cat].spread(compact[cat]) for cat in categories},
-        cost=totals[None].spread(compact[None]),
-        sp_unit_impacts=_LazyGrids({
-            name: _LazyGrids({cat: units[cat] for cat in categories})
-            for name, units in sp_units.items()
-        }),
-        sp_unit_costs=_LazyGrids({name: units[None] for name, units in sp_units.items()}),
-        sp_exchange=sp_exchange,
+        impacts=dict(zip(categories, grids)),
+        cost=grids[-1],
+        sp_unit_impacts=_LazyGrids(sp_sums, shape, categories),
+        sp_unit_costs=_LazyGrids({name: sums[-1] for name, sums in sp_sums.items()}, shape),
+        sp_exchange=plan.sp_exchange,
     )
-    return unit, compact
+    return unit, dict(zip(kinds, compact))
 
 
 def _select_categories(model: ProcessModel, categories) -> tuple[str, ...]:
     if categories is None:
         return model.categories
+    if isinstance(categories, str):  # a str is a sequence of one-letter names
+        raise TypeError(f"categories must be a sequence of category names, "
+                        f"not the str {categories!r}")
     categories = tuple(dict.fromkeys(categories))  # each name once, in first-seen order
     missing = [c for c in categories if c not in model.categories]
     if missing:
@@ -568,8 +638,14 @@ def compute_inventory(
     terms gets a read-only constant view.
     """
     report = _require_valid(model, db, require_cost=False)
-    totals, _, _ = _fold(model, report, model.grid, seed, (),
-                         lambda units: units.emissions.items())
+    # each emitted substance once, in first-seen order
+    substances = tuple(dict.fromkeys(
+        substance for units in report._resolved if units for substance in units.emissions))
+    plan = _Plan(model, report, model.grid, seed, substances,
+                 lambda units: [*map(units.emissions.get, substances)] if units.emissions else None)
+    shape = model.grid.shape
     return InventoryResult(
-        grid=model.grid, emissions={substance: acc.grid() for substance, acc in totals.items()}
+        grid=model.grid,
+        emissions={substance: _grid(total, shape)
+                   for substance, total in zip(substances, plan.totals)},
     )

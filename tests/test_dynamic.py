@@ -279,6 +279,23 @@ class TestRunDynamic:
             run_dynamic(model, db_with(rows), [])
         assert str(info.value) == message
 
+    def test_all_inline_model_runs_without_a_database(self):
+        # run_matrix and compute_inventory take db=None for such a model
+        model = co2_model([2.0, 0.0, 3.0], 3)
+        tables = [annual([1.0, 0.5])]
+        without = run_dynamic(model, None, tables)
+        with_db = run_dynamic(model, db_with({}), tables)
+        assert without.t_out == with_db.t_out == 4
+        assert without.impacts["GWP100"].tobytes() == with_db.impacts["GWP100"].tobytes()
+        assert without.cumulative["GWP100"].tobytes() == with_db.cumulative["GWP100"].tobytes()
+
+    def test_substance_without_a_table_or_a_database_is_missing_data(self):
+        model = co2_model([1.0], 1, substance="SF6")
+        with pytest.raises(MissingDataError) as info:
+            run_dynamic(model, None, [annual([1.0])])
+        assert str(info.value) == ("substance 'SF6' has no dynamic factors, and no database "
+                                   "to take a static factor from")
+
     def test_requested_category_without_factors_is_error(self, heatplant, background_db,
                                                          dcf_tables):
         with pytest.raises(MissingDataError, match=r"\['NOPE', 'ALSO_NOT'\]"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lcengine import (
     BackgroundRow,
+    DCFTable,
     DistributionAmount,
     DistributionSpec,
     FlowDefinition,
@@ -33,7 +34,6 @@ from lcengine.engine import (
     _cache_blocks,
     _evaluate,
     _exchange_operand,
-    _unit_operand,
 )
 from lcengine.sampler import stream_for_flow, stream_for_subprocess
 
@@ -47,6 +47,12 @@ def _resolved(model, db, kind):
     document order, as validation resolved it."""
     return [units.cost if kind is None else units.impacts[model.categories.index(kind)]
             for units in validate_model(model, db)._resolved]
+
+
+def _unit_operand(value, shape):
+    """A resolved unit value as an aggregator operand: a per-period row
+    becomes a read-only grid view, a scalar stays scalar."""
+    return np.broadcast_to(value, shape) if isinstance(value, np.ndarray) else value
 
 
 def grid_1x1(v):
@@ -344,6 +350,27 @@ class TestRunMatrix:
         with pytest.raises(MissingDataError):
             run_matrix(model, empty_db(), categories=("zzz",))
 
+    @pytest.mark.parametrize("calculate", [
+        run_static,
+        run_matrix,
+        lambda model, db, **kw: run_monte_carlo(model, db, 4, 1, **kw),
+        lambda model, db, **kw: run_dynamic(model, db, (), **kw),
+    ], ids=["run_static", "run_matrix", "run_monte_carlo", "run_dynamic"])
+    def test_categories_as_a_str_is_a_type_error(self, calculate):
+        # a str would be split into one-letter names, which this model declares
+        flow = FlowDefinition("f", "inflow", UNIFORM,
+                              inline_unit_impact={"A": 1.0, "P": 2.0, "AP": 3.0},
+                              inline_unit_cost=0.0, substance="CO2")
+        sp = SubProcessDefinition("s", ScalarAmount(1.0), flows=(flow,))
+        model = ProcessModel("m", (sp,), ScenarioGrid(1, 1), ("A", "P", "AP"))
+        db = db_with({"CO2": BackgroundRow(impacts={"A": 1.0, "P": 1.0})})
+        if calculate is run_static:
+            model = dataclasses.replace(model, subprocesses=(dataclasses.replace(
+                sp, flows=(dataclasses.replace(flow, amount=ScalarAmount(1.0)),)),))
+        with pytest.raises(TypeError, match="categories must be a sequence of category "
+                                            "names, not the str 'AP'"):
+            calculate(model, db, categories="AP")
+
 
 class TestWithoutDatabase:
     def test_inline_flows_need_no_database(self):
@@ -482,12 +509,15 @@ def _with_draws(model, every_flow):
     return dataclasses.replace(model, subprocesses=sps)
 
 
-def _materialised_total(model, db, kind, seed):
-    """A total from ``subprocess_aggregate``/``main_aggregate`` on C-contiguous
-    copies of every grid operand, so summed over the whole grid.  An
-    all-scalar sub-process enters as the scalar its fold gives."""
+def _materialised(model, db, unit_of, seed):
+    """Each sub-process sum and the total of one kind from
+    ``subprocess_aggregate``/``main_aggregate`` on C-contiguous copies of
+    every grid operand, so summed over the whole grid.  ``unit_of`` maps a
+    flow's record in the validation report to its unit value of the kind,
+    or None when it has none.  A sum over scalar terms only is the float
+    its fold gives; a sub-process without a value of the kind is None."""
     grid = model.grid
-    values = iter(_resolved(model, db, kind))
+    records = iter(validate_model(model, db)._resolved)
 
     def stream(make, *names):
         return None if seed is None else make(seed, *names)
@@ -495,48 +525,97 @@ def _materialised_total(model, db, kind, seed):
     def whole(v):
         return np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v
 
-    sp_terms, sp_exchanges = [], []
+    def fold(sp, units, exchanges):
+        if any(isinstance(v, np.ndarray) for v in (*units, *exchanges)):
+            return (main_aggregate(units, exchanges) if sp is None
+                    else subprocess_aggregate(sp, units, exchanges))
+        const = 0.0
+        for u, x in zip(units, exchanges):
+            const += float(u) * float(x)
+        return const
+
+    sp_sums, sp_terms, sp_exchanges = [], [], []
     for sp in model.subprocesses:
         units, exchanges = [], []
         for flow in sp.flows:
-            units.append(whole(_unit_operand(next(values), grid.shape)))
-            exchanges.append(whole(_exchange_operand(
-                flow.amount, grid, stream(stream_for_flow, sp.name, flow.name))))
-        if any(isinstance(v, np.ndarray) for v in (*units, *exchanges)):
-            sp_terms.append(subprocess_aggregate(sp, units, exchanges))
-        else:
-            const = 0.0
-            for u, x in zip(units, exchanges):
-                const += float(u) * float(x)
-            sp_terms.append(const)
+            unit = unit_of(next(records))
+            if unit is not None:
+                units.append(whole(_unit_operand(unit, grid.shape)))
+                exchanges.append(whole(_exchange_operand(
+                    flow.amount, grid, stream(stream_for_flow, sp.name, flow.name))))
+        if not units:
+            sp_sums.append(None)
+            continue
+        sp_sums.append(fold(sp, units, exchanges))
+        sp_terms.append(sp_sums[-1])
         sp_exchanges.append(whole(_exchange_operand(
             sp.amount, grid, stream(stream_for_subprocess, sp.name))))
-    if not any(isinstance(v, np.ndarray) for v in (*sp_terms, *sp_exchanges)):
-        return None  # a virtual total
-    return main_aggregate(sp_terms, sp_exchanges)
+    return sp_sums, fold(None, sp_terms, sp_exchanges)
+
+
+def _assert_bits(got, expected, shape):
+    """``got`` has the bits of ``expected``: a grid, or a float for a sum
+    of scalar terms only, which the engine gives as a constant view."""
+    if isinstance(expected, np.ndarray):
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.writeable and got.flags.c_contiguous
+    else:
+        assert got.strides == (0, 0) and not got.flags.writeable
+        assert got.tobytes() == np.full(shape, expected).tobytes()
+    assert got.shape == shape
 
 
 class TestCompactShape:
     """A total is summed once per distinct value, over its compact shape,
-    with the bits of the aggregators summed over the whole grid."""
+    with the bits of the aggregators summed over the whole grid, and so is
+    every breakdown."""
 
     @staticmethod
     def _check(model, db, seed):
-        """Each total's compact shape, after checking the total's bits."""
+        """Each total's compact shape, after checking the bits of the total
+        and of every sub-process breakdown."""
         cats = model.categories
         unit, compact = _evaluate(model, validate_model(model, db), model.grid, seed, cats)
         shapes = {}
         for kind in (*cats, None):
+            column = None if kind is None else cats.index(kind)
+            sp_sums, expected = _materialised(
+                model, db,
+                lambda units: units.cost if column is None else units.impacts[column], seed)
+            for sp, sp_sum in zip(model.subprocesses, sp_sums):
+                read = (unit.sp_unit_costs[sp.name] if kind is None
+                        else unit.sp_unit_impacts[sp.name][kind])
+                _assert_bits(read, sp_sum, model.grid.shape)
             total = unit.cost if kind is None else unit.impacts[kind]
-            expected = _materialised_total(model, db, kind, seed)
-            if expected is None:
-                assert total.strides == (0, 0) and compact[kind].shape == (1, 1)
-                continue
-            assert total.tobytes() == expected.tobytes()
-            assert total.flags.writeable and total.flags.c_contiguous
-            assert total.shape == model.grid.shape
-            shapes[kind] = compact[kind].shape
+            _assert_bits(total, expected, model.grid.shape)
+            if isinstance(expected, np.ndarray):
+                shapes[kind] = compact[kind].shape
+            else:
+                assert compact[kind].shape == (1, 1)
         return shapes
+
+    @staticmethod
+    def _kinds_apart(scalar_sp_amount):
+        """Flows on one database row with a per-period unit row in category
+        ``a`` only, under a scalar, a matrix and a drawn exchange, so the
+        kinds' term lists differ."""
+        n_s, n_t = 4, 3
+        row = BackgroundRow(unit_cost=1.5, impacts={"a": [0.5, -1.0, 2.0], "b": 0.25})
+        matrix = MatrixAmount(np.linspace(-1.0, 2.0, n_s * n_t).reshape(n_s, n_t))
+        flows = (
+            FlowDefinition("scalar", "inflow", ScalarAmount(3.0), background_ref="bg"),
+            FlowDefinition("matrix", "inflow", matrix, background_ref="bg"),
+            FlowDefinition("drawn", "inflow", UNIFORM, background_ref="bg"),
+            FlowDefinition("inline", "inflow", ScalarAmount(2.0),
+                           inline_unit_impact={"a": 1.0, "b": 4.0}, inline_unit_cost=0.5),
+        )
+        sps = (
+            SubProcessDefinition("rows", ScalarAmount(2.0), flows=flows[:1]),
+            SubProcessDefinition("grids", ScalarAmount(0.5) if scalar_sp_amount else matrix,
+                                 flows=flows[1:]),
+        )
+        model = ProcessModel("apart", sps, ScenarioGrid(n_s, n_t), ("a", "b"))
+        return model, db_with({"bg": row})
 
     def test_draw_columns_compact_to_runs(self):
         rng = random.Random(11)
@@ -567,6 +646,100 @@ class TestCompactShape:
             shapes = self._check(model, db, seed=9)
             full += list(shapes.values()).count(model.grid.shape)
         assert full > 5
+
+    @pytest.mark.parametrize("scalar_sp_amount", [True, False], ids=["scalar_sp", "matrix_sp"])
+    def test_kinds_with_different_terms(self, scalar_sp_amount):
+        model, db = self._kinds_apart(scalar_sp_amount)
+        shapes = self._check(model, db, seed=6)
+        # the row alone makes category a's rows sub-process a grid, not b's
+        unit = run_matrix(model, db, seed=6)
+        assert unit.sp_unit_impacts["rows"]["a"].flags.owndata
+        assert unit.sp_unit_impacts["rows"]["b"].strides == (0, 0)
+        assert unit.sp_unit_costs["rows"].strides == (0, 0)
+        assert shapes["a"] == shapes["b"] == shapes[None] == model.grid.shape
+
+    def test_kinds_with_different_terms_in_random_models(self):
+        rng = random.Random(16)
+        apart = 0
+        for i in range(16):
+            model, db, _ = random_model(rng, max_s=40, max_t=12, p_matrix=0.0)
+            if i % 2:  # draws under some flows: per-period rows times draws
+                model = _with_draws(model, every_flow=False)
+            shapes = self._check(model, db, seed=2)
+            kinds = len(model.categories) + 1
+            apart += len(set(shapes.values())) > 1 or 0 < len(shapes) < kinds
+        assert apart > 3
+
+    def test_negative_zero_amounts_and_unit_values(self):
+        zeros = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]])
+        row = BackgroundRow(unit_cost=-0.0, impacts={"a": [-0.0, 0.0, -0.0], "b": -0.0})
+        flows = (
+            FlowDefinition("s", "inflow", ScalarAmount(-0.0),
+                           inline_unit_impact={"a": -0.0, "b": 1.0}, inline_unit_cost=-0.0),
+            FlowDefinition("m", "inflow", MatrixAmount(zeros), background_ref="bg"),
+            FlowDefinition("r", "inflow", ScalarAmount(2.0), background_ref="bg"),
+        )
+        sps = (SubProcessDefinition("p", MatrixAmount(zeros), flows=flows),
+               SubProcessDefinition("q", ScalarAmount(-0.0), flows=flows[:1]))
+        model = ProcessModel("zeros", sps, ScenarioGrid(2, 3), ("a", "b"))
+        db = db_with({"bg": row})
+        self._check(model, db, seed=None)
+        unit = run_matrix(model, db)
+        for total in (*unit.impacts.values(), unit.cost):
+            assert not np.signbit(total).any()  # a sum starts at 0.0, never -0.0
+
+    def test_product_overflows_in_one_kind_only(self):
+        huge = MatrixAmount(np.full((2, 3), 1e200))
+        flows = (
+            FlowDefinition("big", "inflow", huge,
+                           inline_unit_impact={"a": 1e200, "b": 1.0}, inline_unit_cost=2.0),
+            FlowDefinition("small", "inflow", ScalarAmount(1e300),
+                           inline_unit_impact={"a": 1.0, "b": 1e10}, inline_unit_cost=1.0),
+        )
+        model = ProcessModel("overflow", (SubProcessDefinition("p", ScalarAmount(1.0), flows),),
+                             ScenarioGrid(2, 3), ("a", "b"))
+        with np.errstate(over="ignore"):
+            self._check(model, empty_db(), seed=None)
+            unit = run_matrix(model, empty_db())
+        assert np.isposinf(unit.impacts["a"]).all()
+        assert np.isposinf(unit.impacts["b"]).all()  # the scalar fold: 1e300 * 1e10
+        assert np.isfinite(unit.cost).all()
+
+    def test_inventory_of_substances_emitted_by_different_flows(self):
+        rows = {"gas": BackgroundRow(unit_cost=1.0, impacts={"a": 0.0},
+                                     inventory={"CO2": 2.0, "CH4": 0.1}),
+                "power": BackgroundRow(unit_cost=1.0, impacts={"a": 0.0},
+                                       inventory={"NOx": 0.5})}
+        matrix = MatrixAmount(np.arange(1.0, 7.0).reshape(2, 3))
+        sps = (
+            SubProcessDefinition("fuel", ScalarAmount(2.0), flows=(
+                FlowDefinition("gas", "inflow", ScalarAmount(3.0), background_ref="gas"),
+                FlowDefinition("stack", "outflow", matrix, inline_unit_impact={"a": 0.0},
+                               inline_unit_cost=0.0, substance="CO2"),
+            )),
+            SubProcessDefinition("grid", matrix, flows=(
+                FlowDefinition("power", "inflow", UNIFORM, background_ref="power"),
+                FlowDefinition("idle", "inflow", ScalarAmount(1.0),
+                               inline_unit_impact={"a": 0.0}, inline_unit_cost=0.0),
+            )),
+            SubProcessDefinition("leak", ScalarAmount(0.5), flows=(
+                FlowDefinition("vent", "outflow", ScalarAmount(4.0), inline_unit_impact={"a": 0.0},
+                               inline_unit_cost=0.0, substance="CH4"),
+            )),
+        )
+        model = ProcessModel("inv", sps, ScenarioGrid(2, 3), ("a",))
+        db = db_with(rows)
+        emissions = compute_inventory(model, db, seed=8).emissions
+        assert list(emissions) == ["CO2", "CH4", "NOx"]  # first-seen order
+        for substance, grid in emissions.items():
+            sp_sums, expected = _materialised(
+                model, db, lambda units: units.emissions.get(substance), seed=8)
+            assert [s is None for s in sp_sums] == {
+                "CO2": [False, True, True], "CH4": [False, True, False],
+                "NOx": [True, False, True]}[substance]
+            _assert_bits(grid, expected, model.grid.shape)
+        # CH4 comes from scalar terms only, though "grid" has a matrix amount
+        assert emissions["CH4"].strides == (0, 0)
 
     def test_monte_carlo_stats_have_the_bits_of_the_whole_totals(self):
         rng = random.Random(14)
@@ -776,3 +949,73 @@ class TestInventory:
         expected = oracle_inventory(data)
         for substance, grid in expected.items():
             np.testing.assert_allclose(inv.emissions[substance], grid, rtol=1e-9)
+
+
+class TestTracedNames:
+    """``e2ebench/tracing.py`` times validation and sampling by wrapping
+    ``lcengine.engine.validate_model`` and ``lcengine.engine.broadcast_exchange``,
+    so every entry point must reach them through those module names."""
+
+    @staticmethod
+    def _model():
+        def drawn(kind, params):
+            return DistributionAmount(DistributionSpec(kind, params))
+
+        def flow(name, amount, substance):
+            return FlowDefinition(name, "inflow", amount, inline_unit_impact={"GWP100": 0.5},
+                                  inline_unit_cost=2.0, substance=substance)
+
+        sps = (
+            SubProcessDefinition("plant", drawn("uniform", (0.5, 1.5)), flows=(
+                flow("fuel", drawn("uniform", (1.0, 2.0)), "CO2"),
+                flow("water", ScalarAmount(3.0), "CO2"))),
+            SubProcessDefinition("upkeep", ScalarAmount(2.0), flows=(
+                flow("stack", drawn("normal", (4.0, 0.5)), "CH4"),
+                flow("parts", MatrixAmount(np.arange(6.0).reshape(3, 2)), "CH4"))),
+        )
+        model = ProcessModel("m", sps, ScenarioGrid(3, 2), ("GWP100",))
+        drawing = [a for sp in sps for a in (*(f.amount for f in sp.flows), sp.amount)
+                   if isinstance(a, DistributionAmount)]
+        return model, drawing
+
+    ENTRY_POINTS = {
+        "run_static": lambda model, db: run_static(model, db),
+        "run_matrix": lambda model, db: run_matrix(model, db, seed=4),
+        "run_monte_carlo": lambda model, db: run_monte_carlo(model, db, 3, 4),
+        "compute_inventory": lambda model, db: compute_inventory(model, db, seed=4),
+        "run_dynamic": lambda model, db: run_dynamic(
+            model, db, (DCFTable("CO2", "GWP100", "annual_step", [1.0, 0.5]),
+                        DCFTable("CH4", "GWP100", "annual_step", [28.0])), seed=4),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_each_entry_point_validates_once(self, name, monkeypatch):
+        from lcengine import engine
+
+        model, _ = self._model()
+        if name == "run_static":
+            model = simple_model()
+        calls = []
+        validate = engine.validate_model
+        monkeypatch.setattr(engine, "validate_model",
+                            lambda *args, **kw: calls.append(args[0]) or validate(*args, **kw))
+        self.ENTRY_POINTS[name](model, empty_db())
+        assert calls == [model]
+
+    @pytest.mark.parametrize("name", [n for n in ENTRY_POINTS if n != "run_static"])
+    def test_every_drawing_amount_goes_through_broadcast_exchange(self, name, monkeypatch):
+        from lcengine import engine
+
+        model, drawing = self._model()
+        drawn = []
+        broadcast = engine.broadcast_exchange
+
+        def traced(amount, grid, rng_stream=None):
+            if isinstance(amount, DistributionAmount):
+                drawn.append(amount)
+            return broadcast(amount, grid, rng_stream)
+
+        monkeypatch.setattr(engine, "broadcast_exchange", traced)
+        self.ENTRY_POINTS[name](model, empty_db())
+        assert len(drawing) == 3
+        assert sorted(map(id, drawn)) == sorted(map(id, drawing))
