@@ -694,16 +694,16 @@ class TestCompactShape:
             FlowDefinition("big", "inflow", huge,
                            inline_unit_impact={"a": 1e200, "b": 1.0}, inline_unit_cost=2.0),
             FlowDefinition("small", "inflow", ScalarAmount(1e300),
-                           inline_unit_impact={"a": 1.0, "b": 1e10}, inline_unit_cost=1.0),
+                           inline_unit_impact={"a": 1.0, "b": 1.0}, inline_unit_cost=1.0),
         )
         model = ProcessModel("overflow", (SubProcessDefinition("p", ScalarAmount(1.0), flows),),
                              ScenarioGrid(2, 3), ("a", "b"))
         with np.errstate(over="ignore"):
             self._check(model, empty_db(), seed=None)
             unit = run_matrix(model, empty_db())
+            assert np.isposinf(unit.sp_unit_impacts["p"]["a"]).all()  # summed on this read
         assert np.isposinf(unit.impacts["a"]).all()
-        assert np.isposinf(unit.impacts["b"]).all()  # the scalar fold: 1e300 * 1e10
-        assert np.isfinite(unit.cost).all()
+        assert np.isfinite(unit.impacts["b"]).all() and np.isfinite(unit.cost).all()
 
     def test_inventory_of_substances_emitted_by_different_flows(self):
         rows = {"gas": BackgroundRow(unit_cost=1.0, impacts={"a": 0.0},
