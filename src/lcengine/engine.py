@@ -483,7 +483,7 @@ def _evaluate(
     # computed per row block inside them, and whole only when first read.
     shape = grid.shape
     compact = [*map(_compact, plan.totals)]
-    grids = [*map(_spread, plan.totals, compact, [shape] * len(kinds))]
+    grids = [_spread(total, distinct, shape) for total, distinct in zip(plan.totals, compact)]
     sp_sums = plan.sp_sums
     unit = UnitResult(
         grid=grid,
