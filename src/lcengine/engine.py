@@ -15,15 +15,16 @@ sequence, and results are reproducible to the bit across repeat runs
 and block sizes; reordering effects stay within the documented 1e-9
 accumulation tolerance.
 
-Each call builds one evaluation plan (``_Plan``) in one walk over the
+Each call builds one evaluation plan (``_plan``) in one walk over the
 model and the unit values its validation resolved: per kind (a category,
 cost, or a substance), each sub-process sum and each main-process total
 becomes plain data, a float constant folded as above plus a finished list
-of grid terms whose compact shape is computed once (``_Sum``).  Nothing is
-kept between calls.  ``run_static``, ``run_matrix``, ``run_monte_carlo``
-and ``compute_inventory`` (and so ``run_dynamic``) build and run a plan;
-the public ``subprocess_aggregate``/``main_aggregate`` build and run one
-``_Sum`` with the same steps (``kernels.accumulate``), so they all agree
+of grid terms whose compact shape is computed once (``_Sum``).  One fold
+(``_sums``) makes every sum, and nothing is kept between calls.
+``run_static``, ``run_matrix``, ``run_monte_carlo`` and
+``compute_inventory`` (and so ``run_dynamic``) build and run a plan; the
+public ``subprocess_aggregate``/``main_aggregate`` fold and sum their
+operands with the same steps (``kernels.accumulate``), so they all agree
 to the bit.
 
 Grids are float64, scenario rows by time columns.  Operands stay as
@@ -33,7 +34,8 @@ only the main-process totals, once per distinct value: a total whose terms
 all repeat along an axis (draw columns along time, per-period rows across
 scenarios) is summed over one column or one row, one cache-sized row block
 at a time, and then written out in full.  Each sub-process unit grid is
-summed per block into scratch space and folded straight into its total.
+summed per block into a block of its own and folded straight into its
+total.
 The per-sub-process breakdowns (``sp_unit_impacts``/``sp_unit_costs``)
 are computed from their sums, with the same steps, the first time they
 are read.  Evaluation runs on one thread.
@@ -133,8 +135,9 @@ class MonteCarloResult:
 # core aggregation
 
 def _aggregate(unit_values, exchange_values, what: str) -> Grid:
-    """One output grid from scalar or conforming 2-D operands, built and
-    summed as a plan's ``_Sum``, so the public aggregators give its bits."""
+    """One output grid from scalar or conforming float64 2-D operands,
+    folded and summed as a plan's sums are, so the public aggregators give
+    their bits."""
     if len(unit_values) != len(exchange_values):
         raise ShapeError(
             f"{what}: {len(unit_values)} unit values vs "
@@ -145,6 +148,8 @@ def _aggregate(unit_values, exchange_values, what: str) -> Grid:
         if isinstance(arr, np.ndarray):
             if arr.ndim != 2:
                 raise ShapeError(f"{what}: grids must be 2-D, got ndim={arr.ndim}")
+            if arr.dtype != np.float64:
+                raise ShapeError(f"{what}: grids must be float64, got {arr.dtype}")
             if shape is None:
                 shape = arr.shape
             elif arr.shape != shape:
@@ -155,10 +160,10 @@ def _aggregate(unit_values, exchange_values, what: str) -> Grid:
         )
 
     def operand(value):
-        return _compact_operand(value) if isinstance(value, np.ndarray) else value
+        return _compact_operand(value) if isinstance(value, np.ndarray) else float(value)
 
-    return _grid(_sum([(operand(u), operand(x)) for u, x in zip(unit_values, exchange_values)]),
-                 shape)
+    return _grid(_sums(1, [((operand(u),), operand(x))
+                           for u, x in zip(unit_values, exchange_values)])[0], shape)
 
 
 def subprocess_aggregate(
@@ -229,38 +234,59 @@ class _Sum(NamedTuple):
     shape: tuple[int, int]
 
 
-_GRID_OPERANDS = (np.ndarray, _Sum)
 
+def _sums(n: int, rows) -> list:
+    """Per kind ``i < n``, the sum over ``rows`` of ``units[i] * x``, in
+    order, as plain data: a float, a ``_Sum``, or None for a kind that no
+    row has a value of (``units[i]`` is None).
 
-def _finish(const: float, terms: list) -> _Sum | float:
-    """A sum's plain data: ``const`` alone when there are no ``terms``, else
-    a ``_Sum`` with its compact shape."""
-    if not terms:
-        return const
-    rows = cols = 1
-    for a, b in terms:
-        a_rows, a_cols = a.shape
-        b_rows, b_cols = (1, 1) if type(b) is float else b.shape
-        if a_rows > rows or b_rows > rows:
-            rows = a_rows if a_rows > b_rows else b_rows
-        if a_cols > cols or b_cols > cols:
-            cols = a_cols if a_cols > b_cols else b_cols
-    return _Sum(const, terms, (rows, cols))
-
-
-def _sum(pairs) -> _Sum | float:
-    """The sum of ``a * b`` over ``pairs``, in order, as plain data; each
-    operand is a number, an array in compact form or a ``_Sum``."""
-    const = 0.0
-    terms = []
-    for a, b in pairs:
-        if isinstance(a, _GRID_OPERANDS):
-            terms.append((a, b if isinstance(b, _GRID_OPERANDS) else float(b)))
-        elif isinstance(b, _GRID_OPERANDS):
-            terms.append((b, float(a)))
-        else:
-            const += float(a) * float(b)
-    return _finish(const, terms)
+    Each row is ``(units, x)``: the unit values of one flow or sub-process,
+    one per kind, and its exchange, a float or a grid operand.  A grid
+    operand is an array in compact form or a ``_Sum``; a unit value is a
+    number, a grid operand or a per-period row, a 1-D array taken as one
+    (1, T) row.
+    """
+    consts = [0.0] * n
+    terms = [None] * n  # per kind: its grid terms, once it has one
+    seen = [False] * n
+    for units, x in rows:
+        scalar = type(x) is float
+        for i, unit in enumerate(units):
+            if type(unit) is not float:
+                if unit is None:
+                    continue
+                if type(unit) is not _Sum:
+                    if not isinstance(unit, np.ndarray):
+                        unit = float(unit)
+                    elif unit.ndim == 1:  # a per-period row
+                        unit = unit[np.newaxis]
+            seen[i] = True
+            if type(unit) is float:
+                if scalar:
+                    consts[i] += unit * x
+                    continue
+                term = (x, unit)
+            else:
+                term = (unit, x)
+            if terms[i] is None:
+                terms[i] = [term]
+            else:
+                terms[i].append(term)
+    sums = []
+    for const, kind_terms, present in zip(consts, terms, seen):
+        if kind_terms is None:
+            sums.append(const if present else None)
+            continue
+        n_rows = n_cols = 1  # per axis, the longest extent of any operand
+        for a, b in kind_terms:
+            a_rows, a_cols = a.shape
+            b_rows, b_cols = (1, 1) if type(b) is float else b.shape
+            if a_rows > n_rows or b_rows > n_rows:
+                n_rows = a_rows if a_rows > b_rows else b_rows
+            if a_cols > n_cols or b_cols > n_cols:
+                n_cols = a_cols if a_cols > b_cols else b_cols
+        sums.append(_Sum(const, kind_terms, (n_rows, n_cols)))
+    return sums
 
 
 def _compact_operand(grid: Grid) -> Grid:
@@ -272,29 +298,26 @@ def _compact_operand(grid: Grid) -> Grid:
     return grid[: None if row_step else 1, : None if col_step else 1]
 
 
-def _fill(out: Grid, total: _Sum, rows: slice | None, scratch: Grid | None) -> None:
-    """Write ``total``'s compact ``rows`` (all of them when None) into
-    ``out``, a block of that height and of the compact width.
+def _fill(out: Grid, total: _Sum, rows: slice) -> None:
+    """Write ``total``'s compact ``rows`` into ``out``, a block of that
+    height and of the compact width.
 
-    A ``_Sum`` operand is first summed into a block of its own: a block of
-    ``scratch``, a buffer at least as large as ``out``, or a new array when
-    ``rows`` is None.  Such operands nest one level deep (a unit value
-    inside a total), so they need no scratch of their own.
+    An operand taller than the block is cut to its ``rows``.  A ``_Sum``
+    operand (a sub-process unit value inside a total) is first summed into
+    a block of its own.
     """
     # The bits of a zeroed cell plus the constant: a sum started at 0.0
     # is never -0.0, the one value that adding to 0.0 would change.
     out.fill(total.const)
+    height = out.shape[0]
     for a, b in total.terms:
         if type(a) is _Sum:
-            n_rows, n_cols = a.shape
-            if n_rows > 1:
-                n_rows = out.shape[0]
-            block = np.empty(a.shape) if scratch is None else scratch[:n_rows, :n_cols]
-            _fill(block, a, rows if n_rows > 1 else None, None)
+            block = np.empty((height if a.shape[0] > 1 else 1, a.shape[1]))
+            _fill(block, a, rows)
             a = block
-        elif rows is not None and a.shape[0] > 1:
+        elif a.shape[0] > height:
             a = a[rows]
-        if rows is not None and type(b) is not float and b.shape[0] > 1:
+        if type(b) is not float and b.shape[0] > height:
             b = b[rows]
         kernels.accumulate(out, a, b)
 
@@ -305,13 +328,8 @@ def _compact(total: _Sum | float) -> Grid:
     if type(total) is float:
         return _constant_grid(total, (1, 1))
     out = np.empty(total.shape)
-    blocks = _cache_blocks(*total.shape)
-    if len(blocks) == 1:
-        _fill(out, total, None, None)
-    else:
-        scratch = np.empty((blocks[0].stop, total.shape[1]))
-        for rows in blocks:
-            _fill(out[rows], total, rows, scratch)
+    for rows in _cache_blocks(*total.shape):
+        _fill(out[rows], total, rows)
     return out
 
 
@@ -332,7 +350,8 @@ def _grid(total: _Sum | float, shape: tuple[int, int]) -> Grid:
     return _spread(total, _compact(total), shape)
 
 
-class _Plan:
+def _plan(model: ProcessModel, report: ValidationReport, grid: ScenarioGrid,
+          seed: int | None, kinds: tuple, values) -> tuple[list, dict, dict]:
     """One evaluation as plain data, built in one walk over the model and
     its validation report's resolved unit values; nothing outlives the call
     that builds it but the sums its lazy breakdowns hold.
@@ -342,116 +361,70 @@ class _Plan:
     of ``kinds`` (None where the flow has none), or to None when it has
     none at all.  A kind belongs to a sub-process when one of its flows has
     a value of it; in a valid model every flow has every category and cost.
-    Each sum is a float or a ``_Sum`` (see there).  Aligned with ``kinds``:
+    Each sum is a float or a ``_Sum`` (see there).  Returns, aligned with
+    ``kinds``:
 
-    - ``sp_sums`` holds, per sub-process name, each kind's sum over the
-      flows' (unit value x exchange) terms, or None for a kind it lacks;
-    - ``totals`` holds each kind's sum over sub-processes of (unit value x
-      sub-process exchange), a sub-process ``_Sum`` being a grid operand.
+    - ``totals``: each kind's sum over sub-processes of (unit value x
+      sub-process exchange), a sub-process ``_Sum`` being a grid operand;
+    - ``sp_sums``: per sub-process name, each kind's sum over the flows'
+      (unit value x exchange) terms, or None for a kind it lacks;
 
-    ``sp_exchange`` holds each sub-process exchange grid.  Each flow's
+    and ``sp_exchange``, each sub-process exchange grid.  Each flow's
     exchange is resolved once, and a flow without values draws nothing.
     All sampling happens here, in document order.
     """
-
-    __slots__ = ("totals", "sp_sums", "sp_exchange")
-
-    def __init__(self, model: ProcessModel, report: ValidationReport, grid: ScenarioGrid,
-                 seed: int | None, kinds: tuple, values):
-        if None in report._resolved:  # a background flow, validated without a database
-            flow = [f for sp in model.subprocesses for f in sp.flows][report._resolved.index(None)]
-            raise MissingDataError(f"flow {flow.name!r}: no database to resolve it from")
-        if seed is None and report._draws:
-            raise ValueError("model has distribution amounts; pass seed=")
-        shape = grid.shape
-        n = len(kinds)
-        # per kind: the constant, then the grid terms once it has one
-        total_consts, total_terms = [0.0] * n, [None] * n
-        self.sp_sums: dict[str, list] = {}
-        self.sp_exchange: dict[str, Grid] = {}
-        records = iter(report._resolved)
-        for sp in model.subprocesses:
-            consts, terms, seen = [0.0] * n, [None] * n, [False] * n
-            for flow in sp.flows:
-                units = values(next(records))
-                if units is None:  # draws nothing
-                    continue
-                stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
-                x = _exchange_operand(flow.amount, grid, stream)
-                scalar = not isinstance(x, np.ndarray)
-                if not scalar:
-                    x = _compact_operand(x)
-                for i, unit in enumerate(units):
-                    if type(unit) is not float:
-                        if unit is None:
-                            continue
-                        unit = (unit[np.newaxis] if isinstance(unit, np.ndarray)  # a per-period row
-                                else float(unit))
-                    seen[i] = True
-                    if type(unit) is float:
-                        if scalar:
-                            consts[i] += unit * x
-                            continue
-                        term = (x, unit)
-                    else:
-                        term = (unit, x)
-                    if terms[i] is None:
-                        terms[i] = [term]
-                    else:
-                        terms[i].append(term)
-            sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
-            sp_x = _exchange_operand(sp.amount, grid, sp_stream)
-            scalar = not isinstance(sp_x, np.ndarray)
-            if scalar:
-                self.sp_exchange[sp.name] = _constant_grid(sp_x, shape)
-            else:
-                self.sp_exchange[sp.name] = sp_x
-                sp_x = _compact_operand(sp_x)
-            sums = self.sp_sums[sp.name] = [
-                None if not present else const if t is None else _finish(const, t)
-                for const, t, present in zip(consts, terms, seen)]
-            for i, unit in enumerate(sums):
-                if unit is None:
-                    continue
-                if type(unit) is _Sum:
-                    term = (unit, sp_x)
-                elif scalar:
-                    total_consts[i] += unit * sp_x
-                    continue
-                else:
-                    term = (sp_x, unit)
-                if total_terms[i] is None:
-                    total_terms[i] = [term]
-                else:
-                    total_terms[i].append(term)
-        self.totals = [const if t is None else _finish(const, t)
-                       for const, t in zip(total_consts, total_terms)]
+    if None in report._resolved:  # a background flow, validated without a database
+        flow = [f for sp in model.subprocesses for f in sp.flows][report._resolved.index(None)]
+        raise MissingDataError(f"flow {flow.name!r}: no database to resolve it from")
+    if seed is None and report._draws:
+        raise ValueError("model has distribution amounts; pass seed=")
+    n = len(kinds)
+    sp_rows = []  # per sub-process: its sums and exchange
+    sp_sums: dict[str, list] = {}
+    sp_exchange: dict[str, Grid] = {}
+    records = iter(report._resolved)
+    for sp in model.subprocesses:
+        rows = []
+        for flow in sp.flows:
+            units = values(next(records))
+            if units is None:  # draws nothing
+                continue
+            stream = None if seed is None else stream_for_flow(seed, sp.name, flow.name)
+            x = _exchange_operand(flow.amount, grid, stream)
+            rows.append((units, _compact_operand(x) if isinstance(x, np.ndarray) else x))
+        sp_stream = None if seed is None else stream_for_subprocess(seed, sp.name)
+        sp_x = _exchange_operand(sp.amount, grid, sp_stream)
+        if isinstance(sp_x, np.ndarray):
+            sp_exchange[sp.name] = sp_x
+            sp_x = _compact_operand(sp_x)
+        else:
+            sp_exchange[sp.name] = _constant_grid(sp_x, grid.shape)
+        sums = sp_sums[sp.name] = _sums(n, rows)
+        sp_rows.append((sums, sp_x))
+    # every kind is some sub-process's: validation rejects a model without
+    # sub-processes or flows, and a substance is one that a flow emits
+    return _sums(n, sp_rows), sp_sums, sp_exchange
 
 
 class _LazyGrids(Mapping):
-    """Read-only mapping whose plan sums become grids on first read.
-
-    Each grid is summed by the plan's own steps, so it has the bits an
-    eager evaluation would give, and replaces its sum once read.  With
-    ``keys``, each value is a list of sums aligned with them, read as a
-    mapping of its own (a sub-process's unit grid per category).
+    """Read-only mapping whose values are made on first read, by ``read``
+    from the plan sums in ``values``: a grid, summed by the plan's own
+    steps so it has the bits an eager evaluation would give, or a mapping
+    of such grids.  Each is made once and kept.
     """
 
-    __slots__ = ("_values", "_shape", "_keys")
+    __slots__ = ("_values", "_read", "_made")
 
-    def __init__(self, values: dict, shape: tuple[int, int], keys: tuple | None = None):
+    def __init__(self, values: dict, read):
         self._values = values
-        self._shape = shape
-        self._keys = keys
+        self._read = read
+        self._made = {}
 
     def __getitem__(self, key):
-        value = self._values[key]
-        if self._keys is not None:
-            if type(value) is list:
-                value = self._values[key] = _LazyGrids(dict(zip(self._keys, value)), self._shape)
-        elif type(value) is _Sum or type(value) is float:
-            value = self._values[key] = _grid(value, self._shape)
-        return value
+        made = self._made
+        if key not in made:
+            made[key] = self._read(self._values[key])
+        return made[key]
 
     def __iter__(self):
         return iter(self._values)
@@ -466,35 +439,32 @@ def _evaluate(
     grid: ScenarioGrid,
     seed: int | None,
     categories: tuple[str, ...],
-) -> tuple[UnitResult, dict]:
-    """The unit result, and each total's compact grid keyed by kind
-    (a category, or None for cost)."""
-    kinds = (*categories, None)  # per category, then cost (kind None)
-    columns = None if categories == model.categories else [
-        *map(model.categories.index, categories)]
-
-    def values(units):
-        if columns is None:  # the record's impacts, as they are
-            return (*units.impacts, units.cost)
-        return (*map(units.impacts.__getitem__, columns), units.cost)
-
-    plan = _Plan(model, report, grid, seed, kinds, values)
+) -> tuple[UnitResult, list]:
+    """The unit result, and each total's compact grid: per category of
+    ``categories``, then cost."""
+    # The plan's kinds are every category of the model, then cost (kind
+    # None); the selected categories are picked from its sums.
+    totals, sp_sums, sp_exchange = _plan(model, report, grid, seed, (*model.categories, None),
+                                         lambda units: (*units.impacts, units.cost))
+    columns = [*map(model.categories.index, categories)]
+    totals = [*map(totals.__getitem__, columns), totals[-1]]
     # Only the totals are summed here; each sub-process unit grid is
     # computed per row block inside them, and whole only when first read.
     shape = grid.shape
-    compact = [*map(_compact, plan.totals)]
-    grids = [_spread(total, distinct, shape) for total, distinct in zip(plan.totals, compact)]
-    sp_sums = plan.sp_sums
+    compact = [*map(_compact, totals)]
+    grids = [_spread(total, distinct, shape) for total, distinct in zip(totals, compact)]
     unit = UnitResult(
         grid=grid,
         categories=categories,
         impacts=dict(zip(categories, grids)),
         cost=grids[-1],
-        sp_unit_impacts=_LazyGrids(sp_sums, shape, categories),
-        sp_unit_costs=_LazyGrids({name: sums[-1] for name, sums in sp_sums.items()}, shape),
-        sp_exchange=plan.sp_exchange,
+        sp_unit_impacts=_LazyGrids(sp_sums, lambda sums: _LazyGrids(
+            dict(zip(categories, map(sums.__getitem__, columns))),
+            lambda total: _grid(total, shape))),
+        sp_unit_costs=_LazyGrids(sp_sums, lambda sums: _grid(sums[-1], shape)),
+        sp_exchange=sp_exchange,
     )
-    return unit, dict(zip(kinds, compact))
+    return unit, compact
 
 
 def _select_categories(model: ProcessModel, categories) -> tuple[str, ...]:
@@ -590,13 +560,14 @@ def run_monte_carlo(
             stacklevel=2,
         )
     unit, compact = _evaluate(model, report, mc_grid, seed, cats)
-    impact_stats = {cat: _summary_stats(unit.impacts[cat], compact[cat]) for cat in cats}
+    impact_stats = {cat: _summary_stats(unit.impacts[cat], distinct)
+                    for cat, distinct in zip(cats, compact)}
     return MonteCarloResult(
         n_runs=n_runs,
         seed=seed,
         samples=unit,
         impact_stats=impact_stats,
-        cost_stats=_summary_stats(unit.cost, compact[None]),
+        cost_stats=_summary_stats(unit.cost, compact[-1]),
     )
 
 
@@ -641,11 +612,12 @@ def compute_inventory(
     # each emitted substance once, in first-seen order
     substances = tuple(dict.fromkeys(
         substance for units in report._resolved if units for substance in units.emissions))
-    plan = _Plan(model, report, model.grid, seed, substances,
-                 lambda units: [*map(units.emissions.get, substances)] if units.emissions else None)
+    totals = _plan(model, report, model.grid, seed, substances,
+                   lambda units: [*map(units.emissions.get, substances)] if units.emissions
+                   else None)[0]
     shape = model.grid.shape
     return InventoryResult(
         grid=model.grid,
         emissions={substance: _grid(total, shape)
-                   for substance, total in zip(substances, plan.totals)},
+                   for substance, total in zip(substances, totals)},
     )

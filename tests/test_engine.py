@@ -113,6 +113,28 @@ class TestMainAggregate:
             main_aggregate([], [])
 
 
+class TestAggregatorDtypes:
+    """Only float64 grids are summed; any other dtype is a ShapeError."""
+
+    SP = SubProcessDefinition(
+        "s", ScalarAmount(1.0), flows=(FlowDefinition("a", "inflow", ScalarAmount(1.0)),)
+    )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+    @pytest.mark.parametrize("position", ["unit", "exchange"])
+    def test_non_float64_grid_is_a_shape_error(self, dtype, position):
+        from lcengine import ShapeError
+        other = np.ones((2, 3), dtype=dtype)
+        unit, exchange = ([other], [np.ones((2, 3))]) if position == "unit" \
+            else ([np.ones((2, 3))], [other])
+        with pytest.raises(ShapeError, match="float64"):
+            subprocess_aggregate(self.SP, unit, exchange)
+        with pytest.raises(ShapeError, match="float64"):
+            main_aggregate(unit, exchange)
+        with pytest.raises(ShapeError, match="float64"):  # beside a scalar operand
+            main_aggregate([*unit, 0.5], [*exchange, 2.0])
+
+
 class TestOneAccumulationPath:
     """The public aggregators add terms in run_matrix's order, to the bit."""
 
@@ -576,6 +598,7 @@ class TestCompactShape:
         and of every sub-process breakdown."""
         cats = model.categories
         unit, compact = _evaluate(model, validate_model(model, db), model.grid, seed, cats)
+        compact = dict(zip((*cats, None), compact))  # each total's compact grid, by kind
         shapes = {}
         for kind in (*cats, None):
             column = None if kind is None else cats.index(kind)
