@@ -426,6 +426,9 @@ class _LazyGrids(Mapping):
             made[key] = self._read(self._values[key])
         return made[key]
 
+    def __contains__(self, key) -> bool:  # without making the value
+        return key in self._values
+
     def __iter__(self):
         return iter(self._values)
 

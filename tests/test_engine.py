@@ -499,13 +499,20 @@ class TestBreakdownsOnFirstRead:
             unit = run_matrix(model, db)
             peak = tracemalloc.get_traced_memory()[1]
             after = live_grids()
+            # a membership test sums nothing
+            found = ("sp7" in unit.sp_unit_costs, "sp7" in unit.sp_unit_impacts,
+                     "b" in unit.sp_unit_impacts["sp7"], "d" in unit.sp_unit_impacts["sp7"])
+            after_contains = live_grids()
             unit.sp_unit_impacts["sp7"]["b"]
             after_read = live_grids()
         finally:
             tracemalloc.stop()
-        # the four totals plus block-sized scratch, not 160 breakdown grids
+        # the four totals plus the block-sized blocks of nested sums, not 160
+        # breakdown grids
         assert peak - before < 8 * grid_bytes
         assert after == 4
+        assert found == (True, True, True, False)
+        assert after_contains == 4
         assert after_read == 5
 
 
