@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,8 @@ from . import __version__
 from .dynamic import DynamicImpactResult, run_dynamic
 from .econ import discounted_cost_result
 # run_static is not called here; the tracer in e2ebench/tracing.py wraps cli.run_static
-from .engine import MonteCarloResult, UnitResult, run_matrix, run_monte_carlo, run_static
+from .engine import (MonteCarloResult, UnitResult, _category_names, run_matrix,
+                     run_monte_carlo, run_static)
 from .errors import InvalidModelError, LcengineError, LoadError
 from .io import (
     _STATS,
@@ -53,44 +53,6 @@ EXIT_NUMERIC = 3
 MODES = ("static", "montecarlo", "dynamic")
 
 
-@dataclass
-class RunConfig:
-    """Everything one ``run`` invocation needs; embedded in result metadata."""
-
-    model: str
-    db: str
-    mode: str
-    dcf: str | None = None
-    n_runs: int | None = None
-    seed: int = 0
-    rate: float | None = None
-    output: str | None = None
-    format: str = "json"
-    categories: tuple[str, ...] | None = None
-    threads: int = 0  # accepted for compatibility; has no effect
-
-    def check(self) -> str | None:
-        """Mode-specific invariants; returns a usage-error message or None.
-        The parser's choices already limit ``mode`` and ``format``."""
-        if self.mode == "dynamic" and not self.dcf:
-            return "--mode dynamic requires --dcf"
-        if self.mode == "montecarlo":
-            if self.n_runs is None:
-                return "--mode montecarlo requires --n-runs"
-            if self.n_runs < 2:
-                return f"--n-runs must be >= 2, got {self.n_runs}"
-        if self.rate is not None and not math.isfinite(self.rate):
-            return f"--rate must be finite, got {self.rate}"
-        if self.rate is not None and self.rate < 0:
-            return f"--rate must be >= 0, got {self.rate}"
-        return None
-
-    def to_meta(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["categories"] = None if self.categories is None else list(self.categories)
-        return d
-
-
 class _UsageError(Exception):
     pass
 
@@ -111,6 +73,11 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _category_list(text: str) -> tuple[str, ...]:
+    """``--categories``: the comma-separated names, blanks dropped."""
+    return _category_names(c.strip() for c in text.split(",") if c.strip())
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="lcengine",
@@ -127,16 +94,17 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="Run an analysis and export the results.")
     p_run.add_argument("--model", required=True, metavar="FILE")
     p_run.add_argument("--db", required=True, metavar="CSV")
+    # the run options are declared in the order of the result's meta.config
+    p_run.add_argument("--mode", required=True, choices=MODES)
     p_run.add_argument("--dcf", default=None, metavar="CSV",
                        help="characterization factor tables (dynamic mode)")
-    p_run.add_argument("--mode", required=True, choices=MODES)
     p_run.add_argument("--n-runs", type=int, default=None, metavar="N")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--rate", type=float, default=None,
                        help="override the model's per-period discount rate")
     p_run.add_argument("--output", default=None, metavar="PATH")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
-    p_run.add_argument("--categories", default=None,
+    p_run.add_argument("--categories", type=_category_list, default=None,
                        help="comma-separated impact categories to compute")
     p_run.add_argument("--threads", type=_non_negative_int, default=0,
                        help="accepted for compatibility; has no effect")
@@ -176,6 +144,24 @@ def cmd_validate(model_path: str, db_path: str) -> int:
 
 # ---------------------------------------------------------------------------
 # run
+
+def _usage_problem(args: argparse.Namespace) -> str | None:
+    """The mode-specific problem of ``run``'s options, as a usage-error
+    message, or None.  The parser's choices already limit ``mode`` and
+    ``format``."""
+    if args.mode == "dynamic" and not args.dcf:
+        return "--mode dynamic requires --dcf"
+    if args.mode == "montecarlo":
+        if args.n_runs is None:
+            return "--mode montecarlo requires --n-runs"
+        if args.n_runs < 2:
+            return f"--n-runs must be >= 2, got {args.n_runs}"
+    if args.rate is not None and not math.isfinite(args.rate):
+        return f"--rate must be finite, got {args.rate}"
+    if args.rate is not None and args.rate < 0:
+        return f"--rate must be >= 0, got {args.rate}"
+    return None
+
 
 class _NumericalFailure(Exception):
     pass
@@ -274,50 +260,49 @@ def _indicator_lines(indicators, rate: float) -> list[str]:
 # run checks its results for non-finite numbers before it prints or writes
 # them, so NumPy's floating-point warnings would only announce a failure it reports
 @np.errstate(all="ignore")
-def cmd_run(config: RunConfig) -> int:
-    problem = config.check()
+def cmd_run(args: argparse.Namespace) -> int:
+    problem = _usage_problem(args)
     if problem:
         print(f"usage error: {problem}", file=sys.stderr)
         return EXIT_INVALID
 
     try:
-        model = load_model(config.model)
-        db = load_background_db(config.db)
-        dcfs = load_dcf_tables(config.dcf) if config.dcf else None
+        model = load_model(args.model)
+        db = load_background_db(args.db)
+        dcfs = load_dcf_tables(args.dcf) if args.dcf else None
     except LoadError as exc:
         return _load_failure(exc)
 
-    if config.rate is not None:
-        model = dataclasses.replace(model, discount_rate=config.rate)
-    categories = config.categories
+    if args.rate is not None:
+        model = dataclasses.replace(model, discount_rate=args.rate)
 
-    report = validate_model(model, db, require_cost=config.mode != "dynamic")
+    report = validate_model(model, db, require_cost=args.mode != "dynamic")
     if not report.is_valid:
         print(str(report), file=sys.stderr)
         return EXIT_INVALID
     for warning in report.warnings:
         print(str(warning), file=sys.stderr)
-    if config.mode != "montecarlo" and report._draws:
+    if args.mode != "montecarlo" and report._draws:
         # static and dynamic modes evaluate the model on its own grid, without sampling
         print("usage error: model contains distribution amounts; use --mode montecarlo",
               file=sys.stderr)
         return EXIT_INVALID
 
-    log.info("mode=%s", config.mode)
+    log.info("mode=%s", args.mode)
 
     try:
-        if config.mode == "static":
-            payload = run_matrix(model, db, seed=config.seed, categories=categories)
-        elif config.mode == "montecarlo":
+        if args.mode == "static":
+            payload = run_matrix(model, db, seed=args.seed, categories=args.categories)
+        elif args.mode == "montecarlo":
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 payload = run_monte_carlo(
-                    model, db, config.n_runs, config.seed, categories=categories
+                    model, db, args.n_runs, args.seed, categories=args.categories
                 )
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
         else:
-            payload = run_dynamic(model, db, dcfs, seed=config.seed, categories=categories)
+            payload = run_dynamic(model, db, dcfs, seed=args.seed, categories=args.categories)
     except LcengineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -332,17 +317,18 @@ def cmd_run(config: RunConfig) -> int:
         return EXIT_NUMERIC
 
     meta = {
-        "mode": config.mode,
+        "mode": args.mode,
         "model": model.name,
-        "seed": config.seed,
-        "config": config.to_meta(),
-        "input_sha256": _input_hashes(config, model),
+        "seed": args.seed,
+        # every run option, in the parser's declaration order
+        "config": {key: value for key, value in vars(args).items() if key != "command"},
+        "input_sha256": _input_hashes(args, model),
     }
     rs = result_set(payload, meta)
 
     indicators = []
     if model.production is not None:
-        cost_grid = _cost_grid_for_indicators(payload, model, db, config)
+        cost_grid = _cost_grid_for_indicators(payload, model, db, args.seed)
         if cost_grid is not None:
             try:
                 result = discounted_cost_result(
@@ -357,28 +343,28 @@ def cmd_run(config: RunConfig) -> int:
                 print(f"numerical failure: {exc}", file=sys.stderr)
                 return EXIT_NUMERIC
 
-    output = config.output or f"{Path(config.model).stem}_{config.mode}.{config.format}"
+    output = args.output or f"{Path(args.model).stem}_{args.mode}.{args.format}"
     try:
-        export_results(rs, config.format, output)
+        export_results(rs, args.format, output)
     except OSError as exc:
         print(f"error: cannot write {output}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    print(f"model: {model.name}  mode: {config.mode}  "
+    print(f"model: {model.name}  mode: {args.mode}  "
           f"grid: {model.grid.n_scenarios}x{model.grid.n_timesteps} ({model.grid.step_label})")
     print("\n".join(summary + indicators))
     print(f"results written to: {output}")
     return EXIT_OK
 
 
-def _cost_grid_for_indicators(payload, model, db, config) -> np.ndarray | None:
+def _cost_grid_for_indicators(payload, model, db, seed: int) -> np.ndarray | None:
     if isinstance(payload, UnitResult):
         return payload.cost
     if isinstance(payload, MonteCarloResult):
         return payload.samples.cost
     # dynamic payload carries no costs; compute them on the model grid when possible
     try:
-        unit = run_matrix(model, db, seed=config.seed, categories=())
+        unit = run_matrix(model, db, seed=seed, categories=())
     except InvalidModelError as exc:
         finding = exc.report.errors[0]
         print(f"warning: economic indicators skipped: {finding.location}: {finding.message}",
@@ -387,10 +373,10 @@ def _cost_grid_for_indicators(payload, model, db, config) -> np.ndarray | None:
     return unit.cost
 
 
-def _input_hashes(config: RunConfig, model: ProcessModel) -> dict:
-    hashes = {"model": sha256_file(config.model), "db": sha256_file(config.db)}
-    if config.dcf:
-        hashes["dcf"] = sha256_file(config.dcf)
+def _input_hashes(args: argparse.Namespace, model: ProcessModel) -> dict:
+    hashes = {"model": sha256_file(args.model), "db": sha256_file(args.db)}
+    if args.dcf:
+        hashes["dcf"] = sha256_file(args.dcf)
     if model.matrix_files:
         hashes["matrix_files"] = {
             written: sha256_file(read) for written, read in model.matrix_files.items()
@@ -546,22 +532,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(args.model, args.db)
     if args.command == "run":
-        categories = None if args.categories is None else tuple(
-            dict.fromkeys(c.strip() for c in args.categories.split(",") if c.strip()))
-        config = RunConfig(
-            model=args.model,
-            db=args.db,
-            mode=args.mode,
-            dcf=args.dcf,
-            n_runs=args.n_runs,
-            seed=args.seed,
-            rate=args.rate,
-            output=args.output,
-            format=args.format,
-            categories=categories,
-            threads=args.threads,
-        )
-        return cmd_run(config)
+        return cmd_run(args)
     return cmd_report(args.result, args.plot_data)
 
 

@@ -14,17 +14,14 @@ T_out = n_timesteps + max(factor ages) periods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import kernels
-from .engine import compute_inventory
+from .engine import _category_names, compute_inventory
 from .errors import MissingDataError, ShapeError
 from .model import ProcessModel, ScenarioGrid, _frozen_grid, _frozen_series
-
-if TYPE_CHECKING:
-    from .io import UnitValueTable
 
 ANNUAL_STEP = "annual_step"
 FIXED_HORIZON = "fixed_horizon"
@@ -159,7 +156,7 @@ def _pad_to(grid: np.ndarray, t_out: int) -> np.ndarray:
 def run_dynamic(
     model: ProcessModel,
     db,
-    dcfs: Sequence[DCFTable],
+    dcfs: Iterable[DCFTable],
     *,
     seed: int | None = None,
     categories=None,
@@ -171,22 +168,23 @@ def run_dynamic(
     factor, else a static factor from the background database row named
     after the substance, both booked at the period of emission.  Without a
     database (``db=None``, an all-inline model) no substance has a static
-    factor.  Of two
-    tables in ``dcfs`` with the same substance, category and mode, the
-    last wins.  A substance with none of the three is an error, and so is
-    a requested category that no emitted substance has a factor for.
+    factor.  ``dcfs`` and ``categories`` may be any iterables, read once;
+    a category named twice counts once.  Of two tables in ``dcfs`` with the
+    same substance, category and mode, the last wins.  A substance with
+    none of the three is an error, and so is a requested category that no
+    emitted substance has a factor for.
     """
-    if isinstance(categories, str):  # a str is a sequence of one-letter names
-        raise TypeError(f"categories must be a sequence of category names, "
-                        f"not the str {categories!r}")
+    if categories is not None:
+        categories = _category_names(categories)
+    tables = list(dcfs)
     inventory = compute_inventory(model, db, seed=seed)
 
     # (substance, category) -> annual-step table or single factor, richest first
     factors: dict[tuple[str, str], DCFTable | float] = {}
-    for table in dcfs:
+    for table in tables:
         if table.mode == ANNUAL_STEP:
             factors[table.substance, table.category] = table
-    for table in dcfs:
+    for table in tables:
         key = (table.substance, table.category)
         if table.mode == FIXED_HORIZON and not isinstance(factors.get(key), DCFTable):
             factors[key] = float(table.factors[0])

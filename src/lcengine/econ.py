@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .model import _frozen_series
+from .model import _frozen_series, _value_checks
 
 
 def _checked_rate(values: np.ndarray, rate) -> float:
@@ -49,11 +49,10 @@ def _production_values(values) -> np.ndarray:
     """``values`` as a frozen series, after checking that every value is
     finite and non-negative."""
     arr = _frozen_series(values)
-    # two reductions: NaN propagates through min and max
-    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    checks = _value_checks(arr)
+    if not checks.finite:
         raise ValueError("production values must be finite")
-    if lo < 0:
+    if checks.negative:
         raise ValueError("production values must be non-negative")
     return arr
 

@@ -24,8 +24,8 @@ of grid terms whose compact shape is computed once (``_Sum``).  One fold
 ``run_static``, ``run_matrix``, ``run_monte_carlo`` and
 ``compute_inventory`` (and so ``run_dynamic``) build and run a plan; the
 public ``subprocess_aggregate``/``main_aggregate`` fold and sum their
-operands with the same steps (``kernels.accumulate``), so they all agree
-to the bit.
+operands with the same steps (``_fill``'s ``out += a * b``), so they all
+agree to the bit.
 
 Grids are float64, scenario rows by time columns.  Operands stay as
 cheap as their amounts allow: a per-period unit row is kept as one row and
@@ -46,11 +46,10 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernels
 from .kernels import _cache_blocks
 from .errors import InvalidModelError, MissingDataError, ShapeError, StaticModeError
 from .model import (
@@ -66,9 +65,6 @@ from .model import (
     validate_model,
 )
 from .sampler import stream_for_flow, stream_for_subprocess
-
-if TYPE_CHECKING:
-    from .io import UnitValueTable
 
 Grid = np.ndarray
 
@@ -319,7 +315,7 @@ def _fill(out: Grid, total: _Sum, rows: slice) -> None:
             a = a[rows]
         if type(b) is not float and b.shape[0] > height:
             b = b[rows]
-        kernels.accumulate(out, a, b)
+        out += a * b
 
 
 def _compact(total: _Sum | float) -> Grid:
@@ -470,13 +466,19 @@ def _evaluate(
     return unit, compact
 
 
+def _category_names(categories) -> tuple[str, ...]:
+    """The names of an iterable of category names, each once, in first-seen
+    order.  A str, an iterable of one-letter names, is a TypeError."""
+    if isinstance(categories, str):
+        raise TypeError(f"categories must be a sequence of category names, "
+                        f"not the str {categories!r}")
+    return tuple(dict.fromkeys(categories))
+
+
 def _select_categories(model: ProcessModel, categories) -> tuple[str, ...]:
     if categories is None:
         return model.categories
-    if isinstance(categories, str):  # a str is a sequence of one-letter names
-        raise TypeError(f"categories must be a sequence of category names, "
-                        f"not the str {categories!r}")
-    categories = tuple(dict.fromkeys(categories))  # each name once, in first-seen order
+    categories = _category_names(categories)
     missing = [c for c in categories if c not in model.categories]
     if missing:
         raise MissingDataError(f"categories not declared by the model: {missing}")
@@ -612,9 +614,7 @@ def compute_inventory(
     terms gets a read-only constant view.
     """
     report = _require_valid(model, db, require_cost=False)
-    # each emitted substance once, in first-seen order
-    substances = tuple(dict.fromkeys(
-        substance for units in report._resolved if units for substance in units.emissions))
+    substances = report._substances
     totals = _plan(model, report, model.grid, seed, substances,
                    lambda units: [*map(units.emissions.get, substances)] if units.emissions
                    else None)[0]

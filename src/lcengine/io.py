@@ -497,6 +497,9 @@ def load_background_db(path) -> UnitValueTable:
     for cat in categories:
         if not cat:
             raise LoadError("empty category column name", path=path)
+    if "inv:" in header:
+        raise LoadError("empty substance in inv: column", path=path)
+    inventory_columns = [(col, col[4:]) for col in header[1:] if col.startswith("inv:")]
 
     rows: dict[str, BackgroundRow] = {}
     for lineno, record in records[1:]:
@@ -528,16 +531,12 @@ def load_background_db(path) -> UnitValueTable:
             else:
                 impacts[cat] = _parse_number(cell, f"{flow}: {cat}", path, lineno)
         inventory: dict[str, float] = {}
-        for col in header[1:]:
-            if col.startswith("inv:"):
-                substance = col[4:]
-                if not substance:
-                    raise LoadError("empty substance in inv: column", path=path)
-                cell = cells[col]
-                if cell:
-                    inventory[substance] = _parse_number(
-                        cell, f"{flow}: inv:{substance}", path, lineno
-                    )
+        for col, substance in inventory_columns:
+            cell = cells[col]
+            if cell:
+                inventory[substance] = _parse_number(
+                    cell, f"{flow}: inv:{substance}", path, lineno
+                )
         rows[flow] = BackgroundRow(unit_cost=unit_cost, impacts=impacts, inventory=inventory)
     return UnitValueTable(rows=rows)
 

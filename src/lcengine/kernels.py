@@ -1,14 +1,14 @@
 """Hot aggregation kernels: in-place NumPy operations on scenario x time grids.
 
-The scenario x time calculations reduce to one accumulate operation,
-``acc += a * b`` (``accumulate``, with the checked forms ``add_scaled`` and
-``add_product``), plus a row-wise convolution.  The accumulate multiplies
-first and then adds, and the convolution applies its taps in ascending k
-order, so every cell sees one fixed operation sequence.  (An engine block
-starts from its folded constant, written with ``ndarray.fill``.)  Operands
-are float64 2-D arrays, including row slices and read-only broadcast views,
-or a float; ``accumulate`` also takes operands that NumPy broadcasts to the
-block, such as one row or one column.  The engine's plans and the
+The scenario x time calculations reduce to one accumulate step,
+``acc += a * b``, plus a row-wise convolution.  The engine's fold does the
+accumulate step itself (``engine._fill``) on operands it built;
+``add_product`` is its checked form for three grids of one shape.  The
+accumulate multiplies first and then adds, and the convolution applies its
+taps in ascending k order, so every cell sees one fixed operation
+sequence.  (An engine block starts from its folded constant, written with
+``ndarray.fill``.)  Checked operands are float64 2-D arrays, including row
+slices and read-only broadcast views.  The engine's plans and the
 convolution work one cache-sized row block at a time (``_cache_blocks``); a
 cell's operation sequence does not depend on the block size.
 """
@@ -44,27 +44,12 @@ def _check_grid(name: str, a: np.ndarray, shape: tuple[int, int]) -> None:
         raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
 
 
-def accumulate(acc: np.ndarray, a, b) -> None:
-    """acc += a * b, in place, unchecked: ``a`` and ``b`` are float64 arrays
-    or a float that broadcast to ``acc``.  The engine's plans call it on
-    operands they built; ``add_scaled`` and ``add_product`` are its checked
-    forms for operands of one shape."""
-    acc += a * b
-
-
-def add_scaled(acc: np.ndarray, c: float, x: np.ndarray) -> None:
-    """acc[i,j] += c * x[i,j], in place."""
-    _check_grid("acc", acc, acc.shape)
-    _check_grid("x", x, acc.shape)
-    accumulate(acc, float(c), x)
-
-
 def add_product(acc: np.ndarray, u: np.ndarray, x: np.ndarray) -> None:
     """acc[i,j] += u[i,j] * x[i,j], in place."""
     _check_grid("acc", acc, acc.shape)
     _check_grid("u", u, acc.shape)
     _check_grid("x", x, acc.shape)
-    accumulate(acc, u, x)
+    acc += u * x
 
 
 def convolve_rows_into(out: np.ndarray, em: np.ndarray, kern: np.ndarray) -> None:

@@ -273,6 +273,9 @@ class ValidationReport:
     _resolved: list = field(default_factory=list, init=False, repr=False, compare=False)
     # whether some amount draws samples (see _check_amount)
     _draws: bool = field(default=False, init=False, repr=False, compare=False)
+    # each substance that some flow emits, once, in first-seen order: the
+    # substance order of every inventory and dynamic result (see validate_model)
+    _substances: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def errors(self) -> list[ValidationFinding]:
@@ -506,6 +509,8 @@ def validate_model(
             _check_flow_resolution(
                 report, sp, flow, model.categories, db, grid.n_timesteps, require_cost
             )
+    report._substances = tuple(dict.fromkeys(
+        substance for units in report._resolved if units for substance in units.emissions))
     if db is not None:
         _check_static_factors(report, db)
     return report
@@ -513,10 +518,8 @@ def validate_model(
 
 def _check_static_factors(report: ValidationReport, db: "UnitValueTable") -> None:
     """Report each non-finite static factor: an impact in the database row
-    named after a substance that some flow emits, as the ``emissions`` of
-    its record in ``report._resolved`` say."""
-    substances = dict.fromkeys(s for units in report._resolved if units for s in units.emissions)
-    for substance in substances:
+    named after a substance that some flow emits (``report._substances``)."""
+    for substance in report._substances:
         for cat, factor in db.static_factors(substance).items():
             if not math.isfinite(factor):
                 report.add_error(

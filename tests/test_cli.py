@@ -285,6 +285,22 @@ subprocesses:
         assert run_cli("report", str(out)) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_meta_config_records_every_option_in_declaration_order(self, tmp_path, capsys,
+                                                                   fmt):
+        # the flags in another order than the parser declares them
+        out = tmp_path / f"r.{fmt}"
+        rc = run_cli("run", "--threads", "2", "--categories", "AP, GWP100,AP",
+                     "--format", fmt, "--output", str(out), "--rate", "0.07", "--seed", "5",
+                     "--n-runs", "3", "--dcf", DCF, "--mode", "montecarlo", "--db", DB,
+                     "--model", MODEL_MC)
+        assert rc == 0
+        capsys.readouterr()
+        assert list(import_results(out).meta["config"].items()) == [
+            ("model", MODEL_MC), ("db", DB), ("mode", "montecarlo"), ("dcf", DCF),
+            ("n_runs", 3), ("seed", 5), ("rate", 0.07), ("output", str(out)),
+            ("format", fmt), ("categories", ["AP", "GWP100"]), ("threads", 2)]
+
     @pytest.mark.parametrize("cells", ["0.9;0.9;0.9;0.9;0.9", ""], ids=["per_period", "empty"])
     def test_dynamic_names_a_substance_row_without_a_static_factor(self, tmp_path, capsys,
                                                                     cells):

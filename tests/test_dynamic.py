@@ -301,8 +301,37 @@ class TestRunDynamic:
         with pytest.raises(MissingDataError, match=r"\['NOPE', 'ALSO_NOT'\]"):
             run_dynamic(heatplant, background_db, dcf_tables,
                         categories=("NOPE", "GWP100", "ALSO_NOT"))
+        # each missing name once, from an iterator too
+        with pytest.raises(MissingDataError, match=r": \['NOPE'\]$"):
+            run_dynamic(heatplant, background_db, dcf_tables,
+                        categories=iter(["NOPE", "GWP100", "NOPE"]))
         result = run_dynamic(heatplant, background_db, dcf_tables, categories=("AP",))
         assert result.categories == ("AP",)
+
+    def test_tables_are_read_once_from_an_iterator(self, heatplant, background_db, dcf_tables):
+        # a fixed-horizon CH4 factor that differs from the database's static 28.0
+        tables = [*(t for t in dcf_tables if t.mode == "annual_step"),
+                  DCFTable("CH4", "GWP100", "fixed_horizon", [30.0], horizon=100)]
+        listed = run_dynamic(heatplant, background_db, tables)
+        once = run_dynamic(heatplant, background_db, iter(tables))
+        assert listed.contributions["CH4"]["GWP100"].sum() == 78975.0
+        assert once.categories == listed.categories == ("GWP100", "AP")
+        for cat in listed.categories:
+            assert once.impacts[cat].tobytes() == listed.impacts[cat].tobytes()
+        for substance, per_cat in listed.contributions.items():
+            for cat, grid in per_cat.items():
+                assert once.contributions[substance][cat].tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("categories", [
+        lambda: iter(["GWP100"]), lambda: ["GWP100", "GWP100"],
+        lambda: (c for c in ("GWP100", "GWP100")),
+    ], ids=["iterator", "repeated", "generator_repeated"])
+    def test_categories_any_iterable_each_name_once(self, heatplant, background_db,
+                                                   dcf_tables, categories):
+        expected = run_dynamic(heatplant, background_db, dcf_tables, categories=("GWP100",))
+        result = run_dynamic(heatplant, background_db, dcf_tables, categories=categories())
+        assert result.categories == tuple(result.impacts) == ("GWP100",)
+        assert result.impacts["GWP100"].tobytes() == expected.impacts["GWP100"].tobytes()
 
     def test_cumulative_is_prefix_sum_and_nondecreasing(self, heatplant, background_db,
                                                         dcf_tables):

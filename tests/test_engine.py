@@ -368,6 +368,8 @@ class TestRunMatrix:
         # a name given twice counts once, in first-seen order
         unit = run_matrix(model, empty_db(), categories=["b", "a", "b"])
         assert unit.categories == tuple(unit.impacts) == ("b", "a")
+        # any iterable, read once
+        assert run_matrix(model, empty_db(), categories=iter(["b", "b"])).categories == ("b",)
         from lcengine import MissingDataError
         with pytest.raises(MissingDataError):
             run_matrix(model, empty_db(), categories=("zzz",))

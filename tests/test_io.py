@@ -248,6 +248,15 @@ class TestLoadBackgroundDb:
         with pytest.raises(LoadError, match="first column"):
             load_background_db(path)
 
+    @pytest.mark.parametrize("rows", ["", "a,1,2,3\n"], ids=["no_rows", "one_row"])
+    def test_empty_inventory_substance_fails_with_or_without_rows(self, tmp_path, rows):
+        # the header is classified once, before any row is read
+        path = tmp_path / "db.csv"
+        path.write_text("flow,unit_cost,GWP100,inv:\n" + rows)
+        with pytest.raises(LoadError, match="empty substance in inv: column") as info:
+            load_background_db(path)
+        assert info.value.line is None
+
 
 class TestLoadDcfTables:
     def test_long_annual_table(self, tmp_path):

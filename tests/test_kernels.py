@@ -9,11 +9,6 @@ from oracles import oracle_convolve_rows_into
 
 
 class TestContracts:
-    def test_add_scaled(self):
-        acc = np.ones((2, 2))
-        kernels.add_scaled(acc, 2.0, np.full((2, 2), 3.0))
-        assert np.all(acc == 7.0)
-
     def test_add_product(self):
         acc = np.zeros((1, 3))
         kernels.add_product(acc, np.array([[1.0, 2.0, 3.0]]), np.array([[4.0, 5.0, 6.0]]))
@@ -28,24 +23,28 @@ class TestContracts:
 
     def test_readonly_inputs_accepted(self):
         acc = np.zeros((2, 2))
-        x = np.ones((2, 2))
-        x.flags.writeable = False
-        kernels.add_scaled(acc, 2.0, x)
+        u, x = np.full((2, 2), 2.0), np.ones((2, 2))
+        u.flags.writeable = x.flags.writeable = False
+        kernels.add_product(acc, u, x)
         assert np.all(acc == 2.0)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             kernels.add_product(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            kernels.add_scaled(np.zeros((2, 2)), 1.0, np.zeros((3, 2)))
+            kernels.add_product(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             kernels.convolve_rows_into(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
         with pytest.raises(ShapeError):
-            kernels.add_scaled(np.zeros((2, 2), dtype=np.float32), 1.0, np.zeros((2, 2)))
+            kernels.add_product(np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2)),
+                                np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            kernels.add_product(np.zeros((2, 2)), np.zeros((2, 2), dtype=np.float32),
+                                np.zeros((2, 2)))
 
     def test_row_slices_are_valid_targets(self):
         acc = np.zeros((6, 4))
-        kernels.add_scaled(acc[2:5], 1.0, np.ones((3, 4)))
+        kernels.add_product(acc[2:5], np.ones((3, 4)), np.ones((3, 4)))
         assert np.all(acc[2:5] == 1.0) and np.all(acc[:2] == 0.0) and np.all(acc[5:] == 0.0)
 
     def test_broadcast_and_strided_operands_accepted(self):
@@ -54,7 +53,7 @@ class TestContracts:
         wide = np.zeros((2, 5))
         acc = wide[:, 1:4]  # a non-contiguous target
         kernels.add_product(acc, per_period, per_run)
-        kernels.add_scaled(acc, 0.5, per_run)
+        kernels.add_product(acc, np.broadcast_to(0.5, (2, 3)), per_run)
         assert wide.tolist() == [[0.0, 15.0, 25.0, 35.0, 0.0], [0.0, 30.0, 50.0, 70.0, 0.0]]
         out = np.zeros((2, 4))
         kernels.convolve_rows_into(out, per_run, np.array([1.0, 0.5]))
