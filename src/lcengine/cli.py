@@ -167,16 +167,12 @@ class _NumericalFailure(Exception):
     pass
 
 
-def _fmt_value(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def _number(value, what: str) -> str:
     """A summary number, formatted; a non-finite one is a numerical failure."""
     value = float(value)
     if not np.isfinite(value):
         raise _NumericalFailure(f"{what} is {value}")
-    return _fmt_value(value)
+    return f"{value:.6g}"
 
 
 def _sections(unit: UnitResult):
@@ -201,12 +197,16 @@ def _run_totals(what: str, grid: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _summary_lines(payload) -> list[str]:
-    """The printed summary of a result, made before anything is printed or
-    written.  Raises _NumericalFailure at the first non-finite output cell,
-    else at the first non-finite scenario or run total, else at the first
-    non-finite summary number: each can overflow where what it sums is
-    finite."""
+def _checked_summary(rs) -> list[str]:
+    """The printed summary of a result, made once every number of the
+    result is checked: ``run`` and ``report`` call it before they print or
+    write anything.  Raises _NumericalFailure at the first non-finite output
+    cell, else at the first non-finite scenario or run total, else at the
+    first non-finite summary number (each can overflow where what it sums
+    is finite), else at the first non-finite cell of any grid of the
+    result, breakdowns and statistics too, named by its section, name,
+    category and cell."""
+    payload = rs.payload
     unit = payload.samples if isinstance(payload, MonteCarloResult) else payload
     if isinstance(unit, UnitResult):
         sections = [(_label(kind, cat), cat or kind, grid) for kind, cat, grid in _sections(unit)]
@@ -220,24 +220,33 @@ def _summary_lines(payload) -> list[str]:
             s, t = bad[0]
             raise _NumericalFailure(f"{what} at scenario={s}, timestep={t} is {grid[s, t]}")
     if isinstance(payload, DynamicImpactResult):
-        return [f"  horizon: {payload.t_out} periods (model window + factor tail)"] + [
+        lines = [f"  horizon: {payload.t_out} periods (model window + factor tail)"] + [
             f"  {cat:<20} cumulative (scenario mean): " + _number(
                 payload.cumulative[cat][:, -1].mean(), f"cumulative[{cat}] scenario mean")
             for cat in payload.categories]
-    totals = [(what, name, _run_totals(what, grid)) for what, name, grid in sections]
-    if isinstance(payload, UnitResult):
-        label = "total" if unit.grid.n_scenarios == 1 else "total (scenario mean)"
-        return [f"  {name:<20} {label}: " + _number(runs.mean(), f"{what} {label}")
-                for what, name, runs in totals]
-    lines = [f"  runs: {payload.n_runs}, seed: {payload.seed}"]
-    for what, name, runs in totals:
-        lo, mid, hi = np.percentile(runs, [2.5, 50.0, 97.5])
-        mean, sd, lo, mid, hi = (
-            _number(value, f"{what} run totals: {stat}") for stat, value in (
-                ("mean", runs.mean()), ("sd", runs.std(ddof=1)),
-                ("p2.5", lo), ("p50", mid), ("p97.5", hi)))
-        lines.append(f"  {name:<20} mean: {mean}  sd: {sd}  "
-                     f"[p2.5 {lo}, p50 {mid}, p97.5 {hi}]")
+    else:
+        totals = [(what, name, _run_totals(what, grid)) for what, name, grid in sections]
+        if isinstance(payload, UnitResult):
+            label = "total" if unit.grid.n_scenarios == 1 else "total (scenario mean)"
+            lines = [f"  {name:<20} {label}: " + _number(runs.mean(), f"{what} {label}")
+                     for what, name, runs in totals]
+        else:
+            lines = [f"  runs: {payload.n_runs}, seed: {payload.seed}"]
+            for what, name, runs in totals:
+                lo, mid, hi = np.percentile(runs, [2.5, 50.0, 97.5])
+                mean, sd, lo, mid, hi = (
+                    _number(value, f"{what} run totals: {stat}") for stat, value in (
+                        ("mean", runs.mean()), ("sd", runs.std(ddof=1)),
+                        ("p2.5", lo), ("p50", mid), ("p97.5", hi)))
+                lines.append(f"  {name:<20} mean: {mean}  sd: {sd}  "
+                             f"[p2.5 {lo}, p50 {mid}, p97.5 {hi}]")
+    for section, name, category, grid in _payload_grids(rs.payload_type, payload):
+        bad = np.argwhere(~np.isfinite(grid))
+        if bad.size:
+            at = tuple(bad[0])  # (scenario, timestep), or (timestep,) for a statistic
+            cell = f"scenario={at[0]}, timestep={at[1]}" if len(at) == 2 else f"timestep={at[0]}"
+            raise _NumericalFailure(
+                f"{_grid_where(section, name, category)} at {cell} is {grid[at]}")
     return lines
 
 
@@ -276,7 +285,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.rate is not None:
         model = dataclasses.replace(model, discount_rate=args.rate)
 
-    report = validate_model(model, db, require_cost=args.mode != "dynamic")
+    # the grid the engine call validates: Monte Carlo runs one scenario row per run
+    grid = (dataclasses.replace(model.grid, n_scenarios=args.n_runs)
+            if args.mode == "montecarlo" else model.grid)
+    report = validate_model(model, db, grid=grid, require_cost=args.mode != "dynamic")
     if not report.is_valid:
         print(str(report), file=sys.stderr)
         return EXIT_INVALID
@@ -310,12 +322,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    try:
-        summary = _summary_lines(payload)
-    except _NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-
     meta = {
         "mode": args.mode,
         "model": model.name,
@@ -325,6 +331,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         "input_sha256": _input_hashes(args, model),
     }
     rs = result_set(payload, meta)
+    try:
+        summary = _checked_summary(rs)
+    except _NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     indicators = []
     if model.production is not None:
@@ -459,18 +470,6 @@ def _plot_files(payload) -> dict:
     }
 
 
-def _check_grids(rs) -> None:
-    """Every grid of a result is finite, breakdowns and statistics too; a
-    non-finite cell is a numerical failure."""
-    for section, name, category, grid in _payload_grids(rs.payload_type, rs.payload):
-        bad = np.argwhere(~np.isfinite(grid))
-        if bad.size:
-            at = tuple(bad[0])  # (scenario, timestep), or (timestep,) for a statistic
-            cell = f"scenario={at[0]}, timestep={at[1]}" if len(at) == 2 else f"timestep={at[0]}"
-            raise _NumericalFailure(
-                f"{_grid_where(section, name, category)} at {cell} is {grid[at]}")
-
-
 # like run, report checks each number it prints or writes (see cmd_run)
 @np.errstate(all="ignore")
 def cmd_report(result_path: str, plot_data: str | None = None) -> int:
@@ -480,8 +479,7 @@ def cmd_report(result_path: str, plot_data: str | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        summary = _summary_lines(rs.payload)  # the totals first, with the summary's messages
-        _check_grids(rs)
+        summary = _checked_summary(rs)
     except _NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

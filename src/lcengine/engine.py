@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -502,7 +502,7 @@ def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
     result is bit-identical to ``run_matrix`` on an all-scalar model.
     """
     cats = _select_categories(model, categories)
-    one = ScenarioGrid(1, 1, model.grid.step_label, model.grid.step_origin)
+    one = replace(model.grid, n_scenarios=1, n_timesteps=1)
     for sp in model.subprocesses:
         for name, amount in [(f.name, f.amount) for f in sp.flows] + [(sp.name, sp.amount)]:
             if _draws_samples(amount):
@@ -516,7 +516,7 @@ def run_static(model: ProcessModel, db, *, categories=None) -> UnitResult:
                     f"{model.grid.n_scenarios}x{model.grid.n_timesteps} grid; "
                     "use run_matrix"
                 )
-    report = _require_valid(model, db, grid=one if model.grid.shape != (1, 1) else None)
+    report = _require_valid(model, db, grid=one)
     return _evaluate(model, report, one, None, cats)[0]
 
 
@@ -556,8 +556,7 @@ def run_monte_carlo(
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     cats = _select_categories(model, categories)
-    mc_grid = ScenarioGrid(n_runs, model.grid.n_timesteps,
-                           model.grid.step_label, model.grid.step_origin)
+    mc_grid = replace(model.grid, n_scenarios=n_runs)
     report = _require_valid(model, db, grid=mc_grid)
     if not report._draws:
         warnings.warn(

@@ -1,6 +1,7 @@
 """File ingestion and result export.
 
-Three input formats, all UTF-8 with dot decimal separators:
+Three input formats, all UTF-8 (a leading byte-order mark is ignored) with
+dot decimal separators:
 
 * Model documents: YAML with a required ``schema_version: 1`` header, a
   ``process`` block, a ``grid`` block and a ``subprocesses`` list whose
@@ -123,8 +124,10 @@ class UnitValueTable:
 # low-level parsing helpers
 
 def _read_text(path) -> str:
+    """The text of an input file, decoded as UTF-8, without the byte-order
+    mark that spreadsheet programs write at the start of a UTF-8 CSV."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise LoadError(f"cannot read file: {exc}", path=str(path)) from exc
     except UnicodeDecodeError as exc:

@@ -67,10 +67,12 @@ class ScalarAmount:
 
 
 class _ValueChecks(NamedTuple):
-    """What validation needs to know of a matrix amount's values."""
+    """What validation needs to know of a matrix amount's values or of a
+    production series: the one home of the finite, negative and zero rules."""
 
     finite: bool  # every value is finite
     negative: bool  # some value is negative
+    zero: bool  # every value is 0 (-0.0 too)
 
 
 def _value_checks(values: np.ndarray) -> _ValueChecks:
@@ -79,7 +81,8 @@ def _value_checks(values: np.ndarray) -> _ValueChecks:
     is not finite."""
     lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
     finite = math.isfinite(lo) and math.isfinite(hi)
-    return _ValueChecks(finite, bool(lo < 0 if finite else np.any(values < 0)))
+    return _ValueChecks(finite, bool(lo < 0 if finite else np.any(values < 0)),
+                        bool(lo == hi == 0))
 
 
 def _owned(values) -> bool:
@@ -428,22 +431,6 @@ def _check_flow_resolution(
     report._resolved.append(_UnitValues(tuple(impacts), cost, emissions))
 
 
-def _production_problem(production: np.ndarray) -> str | None:
-    """Why the economic indicators cannot divide by this series, if so.
-
-    Two reductions, because validation runs on every evaluation and NaN
-    propagates through min and max.
-    """
-    lo, hi = production.min(), production.max()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return "has non-finite values"
-    if lo < 0:
-        return "has negative values"
-    if hi == 0:
-        return "is all zeros"
-    return None
-
-
 def validate_model(
     model: ProcessModel,
     db: "UnitValueTable | None" = None,
@@ -488,7 +475,10 @@ def validate_model(
                 f"does not match {model.grid.n_timesteps} time steps",
             )
         elif db is not None:
-            problem = _production_problem(model.production)
+            checked = _value_checks(model.production)
+            problem = ("has non-finite values" if not checked.finite
+                       else "has negative values" if checked.negative
+                       else "is all zeros" if checked.zero else None)
             if problem:
                 report.add_error(f"model {model.name!r}", f"production series {problem}")
 

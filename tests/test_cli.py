@@ -125,7 +125,8 @@ subprocesses:
 
     @pytest.mark.parametrize("value, problem", [(".nan", "has non-finite values"),
                                                 ("-450", "has negative values"),
-                                                ("0", "is all zeros")])
+                                                ("0", "is all zeros"),
+                                                ("-0.0", "is all zeros")])
     def test_bad_production_exits_1(self, tmp_path, capsys, value, problem):
         series = ", ".join([value] * 5)
         model = _heatplant_copy(tmp_path, "production: [450, 450, 450, 450, 450]",
@@ -413,7 +414,7 @@ subprocesses:
         assert "economics" not in captured.out
         assert captured.err == f"warning: economic indicators skipped: {conflict}\n"
 
-    @pytest.mark.parametrize("value", [".nan", "-450", "0"])
+    @pytest.mark.parametrize("value", [".nan", "-450", "0", "-0.0"])
     def test_bad_production_exits_1_before_writing(self, tmp_path, capsys, value):
         series = ", ".join([value] * 5)
         model = _heatplant_copy(tmp_path, "production: [450, 450, 450, 450, 450]",
@@ -459,6 +460,51 @@ subprocesses:
         assert rc == 1
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_statistic_exits_3_before_writing(self, tmp_path, capsys, fmt):
+        # each run's total over time is finite; the sd of a time step is not
+        inputs = _inputs_copy(tmp_path, "background.csv", "natural_gas,28.0,0.23,",
+                              "natural_gas,28.0,1e160;-1e160;1e160;-1e160;0,")
+        out = tmp_path / f"mc.{fmt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("run", "--model", str(inputs / "heatplant_uncertain.model"),
+                         "--db", str(inputs / "background.csv"), "--mode", "montecarlo",
+                         "--n-runs", "200", "--seed", "7", "--format", fmt, "--output", str(out))
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr() == ("", "numerical failure: section 'stat', name 'sd', "
+                                           "category 'GWP100' at timestep=0 is inf\n")
+
+    def test_montecarlo_validates_the_grid_of_its_runs(self, tmp_path, capsys):
+        # heatplant's 2x5 matrix amount does not fit one row per run
+        out = tmp_path / "r.json"
+        rc = run_cli("run", "--model", MODEL, "--db", DB, "--mode", "montecarlo",
+                     "--n-runs", "100", "--seed", "1", "--output", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr() == ("", "error: subprocess 'boiler_operation', flow "
+                                           "'co2_stack': matrix shape 2x5 does not match grid, "
+                                           "expected 100x5\n")
+
+    def test_inputs_with_a_byte_order_mark_run_as_without(self, tmp_path, capsys, monkeypatch):
+        """A spreadsheet's "CSV UTF-8" copy of the database, the factor
+        tables and a matrix CSV starts with a byte-order mark."""
+        outcomes = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            inputs = tmp_path / ("bom" if mark else "plain")
+            inputs.mkdir()
+            for path in SAMPLES.iterdir():
+                lead = mark if path.suffix == ".csv" else b""
+                (inputs / path.name).write_bytes(lead + path.read_bytes())
+            monkeypatch.chdir(inputs)
+            codes = [run_cli("validate", "--model", "heatplant.model", "--db", "background.csv"),
+                     run_cli("run", "--model", "heatplant.model", "--db", "background.csv",
+                             "--mode", "dynamic", "--dcf", "dcf.csv", "--output", "r.json")]
+            doc = json.loads(Path("r.json").read_text())
+            hashes = doc["meta"].pop("input_sha256")
+            outcomes.append((codes, capsys.readouterr(), doc, hashes["model"]))
+        assert outcomes[0][0] == [0, 0]
+        assert outcomes[1] == outcomes[0]
 
     def test_invalid_degenerate_montecarlo_prints_no_warning(self, tmp_path, capsys):
         # heatplant has no distributions, and its 2x5 matrix amount does not fit 2000 runs

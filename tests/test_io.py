@@ -200,6 +200,12 @@ class TestLoadBackgroundDb:
         assert row.unit_cost == 0.12
         assert row.impacts["GWP100"] == 0.45
 
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_file_offset(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_bytes(b"\xef\xbb\xbfflow,unit_cost\n\xff\n")
+        with pytest.raises(LoadError, match="byte 0xff in position 18: invalid start byte"):
+            load_background_db(path)
+
     def test_duplicate_flow_key(self, tmp_path):
         path = tmp_path / "db.csv"
         path.write_text("flow,unit_cost,GWP100\na,1,2\na,3,4\n")
