@@ -894,7 +894,9 @@ def _build_payload(payload_type: str, dims: Mapping, label: str, cells: dict,
 # Floats are written as float.__repr__ writes them: the shortest decimal that
 # round-trips the exact float64 (at most 17 significant digits).  Each grid
 # gets a %-template for one row, built once, and each block of rows becomes
-# text in one formatting call, so memory follows a block, not the file.
+# text in one formatting call, so memory follows a block, not the file.  The
+# call's cells are built by slices: a row's value, or a row of a block whose
+# rows are all one, is formatted once, and each scenario number once a row.
 
 _BLOCK_CELLS = 8192
 
@@ -906,28 +908,35 @@ def _grid_blocks(grid: np.ndarray, row_fmt: str, scenarios: bool = False,
     Each row is ``row_fmt % cells``: the row's values in order, each after
     its scenario number when ``scenarios`` is set.  ``%s`` writes a float as
     ``float.__repr__``; ``cell``, when given, turns each value into its text
-    first.
+    first.  A block whose rows are all one row, or whose every row holds one
+    value, formats that row, or each row's value, once; equal means equal
+    bits, so ``-0.0`` and each NaN keep their text.
     """
     n_s, n_t = grid.shape
     rows = max(1, min(n_s, _BLOCK_CELLS // max(1, n_t)))
     block_fmt = row_fmt * rows
+    text = cell or repr
+    # a row's cells: the value after the scenario number, or the value alone
+    width = 2 if scenarios else 1
     for start in range(0, n_s, rows):
         block = grid[start:start + rows]
-        bits = block.view(np.int64) if block.dtype == np.float64 and n_t > 1 else None
-        if bits is not None and (bits == bits[:, :1]).all():
-            # each row holds one value, bit for bit (so -0.0 and each NaN
-            # keep their text): one text a row, repeated along it
-            texts = list(map(cell or repr, block[:, 0].tolist()))
-            cells = [text for text in texts for _ in range(n_t)]
+        n = len(block)
+        cells = [""] * (width * n * n_t)
+        bits = block.view(np.int64) if block.dtype == np.float64 else None
+        if bits is not None and n > 1 and (bits == bits[:1]).all():
+            cells[width - 1::width] = list(map(text, block[0].tolist())) * n
+        elif bits is not None and n_t > 1 and (bits == bits[:, :1]).all():
+            texts = list(map(text, block[:, 0].tolist()))
+            for t in range(n_t):
+                cells[width * (t + 1) - 1::width * n_t] = texts
         else:
-            cells = block.ravel().tolist()
-            if cell is not None:
-                cells = list(map(cell, cells))
+            values = block.ravel().tolist()
+            cells[width - 1::width] = values if cell is None else map(cell, values)
         if scenarios:
-            values, cells = cells, [0] * (2 * len(cells))
-            cells[0::2] = [s for s in range(start, start + len(block)) for _ in range(n_t)]
-            cells[1::2] = values
-        yield (block_fmt if len(block) == rows else row_fmt * len(block)) % tuple(cells)
+            numbers = list(map(str, range(start, start + n)))
+            for t in range(n_t):
+                cells[width * t::width * n_t] = numbers
+        yield (block_fmt if n == rows else row_fmt * n) % tuple(cells)
 
 
 def _csv_fields(fields: Sequence[str]) -> str:
@@ -1051,42 +1060,53 @@ def _grid_from_cells(
 _IMPORT_BLOCK_CHARS = 1 << 16
 
 
+def _read_block(fh) -> str:
+    """About ``_IMPORT_BLOCK_CHARS`` characters of whole lines of the open
+    text file ``fh``; '' at its end."""
+    block = fh.read(_IMPORT_BLOCK_CHARS)
+    return block + fh.readline() if block and not block.endswith("\n") else block
+
+
 class _NotWriterLayout(Exception):
     """A result file that is not in the exact layout ``export_results`` writes."""
 
 
-def _plain_fields(lines: list[str]) -> list[list[str]] | None:
-    """The six columns of the rows in a block of lines, or None where a row
-    has another number of fields.  Lines that hold no quote or NUL, each end
-    in a newline (``\\n`` or ``\\r\\n``, and no other carriage return)
-    and fit ``csv.field_size_limit()`` are split on their commas alone.  A
-    strict ``csv.reader`` reads any other block, such as one with a name or
-    category that ``csv.writer`` quoted for a comma or newline in it, and
-    raises ``csv.Error`` where the block ends inside a quoted field."""
-    text = "".join(lines)
-    if "\r" in text:  # a replace() that finds nothing costs more than this test
-        text = text.replace("\r\n", "\n")
-    long = len(text) > csv.field_size_limit() and max(map(len, lines)) > csv.field_size_limit()
-    if '"' in text or "\r" in text or "\0" in text or not text.endswith("\n") or long:
-        records = list(csv.reader(lines, strict=True))
+def _plain_fields(text: str) -> list[list[str]] | None:
+    """The six columns of the rows in ``text``, a block of whole lines, or
+    None where a row has another number of fields.  A block that holds no
+    quote or NUL, whose lines each end in a newline (``\\n`` or ``\\r\\n``,
+    and no other carriage return) and fit ``csv.field_size_limit()``, is
+    split on its commas alone, and each value text keeps the newline that
+    ends its line, which ``float()`` ignores.  A strict ``csv.reader`` reads
+    any other block, such as one with a name or category that ``csv.writer``
+    quoted for a comma or newline in it, and raises ``csv.Error`` where the
+    block ends inside a quoted field."""
+    plain = text.replace("\r\n", "\n") if "\r" in text else text
+    limit = csv.field_size_limit()
+    if ('"' in plain or "\r" in plain or "\0" in plain or not plain.endswith("\n")
+            or len(plain) > limit and max(map(len, plain.split("\n"))) > limit):
+        records = list(csv.reader(_io.StringIO(text, newline=""), strict=True))
         if {len(record) for record in records} != {6}:
             return None
         return [list(column) for column in zip(*records)]
-    if text.count(",") != 5 * len(lines):
+    n_lines = plain.count("\n")
+    if plain.count(",") != 5 * n_lines:
         return None
     # each cell ends at a comma or after a newline; with five commas to a
     # line on average, every newline ends a sixth cell only when every line
     # has five
-    cells = text.replace("\n", "\n,").split(",")
-    values = "".join(cells[5::6])
-    if values.count("\n") != len(lines):
+    cells = plain.replace("\n", "\n,").split(",")
+    values = cells[5::6]
+    if "".join(values).count("\n") != n_lines:
         return None
-    return [*(cells[k:-1:6] for k in range(5)), values.split("\n")[:-1]]
+    return [*(cells[k:-1:6] for k in range(5)), values]
 
 
-def _writer_fields(meta: dict, file_bytes: int) -> dict[str, tuple[list[str], list[str]]]:
-    """The scenario and timestep fields ``write_csv_grid`` writes for each
-    section's cells, by a result's meta; one shape's lists share strings."""
+def _writer_fields(meta: dict, file_bytes: int
+                   ) -> tuple[int, dict[str, tuple[list[str], list[str]]]]:
+    """The number of time steps, and the scenario and timestep fields
+    ``write_csv_grid`` writes for each section's cells, by a result's meta;
+    one shape's lists share strings."""
     payload_type, grid = meta.get("payload_type"), meta.get("payload_grid")
     if not (isinstance(payload_type, str) and payload_type in _JSON_KEYS
             and isinstance(grid, dict)):
@@ -1101,16 +1121,55 @@ def _writer_fields(meta: dict, file_bytes: int) -> dict[str, tuple[list[str], li
     grid_fields = [s for s in map(str, range(n_s)) for _ in timesteps], timesteps * n_s
     # a stat series runs over the time steps and leaves the scenario empty
     series_fields = [""] * n_t, timesteps
-    return {section: series_fields if section in ("stat", "stat_cost") else grid_fields
-            for section in _JSON_KEYS[payload_type]}
+    return n_t, {section: series_fields if section in ("stat", "stat_cost") else grid_fields
+                 for section in _JSON_KEYS[payload_type]}
+
+
+def _floats(texts: list[str]) -> array:
+    """The float64 values of value texts of a result CSV; a ValueError on
+    any that is not a number.  ``float()`` takes digit-group underscores,
+    which CSV numbers do not."""
+    if "_" in "".join(texts):
+        raise ValueError("digit-group underscore")
+    return array("d", map(float, texts))
+
+
+def _run_values(run: list[str], head: int, n_t: int) -> array:
+    """The values of ``run``, the value texts of consecutive cells of a grid
+    with ``n_t`` cells to a row, whose first ``head`` cells end a row.
+    Where every whole row of the run repeats one text, as in a grid that is
+    constant along time, each row's text is converted once and its bits
+    repeated; the partial rows at the run's edges are converted cell by
+    cell.  Equal texts give equal bits, so the values are those of
+    converting every cell."""
+    whole = max(0, len(run) - head) // n_t * n_t
+    rows = run[head:head + whole]
+    first = rows[0::n_t]
+    if any(rows[t::n_t] != first for t in range(1, n_t)):
+        return _floats(run)
+    row_values = _floats(first)
+    values = _floats(run[:head])
+    at = len(values)
+    values.extend(row_values * n_t)  # room for the whole rows
+    for t in range(n_t):
+        values[at + t:at + whole:n_t] = row_values
+    values.extend(_floats(run[head + whole:]))
+    return values
+
+
+def _ends_in_blank_line(text: str) -> bool:
+    """Whether the last line of ``text``, whole lines of a CSV, is blank."""
+    cut = len(text) - text.endswith("\r\n") - text.endswith(("\n", "\r"))
+    return cut < len(text) and (cut == 0 or text.endswith(("\n", "\r"), 0, cut))
 
 
 def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
     """The meta and each grid's values of the rest of the open result CSV
     ``fh``, in the exact layout ``_export_csv`` writes: the meta rows, one to
     a line, then blocks of one row to a line in which each grid is contiguous
-    and complete, in the writer's cell order.  Each run of a grid's rows in
-    a block is checked and converted at once.  Any deviation raises
+    and complete, in the writer's cell order, and at most blank lines after
+    the last row.  Each run of a grid's rows in a block of text is checked
+    and converted at once (see ``_run_values``).  Any deviation raises
     ``_NotWriterLayout``."""
     try:
         meta: dict = {}
@@ -1122,12 +1181,23 @@ def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
                 raise _NotWriterLayout
             meta[record[1]] = json.loads(record[5])
             line = fh.readline()
-        fields = _writer_fields(meta, os.fstat(fh.fileno()).st_size)
+        n_t, fields = _writer_fields(meta, os.fstat(fh.fileno()).st_size)
         grids: dict[tuple[str, str, str], array] = {}
         values, size = array("d"), 0
-        block = [line, *fh.readlines(_IMPORT_BLOCK_CHARS)] if line else []
-        while block:
-            columns = _plain_fields(block)
+        text = line + _read_block(fh) if line else ""
+        while text:
+            if _ends_in_blank_line(text):
+                # blank lines may only end the file; the row reader names one
+                # that a row follows
+                while more := _read_block(fh):
+                    if more.strip("\r\n"):
+                        raise _NotWriterLayout
+                rows = text.rstrip("\r\n")
+                # the last row keeps its line end
+                text = rows and text[:len(rows) + 1 + text.startswith("\r\n", len(rows))]
+                if not text:
+                    break
+            columns = _plain_fields(text)
             if columns is None:
                 raise _NotWriterLayout
             sections, names, scenarios, timesteps, categories, texts = columns
@@ -1142,18 +1212,16 @@ def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
                     size = len(cell_timesteps)
                 start = len(values)
                 end = min(len(sections), i + size - start)
-                count, run = end - i, texts[i:end]
-                # float() takes digit-group underscores; CSV numbers do not
+                count = end - i
                 if (sections[i:end].count(key[0]) != count
                         or names[i:end].count(key[1]) != count
                         or categories[i:end].count(key[2]) != count
                         or scenarios[i:end] != cell_scenarios[start:start + count]
-                        or timesteps[i:end] != cell_timesteps[start:start + count]
-                        or "_" in "".join(run)):
+                        or timesteps[i:end] != cell_timesteps[start:start + count]):
                     raise _NotWriterLayout
-                values.extend(map(float, run))
+                values.extend(_run_values(texts[i:end], -start % n_t, n_t))
                 i = end
-            block = fh.readlines(_IMPORT_BLOCK_CHARS)
+            text = _read_block(fh)
         if len(values) != size:
             raise _NotWriterLayout
     # a UnicodeDecodeError is a ValueError; a RecursionError is JSON nested too deeply
@@ -1165,15 +1233,22 @@ def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
 def _row_grids(path: str, lines, skipped: int) -> tuple[dict, dict[tuple[str, str, str], tuple]]:
     """The meta and each grid's rows of a result CSV, ``lines`` from its
     checked header on, which ``skipped`` blank lines precede, read one row
-    at a time: the one source of the CSV import's diagnostics.  Each grid
-    keeps three typed columns, scenario, timestep and value, so memory is
-    about the size of the grids."""
+    at a time: the one source of the CSV import's diagnostics.  Blank lines
+    after the last row are skipped; a blank line that a row follows is a
+    row of 0 cells.  Each grid keeps three typed columns, scenario, timestep
+    and value, so memory is about the size of the grids."""
     reader = csv.reader(lines)
     meta: dict = {}
     columns: dict[tuple[str, str, str], tuple[array, array, array]] = {}
+    blank = 0  # the line of the first blank line since the last row, if any
     try:
         next(reader)  # the header
         for rec in reader:
+            if not rec:  # a blank line, which only blank lines and the end may follow
+                blank = blank or skipped + reader.line_num
+                continue
+            if blank:
+                raise LoadError("row has 0 cells, expected 6", path=path, line=blank)
             if len(rec) != 6:
                 raise LoadError(f"row has {len(rec)} cells, expected 6",
                                 path=path, line=skipped + reader.line_num)
@@ -1201,6 +1276,8 @@ def _row_grids(path: str, lines, skipped: int) -> tuple[dict, dict[tuple[str, st
                 raise LoadError(f"bad data row: {exc}", path=path,
                                 line=skipped + reader.line_num) from exc
     except csv.Error as exc:
+        if blank:  # the blank line before the record comes first
+            raise LoadError("row has 0 cells, expected 6", path=path, line=blank) from exc
         raise LoadError(f"CSV parse error: {exc}", path=path,
                         line=skipped + reader.line_num) from exc
     return meta, columns
@@ -1342,6 +1419,18 @@ _GRID_ROWS = json.JSONDecoder(parse_int=_not_a_float)
 _PAYLOAD_KEY = re.compile(r'^  "payload": ', re.MULTILINE)
 
 
+def _repeated_row(rows: str, between: str) -> tuple[str, int]:
+    """``rows``, the text of whole grid rows, each ``]`` and the next ``[``
+    ``between`` them, as the text of one row and the number of times it
+    repeats: the first row and the number of rows when every row is that
+    text, or else ``rows`` and 1."""
+    row, sep = rows[:rows.find(between) + 1], between[1:-1]
+    repeats, rest = divmod(len(rows) + len(sep), len(row) + len(sep))
+    if row and not rest and rows == sep.join([row] * repeats):
+        return row, repeats
+    return rows, 1
+
+
 def _writer_layout_doc(fh, head: str) -> dict:
     """The JSON result in the rest of the open file ``fh``, after its first
     characters ``head``, as ``json.loads`` with ``_grids_hook`` gives it,
@@ -1350,21 +1439,19 @@ def _writer_layout_doc(fh, head: str) -> dict:
     opening on each next line two spaces deeper, one cell to a line two
     deeper again.  Any deviation raises ``_NotWriterLayout``.
 
-    The file is read a block of whole lines at a time.  Each grid's rows go
-    to the ``json`` decoder a block of whole rows at a time, and their cells
-    into float64 storage.  The rest of the text, meta, dimensions, name
-    lists and stat series, is one ``json.loads`` with ``NaN`` in each
-    grid's place.  The outcome is that of the whole text: the text taken
-    for a grid decodes, a block at a time, only as rows of floats, with no
-    string in them, so its brackets balance and it is the grid's value; the
-    key before it is a whole string that starts its line, so that value
-    stands where a value belongs.
+    The file is read about ``_IMPORT_BLOCK_CHARS`` characters of whole
+    lines at a time.  Each grid's rows go to the ``json`` decoder a block of
+    whole rows at a time, and their cells into float64 storage; a block
+    whose rows are one repeated row text decodes that row once and repeats
+    its cells (see ``_repeated_row``).  The rest of the text, meta,
+    dimensions, name lists and stat series, is one ``json.loads`` with
+    ``NaN`` in each grid's place.  The outcome is that of the whole text:
+    the text taken for a grid decodes, a block at a time, only as rows of
+    floats, with no string in them, so its brackets balance and it is the
+    grid's value; the key before it is a whole string that starts its line,
+    so that value stands where a value belongs.
     """
-    def lines() -> str:  # a block of whole lines; '' at the end of the file
-        block = fh.read(_IMPORT_BLOCK_CHARS)
-        return block + fh.readline() if block and not block.endswith("\n") else block
-
-    text = head + lines()
+    text = head + _read_block(fh)
     if not text.startswith('\n  "', len(head)):  # another indentation, or none
         raise _NotWriterLayout
     skeleton: list[str] = []  # the text between grids
@@ -1381,7 +1468,7 @@ def _writer_layout_doc(fh, head: str) -> dict:
             at = text.find('": [\n', search)  # a key's list value opens
             if at < 0:
                 parts.append(text[pos:])
-                text = lines()
+                text = _read_block(fh)
                 if not text:
                     break
                 pos = search = 0
@@ -1391,7 +1478,7 @@ def _writer_layout_doc(fh, head: str) -> dict:
             first_row = "\n" + " " * (k + 2) + "[\n" + " " * (k + 4)
             first_cell = at + 4 + len(first_row)
             if first_cell >= len(text):  # the grid's first cell is in the next block
-                block = lines()
+                block = _read_block(fh)
                 if not block:
                     raise _NotWriterLayout
                 text += block
@@ -1414,16 +1501,18 @@ def _writer_layout_doc(fh, head: str) -> dict:
                     rows = text[start:cut]
                     if "true" in rows or "false" in rows:  # which array("d") takes
                         raise _NotWriterLayout
-                    rows = _GRID_ROWS.decode(f"[{rows}]")
+                    # a block of one repeated row text decodes that row once
+                    row, repeats = _repeated_row(rows, between)
+                    rows = _GRID_ROWS.decode(f"[{row}]")
                     width = width or len(rows[0])
                     if set(map(len, rows)) != {width}:
                         raise _NotWriterLayout
                     # a TypeError on any other cell that is not a float
-                    values.extend(itertools.chain.from_iterable(rows))
+                    values.extend(array("d", itertools.chain.from_iterable(rows)) * repeats)
                     if stop >= 0:
                         break
                     start = cut + len(between) - 2  # the next row's "["
-                block = lines()
+                block = _read_block(fh)
                 if not block:
                     raise _NotWriterLayout
                 text, start = text[start:] + block, 0
@@ -1475,13 +1564,15 @@ def import_results(path) -> ResultSet:
     """Read a result set previously written by ``export_results``.
 
     A file whose first non-blank character is ``{`` is read as JSON, any
-    other as a result CSV; blank lines before the CSV header are skipped.
-    Each format has two readers, never mixed.  A regular file in the exact
-    layout ``export_results`` writes is read a block at a time, into memory
-    about the size of its grids.  Any other file, or a pipe, which cannot be
-    read twice, is read by the general reader of its format: a CSV one row
-    at a time, a JSON text whole.  The general reader gives every
-    diagnostic.
+    other as a result CSV; blank lines before the CSV header and after its
+    last row are skipped.  Each format has two readers, never mixed.  A
+    regular file in the exact layout ``export_results`` writes is read about
+    ``_IMPORT_BLOCK_CHARS`` characters of text at a time, into memory about
+    the size of its grids; a text that repeats, a CSV row's value or a
+    block of equal JSON rows, is converted once.  Any other file, or a
+    pipe, which cannot be read twice, is read by the general reader of its
+    format: a CSV one row at a time, a JSON text whole.  The general reader
+    gives every diagnostic.
     """
     path = str(path)
     try:

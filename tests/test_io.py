@@ -814,6 +814,28 @@ BLOCK_CASES = {
     **{f"{kind}-{case_id}": lambda sr, mc, tmp, kind=kind, edit=(source, target):
        _sample_csv(sr, tmp, kind, edit)
        for kinds, case_id, source, target, *_ in CSV_CONTRACT for kind in kinds},
+    # blank lines after the last row, which both readers skip
+    **{f"trailing_blank-{i}": lambda sr, mc, tmp, end=end: _sample_csv(sr, tmp, "monte_carlo") + end
+       for i, end in enumerate((b"\n", b"\r\n", b"\n\n\n", b"\r", b"\n\r\n\r"))},
+    "crlf-trailing_blank": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b"\n", b"\r\n") + b"\r\n\r\n",
+    "mc_2000-trailing_blank": lambda sr, mc, tmp: mc[0].read_bytes() + b"\n" * 500,
+    "meta_only-trailing_blank": lambda sr, mc, tmp: b"".join(
+        line for line in _sample_csv(sr, tmp, "unit").splitlines(True)
+        if line.startswith((b"section,", b"meta,"))) + b"\n",
+    # a blank line that a row follows: a row of 0 cells at the blank line
+    "blank_between_rows": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b"\nimpact,,3,2,GWP100,", b"\n\nimpact,,3,2,GWP100,", 1),
+    "blank_after_meta": lambda sr, mc, tmp: _sample_csv(sr, tmp, "monte_carlo").replace(
+        b"\nimpact,", b"\n\nimpact,", 1),
+    "blank_then_last_row": lambda sr, mc, tmp: b"\n\n".join(
+        _sample_csv(sr, tmp, "monte_carlo").rsplit(b"\n", 2)[:2]) + b"\n",
+    "blank_then_bad_row": lambda sr, mc, tmp: (_sample_csv(sr, tmp, "monte_carlo")
+                                               + b"\n\nimpact,,0\n"),
+    "blank_then_broken_quote": lambda sr, mc, tmp: (_sample_csv(sr, tmp, "monte_carlo")
+                                                    + b'\n"impact,,0,0,GWP100,1.0\n'),
+    "mc_2000-blank_then_rows": lambda sr, mc, tmp: mc[0].read_bytes().replace(
+        b"\nsp_exchange,", b"\n\r\nsp_exchange,", 1),
 }
 
 
@@ -875,7 +897,7 @@ def _outcome_through_a_pipe(path, data: bytes):
 
 
 @pytest.mark.parametrize("case", ["mc_2000", "mc_2000-bad_row_then_bad_utf8", "mc_2000-utf8_deep",
-                                  "reversed"])
+                                  "reversed", "trailing_blank-2", "blank_between_rows"])
 def test_a_result_csv_imports_from_a_pipe(case, sample_results, mc_csv, tmp_path):
     """A pipe cannot be read twice; the row reader reads it all, and names
     an invalid byte by its offset, as in a regular file."""
@@ -899,6 +921,97 @@ def test_blank_lines_before_a_csv_header_are_skipped(lead, mc_csv, tmp_path):
     with pytest.raises(LoadError, match="bad meta value for 'bad'") as exc_info:
         import_results(path)
     assert exc_info.value.line == 8 + len(lead.splitlines())
+
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\n\n\r\n"])
+def test_blank_lines_after_the_last_row_are_skipped(end, mc_csv, tmp_path, monkeypatch):
+    """A blank line an editor leaves at the end keeps the block reader, and
+    the file imports as the original does."""
+    path = tmp_path / "result.csv"
+    path.write_bytes(mc_csv[0].read_bytes() + end)
+    expected = import_outcome(mc_csv[0])
+    monkeypatch.setattr(lc_io, "_row_grids", None)  # the row reader must not be called
+    assert import_outcome(path) == expected
+
+
+def test_a_blank_line_between_rows_names_its_line(mc_csv, tmp_path):
+    lines = _mc_lines(mc_csv)
+    at = _data_line(lines, b"sp_exchange,")
+    path = tmp_path / "result.csv"
+    path.write_bytes(b"".join(lines[:at] + [b"\n", b"\n"] + lines[at:]))
+    with pytest.raises(LoadError, match="row has 0 cells, expected 6") as exc_info:
+        import_results(path)
+    assert exc_info.value.line == at + 1
+
+
+def _row_constant_csv(tmp_path, n_t: int, respell: tuple = ()) -> bytes:
+    """A static result CSV of 9 scenarios whose every grid is constant along
+    its ``n_t`` time steps, -0.0 and NaN among the values; with ``respell``,
+    the impact grid's row of 2.0 is written as those texts instead."""
+    column = np.array([1.5, -0.0, np.nan, 0.1, 2.0, 1 / 3, -7.25, 1e300, 5e-324])
+    grid = np.repeat(column[:, None], n_t, axis=1)
+    unit = UnitResult(grid=ScenarioGrid(9, n_t), categories=("GWP100",),
+                      impacts={"GWP100": grid}, cost=-grid,
+                      sp_unit_impacts={"sp": {"GWP100": grid}}, sp_unit_costs={"sp": grid},
+                      sp_exchange={"sp": np.ones((9, n_t))})
+    path = tmp_path / f"rows_{n_t}.csv"
+    export_results(result_set(unit, {}), "csv", path)
+    data = path.read_bytes()
+    for t, text in enumerate(respell[:n_t]):
+        row = b"\nimpact,,4,%d,GWP100," % t
+        data = data.replace(row + b"2.0\n", row + text + b"\n", 1)
+    return data
+
+
+# texts of one row of a grid: of one value, and of one value but the last
+RESPELLINGS = {"none": (), "same_value": (b"1.0", b"1.00", b"1e0", b"1.000", b"10e-1"),
+               "last_differs": (b"1.0", b"1.00", b"1e0", b"1.000", b"2.0")}
+
+
+@pytest.mark.parametrize("respell", list(RESPELLINGS))
+@pytest.mark.parametrize("n_t", [1, 2, 5])
+def test_row_constant_runs_read_as_the_row_reader_reads_them(n_t, respell, tmp_path,
+                                                              monkeypatch):
+    """Blocks that cut a row at every offset: each grid's bits, and the
+    outcome, are those of the row reader."""
+    path = tmp_path / "result.csv"
+    path.write_bytes(_row_constant_csv(tmp_path, n_t, RESPELLINGS[respell]))
+    heads = set()
+    run_values = lc_io._run_values
+    monkeypatch.setattr(lc_io, "_run_values",
+                        lambda run, head, n: heads.add(head) or run_values(run, head, n))
+    monkeypatch.setattr(lc_io, "_row_grids", mock.Mock(wraps=lc_io._row_grids))
+    outcomes = []
+    for block_chars in range(1, 200, 3):
+        monkeypatch.setattr(lc_io, "_IMPORT_BLOCK_CHARS", block_chars)
+        outcomes.append(import_outcome(path))
+    assert heads == set(range(n_t))
+    assert not lc_io._row_grids.called  # every block size kept the block reader
+    monkeypatch.setattr(lc_io, "_plain_fields", lambda text: None)
+    rows = import_outcome(path)
+    assert outcomes == [rows] * len(outcomes)
+    impact = dict(((g[0], g[1], g[2]), g[5]) for g in rows[3])["impact", "", "GWP100"]
+    row = np.frombuffer(impact, dtype=np.float64).reshape(9, n_t)[4]
+    spelled = [float(text) for text in RESPELLINGS[respell][:n_t]]
+    assert row.tolist() == spelled + [2.0] * (n_t - len(spelled))
+
+
+def test_a_repeated_row_text_is_converted_once(mc_csv, tmp_path, monkeypatch):
+    """Every grid of the Monte Carlo CSV is constant along time, so the block
+    reader converts one text a row, and a few cells at each block's edges."""
+    converted = []
+    floats = lc_io._floats
+    monkeypatch.setattr(lc_io, "_floats", lambda texts: converted.append(len(texts))
+                        or floats(texts))
+    outcome = import_outcome(mc_csv[0])
+    n_t = mc_csv[1].payload.samples.grid.n_timesteps
+    cells = sum(grid.size for *_, grid in lc_io._payload_grids("monte_carlo", mc_csv[1].payload))
+    assert n_t == 5 and cells > 100_000
+    assert sum(converted) < cells / n_t + 2 * n_t * len(converted)
+    assert sum(converted) < cells / 4
+    monkeypatch.setattr(lc_io, "_plain_fields", lambda text: None)
+    assert import_outcome(mc_csv[0]) == outcome
 
 
 # ---------------------------------------------------------------------------
@@ -997,6 +1110,16 @@ JSON_CASES = {
     # the last cell of the file's last grid
     "last_cell-nan": (True, lambda sr, mc, tmp: _grid_corner(
         _sample_json(sr, tmp, "dynamic"), ("contributions", "NOx", "AP"), -1, math.nan)),
+    # near misses of a block of one repeated row (the sample's exchange grid,
+    # 6 rows of 1.0): one cell of another value or spelling, one cell
+    # indented a space deeper, one row more deeply indented
+    **{f"repeated_rows-{case}": (True, lambda sr, mc, tmp, edit=edit: _cell_line(
+        _sample_json(sr, tmp, MC_SAMPLE), b'"fuel_supply": [', 25, edit)) for case, edit in (
+        ("other_cell", lambda line: line.replace(b"1.0", b"1.5")),
+        ("respelled_cell", lambda line: line.replace(b"1.0", b"1.00")),
+        ("indented_cell", lambda line: b" " + line))},
+    "repeated_rows-indented_row": (True, lambda sr, mc, tmp: _cell_line(
+        _sample_json(sr, tmp, MC_SAMPLE), b'"fuel_supply": [', 22, lambda line: b" " + line)),
     # the deviations, each read whole by json
     "indent_4": (False, lambda sr, mc, tmp: json.dumps(
         json.loads(_sample_json(sr, tmp, MC_SAMPLE)), indent=4).encode()),
@@ -1070,6 +1193,21 @@ def test_json_readers_agree(case, block_chars, sample_results, mc_json, tmp_path
     outcome, read, whole = _json_outcomes(path, monkeypatch)
     assert read == writer_layout
     assert outcome == whole
+
+
+def test_a_block_of_repeated_json_rows_decodes_one_row(sample_results, tmp_path, monkeypatch):
+    """The sample's two exchange grids are 6 equal rows each: one row each
+    goes to the decoder."""
+    path = tmp_path / "result.json"
+    path.write_bytes(_sample_json(sample_results, tmp_path, MC_SAMPLE))
+    expected = import_outcome(path)
+    decoded = []
+    rows = lc_io._GRID_ROWS
+    monkeypatch.setattr(lc_io, "_GRID_ROWS", mock.Mock(
+        decode=lambda text: decoded.append(rows.decode(text)) or decoded[-1]))
+    assert import_outcome(path) == expected
+    assert decoded.count([[1.0] * 5]) == 2
+    assert all(len(grid) == 6 for grid in decoded if grid != [[1.0] * 5])
 
 
 @pytest.mark.parametrize("case", ["monte_carlo", "mc_2000", "mc_2000-utf8_deep", "truncated"])

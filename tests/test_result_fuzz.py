@@ -53,17 +53,25 @@ INPUT_TOKENS = TOKENS + (
 
 # a token: a quoted string or a run of word characters (names, numbers)
 TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[\w.+-]+')
+# a decimal number without an exponent, which a trailing 0 respells
+DECIMAL = re.compile(rb"(?<![\w.+-])-?\d+\.\d+(?![\w.+-])")
 
 
 def mutate(data: bytes, mutation: str, rnd, token: str) -> bytes:
     """``data`` with one line deleted, duplicated or one of its tokens
-    replaced by ``token``, or cut short; ``rnd`` picks where, uniformly, so
-    that the grids deep in a file are mutated as often as its head."""
+    replaced by ``token``, one of its decimals respelled with a trailing 0
+    (the same float), or cut short; ``rnd`` picks where, uniformly, so that
+    the grids deep in a file are mutated as often as its head."""
     if mutation == "truncate":
         return data[:rnd.randrange(len(data))]
     lines = data.splitlines(keepends=True)
     i = rnd.randrange(len(lines))
-    if mutation == "delete":
+    if mutation == "respell":
+        spans = [m.end() for m in DECIMAL.finditer(lines[i])]
+        if spans:
+            end = rnd.choice(spans)
+            lines[i] = lines[i][:end] + b"0" + lines[i][end:]
+    elif mutation == "delete":
         del lines[i]
     elif mutation == "duplicate":
         lines.insert(i, lines[i])
@@ -86,12 +94,19 @@ def result_files(tmp_path_factory, sample_results):
             path = base / f"{kind}.{fmt}"
             export_results(rs, fmt, path)
             files[kind, fmt] = path.read_bytes()
+    # every grid of the Monte Carlo sample is constant along time, and its
+    # exchange grids are rows of one row, so mutations reach the readers'
+    # paths for repeated texts too
+    samples = sample_results["monte_carlo"].payload.samples
+    for _, _, _, grid in lc_io._payload_grids("unit", samples):
+        assert (grid == grid[:, :1]).all()
+    assert all((grid == grid[:1]).all() for grid in samples.sp_exchange.values())
     return base, files
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(kind=st.sampled_from(KINDS), fmt=st.sampled_from(FORMATS),
-       mutation=st.sampled_from(MUTATIONS), rnd=st.randoms(use_true_random=False),
+       mutation=st.sampled_from(MUTATIONS + ("respell",)), rnd=st.randoms(use_true_random=False),
        token=st.sampled_from(TOKENS))
 def test_report_on_a_mutated_result(result_files, kind, fmt, mutation, rnd, token):
     base, files = result_files
@@ -110,6 +125,8 @@ def test_report_on_a_mutated_result(result_files, kind, fmt, mutation, rnd, toke
                   else mock.patch.object(lc_io, "_writer_layout_doc",
                                          side_effect=lc_io._NotWriterLayout)):
                 assert import_outcome(path) == outcome
+        if mutation == "respell":  # the same numbers, so the same result
+            assert outcome == import_outcome(base / f"{kind}.{fmt}")
 
 
 SAMPLE_INPUTS = ("heatplant.model", "heatplant_uncertain.model", "background.csv", "dcf.csv",

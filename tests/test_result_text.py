@@ -117,6 +117,29 @@ def row_constant_result():
     return result_set(payload, {})
 
 
+def equal_rows_result():
+    """A result whose rows are all one row, as a per-period unit row spread
+    over scenarios gives: a view with a zero stride along scenarios and its
+    copy; beside them, grids whose rows differ only in the sign of a zero or
+    in a NaN's payload bits, which the writer must not take for equal."""
+    other_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    row = np.array([1.5, -0.0, 0.0, np.nan, other_nan, -np.inf, 5e-324, 1 / 3])
+    spread = np.broadcast_to(row, (6, row.size))
+    # equal values, but not equal bits: rows of finite cells whose zeros'
+    # signs differ, and rows whose NaNs' payloads differ
+    signs = np.where(np.isnan(spread), 2.0, spread)
+    signs[3, 1] = 0.0
+    payloads = np.array(spread)
+    payloads[4, 3] = other_nan
+    grids = {"zero_stride": spread, "equal_rows": np.array(spread), "signs": signs,
+             "payloads": payloads}
+    cats = tuple(grids)
+    unit = UnitResult(grid=ScenarioGrid(*spread.shape), categories=cats, impacts=grids,
+                      cost=spread, sp_unit_impacts={"sp": grids}, sp_unit_costs={"sp": signs},
+                      sp_exchange={"sp": payloads})
+    return result_set(unit, {})
+
+
 KINDS = ("unit", "monte_carlo", "dynamic")
 
 
@@ -145,6 +168,32 @@ class TestWriterBytes:
         export_results(rs, fmt, path)
         oracle = oracle_result_json if fmt == "json" else oracle_result_csv
         assert path.read_bytes() == oracle(rs).encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_equal_row_blocks_match_frozen_emitter(self, fmt, block_cells, tmp_path):
+        rs = equal_rows_result()
+        path = tmp_path / f"result.{fmt}"
+        export_results(rs, fmt, path)
+        oracle = oracle_result_json if fmt == "json" else oracle_result_csv
+        assert path.read_bytes() == oracle(rs).encode("utf-8")
+
+    @pytest.mark.parametrize("scenarios", [False, True])
+    def test_a_block_of_equal_rows_formats_one_row(self, scenarios):
+        """Each text is made once: one row's for equal rows, one a row for
+        rows of one value, every cell's otherwise."""
+        row_fmt = "%s,%s %s,%s %s,%s\n" if scenarios else "%s %s %s\n"
+        grids = {"equal rows": (np.broadcast_to([1.5, -0.0, 2.0], (5, 3)), 3),
+                 "one value a row": (np.repeat(np.arange(5.0)[:, None], 3, axis=1), 5),
+                 "distinct": (np.arange(15.0).reshape(5, 3), 15)}
+        for name, (grid, made) in grids.items():
+            texts = []
+            text = "".join(lc_io._grid_blocks(grid, row_fmt, scenarios=scenarios,
+                                              cell=lambda v: texts.append(v) or repr(v)))
+            assert len(texts) == made, name
+            cells = [[repr(v) for v in row] for row in grid.tolist()]
+            if scenarios:
+                cells = [[f"{s},{v}" for v in row] for s, row in enumerate(cells)]
+            assert text == "".join(" ".join(row) + "\n" for row in cells), name
 
     def test_nonfinite_json_cells_keep_json_spelling(self, tmp_path):
         rs = random_result("unit", 4, nonfinite=True)
