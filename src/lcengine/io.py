@@ -895,8 +895,8 @@ def _build_payload(payload_type: str, dims: Mapping, label: str, cells: dict,
 # round-trips the exact float64 (at most 17 significant digits).  Each grid
 # gets a %-template for one row, built once, and each block of rows becomes
 # text in one formatting call, so memory follows a block, not the file.  The
-# call's cells are built by slices: a row's value, or a row of a block whose
-# rows are all one, is formatted once, and each scenario number once a row.
+# call's cells are built by slices: the value of a row that holds one value is
+# formatted once, and each scenario number once a row.
 
 _BLOCK_CELLS = 8192
 
@@ -908,9 +908,7 @@ def _grid_blocks(grid: np.ndarray, row_fmt: str, scenarios: bool = False,
     Each row is ``row_fmt % cells``: the row's values in order, each after
     its scenario number when ``scenarios`` is set.  ``%s`` writes a float as
     ``float.__repr__``; ``cell``, when given, turns each value into its text
-    first.  A block whose rows are all one row, or whose every row holds one
-    value, formats that row, or each row's value, once; equal means equal
-    bits, so ``-0.0`` and each NaN keep their text.
+    first.
     """
     n_s, n_t = grid.shape
     rows = max(1, min(n_s, _BLOCK_CELLS // max(1, n_t)))
@@ -922,10 +920,10 @@ def _grid_blocks(grid: np.ndarray, row_fmt: str, scenarios: bool = False,
         block = grid[start:start + rows]
         n = len(block)
         cells = [""] * (width * n * n_t)
-        bits = block.view(np.int64) if block.dtype == np.float64 else None
-        if bits is not None and n > 1 and (bits == bits[:1]).all():
-            cells[width - 1::width] = list(map(text, block[0].tolist())) * n
-        elif bits is not None and n_t > 1 and (bits == bits[:, :1]).all():
+        bits = block.view(np.int64) if block.dtype == np.float64 and n_t > 1 else None
+        if bits is not None and (bits == bits[:, :1]).all():
+            # each row holds one value, bit for bit (so -0.0 and each NaN
+            # keep their text): one text a row, repeated along it
             texts = list(map(text, block[:, 0].tolist()))
             for t in range(n_t):
                 cells[width * (t + 1) - 1::width * n_t] = texts
@@ -1157,20 +1155,13 @@ def _run_values(run: list[str], head: int, n_t: int) -> array:
     return values
 
 
-def _ends_in_blank_line(text: str) -> bool:
-    """Whether the last line of ``text``, whole lines of a CSV, is blank."""
-    cut = len(text) - text.endswith("\r\n") - text.endswith(("\n", "\r"))
-    return cut < len(text) and (cut == 0 or text.endswith(("\n", "\r"), 0, cut))
-
-
 def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
     """The meta and each grid's values of the rest of the open result CSV
     ``fh``, in the exact layout ``_export_csv`` writes: the meta rows, one to
     a line, then blocks of one row to a line in which each grid is contiguous
-    and complete, in the writer's cell order, and at most blank lines after
-    the last row.  Each run of a grid's rows in a block of text is checked
-    and converted at once (see ``_run_values``).  Any deviation raises
-    ``_NotWriterLayout``."""
+    and complete, in the writer's cell order.  Each run of a grid's rows in
+    a block of text is checked and converted at once (see ``_run_values``).
+    Any deviation, a blank line too, raises ``_NotWriterLayout``."""
     try:
         meta: dict = {}
         line = fh.readline()
@@ -1186,17 +1177,6 @@ def _writer_layout_grids(fh) -> tuple[dict, dict[tuple[str, str, str], array]]:
         values, size = array("d"), 0
         text = line + _read_block(fh) if line else ""
         while text:
-            if _ends_in_blank_line(text):
-                # blank lines may only end the file; the row reader names one
-                # that a row follows
-                while more := _read_block(fh):
-                    if more.strip("\r\n"):
-                        raise _NotWriterLayout
-                rows = text.rstrip("\r\n")
-                # the last row keeps its line end
-                text = rows and text[:len(rows) + 1 + text.startswith("\r\n", len(rows))]
-                if not text:
-                    break
             columns = _plain_fields(text)
             if columns is None:
                 raise _NotWriterLayout
@@ -1419,18 +1399,6 @@ _GRID_ROWS = json.JSONDecoder(parse_int=_not_a_float)
 _PAYLOAD_KEY = re.compile(r'^  "payload": ', re.MULTILINE)
 
 
-def _repeated_row(rows: str, between: str) -> tuple[str, int]:
-    """``rows``, the text of whole grid rows, each ``]`` and the next ``[``
-    ``between`` them, as the text of one row and the number of times it
-    repeats: the first row and the number of rows when every row is that
-    text, or else ``rows`` and 1."""
-    row, sep = rows[:rows.find(between) + 1], between[1:-1]
-    repeats, rest = divmod(len(rows) + len(sep), len(row) + len(sep))
-    if row and not rest and rows == sep.join([row] * repeats):
-        return row, repeats
-    return rows, 1
-
-
 def _writer_layout_doc(fh, head: str) -> dict:
     """The JSON result in the rest of the open file ``fh``, after its first
     characters ``head``, as ``json.loads`` with ``_grids_hook`` gives it,
@@ -1441,15 +1409,13 @@ def _writer_layout_doc(fh, head: str) -> dict:
 
     The file is read about ``_IMPORT_BLOCK_CHARS`` characters of whole
     lines at a time.  Each grid's rows go to the ``json`` decoder a block of
-    whole rows at a time, and their cells into float64 storage; a block
-    whose rows are one repeated row text decodes that row once and repeats
-    its cells (see ``_repeated_row``).  The rest of the text, meta,
-    dimensions, name lists and stat series, is one ``json.loads`` with
-    ``NaN`` in each grid's place.  The outcome is that of the whole text:
-    the text taken for a grid decodes, a block at a time, only as rows of
-    floats, with no string in them, so its brackets balance and it is the
-    grid's value; the key before it is a whole string that starts its line,
-    so that value stands where a value belongs.
+    whole rows at a time, and their cells into float64 storage.  The rest of
+    the text, meta, dimensions, name lists and stat series, is one
+    ``json.loads`` with ``NaN`` in each grid's place.  The outcome is that
+    of the whole text: the text taken for a grid decodes, a block at a time,
+    only as rows of floats, with no string in them, so its brackets balance
+    and it is the grid's value; the key before it is a whole string that
+    starts its line, so that value stands where a value belongs.
     """
     text = head + _read_block(fh)
     if not text.startswith('\n  "', len(head)):  # another indentation, or none
@@ -1501,14 +1467,12 @@ def _writer_layout_doc(fh, head: str) -> dict:
                     rows = text[start:cut]
                     if "true" in rows or "false" in rows:  # which array("d") takes
                         raise _NotWriterLayout
-                    # a block of one repeated row text decodes that row once
-                    row, repeats = _repeated_row(rows, between)
-                    rows = _GRID_ROWS.decode(f"[{row}]")
+                    rows = _GRID_ROWS.decode(f"[{rows}]")
                     width = width or len(rows[0])
                     if set(map(len, rows)) != {width}:
                         raise _NotWriterLayout
                     # a TypeError on any other cell that is not a float
-                    values.extend(array("d", itertools.chain.from_iterable(rows)) * repeats)
+                    values.extend(itertools.chain.from_iterable(rows))
                     if stop >= 0:
                         break
                     start = cut + len(between) - 2  # the next row's "["
@@ -1568,11 +1532,10 @@ def import_results(path) -> ResultSet:
     last row are skipped.  Each format has two readers, never mixed.  A
     regular file in the exact layout ``export_results`` writes is read about
     ``_IMPORT_BLOCK_CHARS`` characters of text at a time, into memory about
-    the size of its grids; a text that repeats, a CSV row's value or a
-    block of equal JSON rows, is converted once.  Any other file, or a
-    pipe, which cannot be read twice, is read by the general reader of its
-    format: a CSV one row at a time, a JSON text whole.  The general reader
-    gives every diagnostic.
+    the size of its grids; a CSV value text that repeats along a whole row
+    is converted once.  Any other file, or a pipe, which cannot be read
+    twice, is read by the general reader of its format: a CSV one row at a
+    time, a JSON text whole.  The general reader gives every diagnostic.
     """
     path = str(path)
     try:

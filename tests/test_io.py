@@ -923,16 +923,13 @@ def test_blank_lines_before_a_csv_header_are_skipped(lead, mc_csv, tmp_path):
     assert exc_info.value.line == 8 + len(lead.splitlines())
 
 
-
 @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\n\n\r\n"])
-def test_blank_lines_after_the_last_row_are_skipped(end, mc_csv, tmp_path, monkeypatch):
-    """A blank line an editor leaves at the end keeps the block reader, and
-    the file imports as the original does."""
+def test_blank_lines_after_the_last_row_are_skipped(end, mc_csv, tmp_path):
+    """A blank line an editor leaves at the end: the file imports as the
+    original does."""
     path = tmp_path / "result.csv"
     path.write_bytes(mc_csv[0].read_bytes() + end)
-    expected = import_outcome(mc_csv[0])
-    monkeypatch.setattr(lc_io, "_row_grids", None)  # the row reader must not be called
-    assert import_outcome(path) == expected
+    assert import_outcome(path) == import_outcome(mc_csv[0])
 
 
 def test_a_blank_line_between_rows_names_its_line(mc_csv, tmp_path):
@@ -1110,16 +1107,6 @@ JSON_CASES = {
     # the last cell of the file's last grid
     "last_cell-nan": (True, lambda sr, mc, tmp: _grid_corner(
         _sample_json(sr, tmp, "dynamic"), ("contributions", "NOx", "AP"), -1, math.nan)),
-    # near misses of a block of one repeated row (the sample's exchange grid,
-    # 6 rows of 1.0): one cell of another value or spelling, one cell
-    # indented a space deeper, one row more deeply indented
-    **{f"repeated_rows-{case}": (True, lambda sr, mc, tmp, edit=edit: _cell_line(
-        _sample_json(sr, tmp, MC_SAMPLE), b'"fuel_supply": [', 25, edit)) for case, edit in (
-        ("other_cell", lambda line: line.replace(b"1.0", b"1.5")),
-        ("respelled_cell", lambda line: line.replace(b"1.0", b"1.00")),
-        ("indented_cell", lambda line: b" " + line))},
-    "repeated_rows-indented_row": (True, lambda sr, mc, tmp: _cell_line(
-        _sample_json(sr, tmp, MC_SAMPLE), b'"fuel_supply": [', 22, lambda line: b" " + line)),
     # the deviations, each read whole by json
     "indent_4": (False, lambda sr, mc, tmp: json.dumps(
         json.loads(_sample_json(sr, tmp, MC_SAMPLE)), indent=4).encode()),
@@ -1193,21 +1180,6 @@ def test_json_readers_agree(case, block_chars, sample_results, mc_json, tmp_path
     outcome, read, whole = _json_outcomes(path, monkeypatch)
     assert read == writer_layout
     assert outcome == whole
-
-
-def test_a_block_of_repeated_json_rows_decodes_one_row(sample_results, tmp_path, monkeypatch):
-    """The sample's two exchange grids are 6 equal rows each: one row each
-    goes to the decoder."""
-    path = tmp_path / "result.json"
-    path.write_bytes(_sample_json(sample_results, tmp_path, MC_SAMPLE))
-    expected = import_outcome(path)
-    decoded = []
-    rows = lc_io._GRID_ROWS
-    monkeypatch.setattr(lc_io, "_GRID_ROWS", mock.Mock(
-        decode=lambda text: decoded.append(rows.decode(text)) or decoded[-1]))
-    assert import_outcome(path) == expected
-    assert decoded.count([[1.0] * 5]) == 2
-    assert all(len(grid) == 6 for grid in decoded if grid != [[1.0] * 5])
 
 
 @pytest.mark.parametrize("case", ["monte_carlo", "mc_2000", "mc_2000-utf8_deep", "truncated"])

@@ -94,17 +94,17 @@ def result_files(tmp_path_factory, sample_results):
             path = base / f"{kind}.{fmt}"
             export_results(rs, fmt, path)
             files[kind, fmt] = path.read_bytes()
-    # every grid of the Monte Carlo sample is constant along time, and its
-    # exchange grids are rows of one row, so mutations reach the readers'
-    # paths for repeated texts too
+    # every grid of the Monte Carlo sample is constant along time, so
+    # mutations reach the CSV reader's path for repeated texts too
     samples = sample_results["monte_carlo"].payload.samples
     for _, _, _, grid in lc_io._payload_grids("unit", samples):
         assert (grid == grid[:, :1]).all()
-    assert all((grid == grid[:1]).all() for grid in samples.sp_exchange.values())
     return base, files
 
 
-@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+# 600 examples for the seven mutations of MUTATIONS, and an eighth share for
+# "respell"
+@settings(derandomize=True, database=None, max_examples=690, deadline=None)
 @given(kind=st.sampled_from(KINDS), fmt=st.sampled_from(FORMATS),
        mutation=st.sampled_from(MUTATIONS + ("respell",)), rnd=st.randoms(use_true_random=False),
        token=st.sampled_from(TOKENS))
